@@ -118,6 +118,8 @@ def _cmd_point(args) -> int:
             "log_neg": record.log_neg,
             "elements": record.elements,
             "residual_norm": report.residual_norm,
+            "unknowns": report.unknowns,
+            "lu_nnz": report.lu_nnz,
         }
         print(json.dumps(doc, indent=1))
         return 0

@@ -38,6 +38,8 @@ __all__ = [
     "hamiltonian_superop",
     "lindblad_dissipator",
     "build_liouvillian",
+    "sector_index",
+    "SectorTerms",
     "vec",
     "unvec",
     "trace_functional",
@@ -123,25 +125,91 @@ def lindblad_dissipator(op: sp.spmatrix, rate: float) -> sp.csr_matrix:
     return (rate * (jump - anticomm)).tocsr()
 
 
+def _generator_terms(space: HilbertSpace):
+    """Yield the seven parameter-free pieces of L, in the order of
+    _coefficients: the delta, J and Omega commutators, then D[sigma-],
+    D[a], D[b] and D[b^dag] at unit rate.  One at a time, so that a caller
+    restricting them to the sector never holds all seven full terms."""
+    s_minus = atom_lowering(space)
+    s_plus = s_minus.conj().T.tocsr()
+    a = photon_lowering(space)
+    b = phonon_lowering(space)
+    pair = s_plus @ a @ b
+    yield hamiltonian_superop(s_plus @ s_minus + a.conj().T @ a)
+    yield hamiltonian_superop(pair + pair.conj().T)
+    yield hamiltonian_superop(s_plus + s_minus)
+    for op in (s_minus, a, b, b.conj().T):
+        yield lindblad_dissipator(op, 1.0)
+
+
+def _coefficients(params: SystemParams) -> tuple[float, ...]:
+    """Weights of the _generator_terms in L; L is linear in these."""
+    return (
+        params.delta,
+        params.j_coupling,
+        params.omega,
+        params.kappa,
+        params.gamma_c,
+        params.gamma_m * (params.m_th + 1.0),
+        params.gamma_m * params.m_th,
+    )
+
+
+def _combine(params: SystemParams, terms, size: int) -> sp.csr_matrix:
+    """sum_i c_i L_i, leaving out terms whose weight is zero so that
+    switched-off channels add no entries, not even explicit zeros."""
+    lv = sp.csr_matrix((size, size), dtype=complex)
+    for coeff, term in zip(_coefficients(params), terms):
+        if coeff != 0:
+            lv = lv + coeff * term
+    return lv
+
+
 def build_liouvillian(params: SystemParams, space: HilbertSpace) -> sp.csr_matrix:
     """Full generator of the master equation, as a sparse matrix acting on
     vectorized density matrices.
 
     L = -i[H, .] + kappa D[sigma-] + gamma_c D[a]
         + gamma_m (m_th + 1) D[b] + gamma_m m_th D[b^dag]
+
+    The solvers work on the n - m sector (SectorTerms); this full operator
+    serves the oracles and the tests.
     """
-    h = build_hamiltonian(params, space)
-    lv = hamiltonian_superop(h)
-    if params.kappa > 0:
-        lv = lv + lindblad_dissipator(atom_lowering(space), params.kappa)
-    if params.gamma_c > 0:
-        lv = lv + lindblad_dissipator(photon_lowering(space), params.gamma_c)
-    if params.gamma_m > 0:
-        b = phonon_lowering(space)
-        lv = lv + lindblad_dissipator(b, params.gamma_m * (params.m_th + 1.0))
-        if params.m_th > 0:
-            lv = lv + lindblad_dissipator(b.conj().T.tocsr(), params.gamma_m * params.m_th)
-    return lv.tocsr()
+    return _combine(params, _generator_terms(space), space.dim**2)
+
+
+def sector_index(space: HilbertSpace) -> np.ndarray:
+    """Column-stacked positions k = i + j*dim of the entries rho[i, j]
+    whose ket and bra carry equal photon-minus-phonon number n - m.
+
+    H conserves n - m and every jump operator shifts it by a fixed amount
+    (sigma- by 0, a by -1, b by +1, b^dag by -1), so L maps this sector
+    into itself: a weak U(1) symmetry.  The steady state, when unique, lives
+    in it.
+    """
+    q = space.photon_values() - space.phonon_values()
+    return np.flatnonzero(vec(q[:, None] == q[None, :]))
+
+
+@dataclass(frozen=True, eq=False)
+class SectorTerms:
+    """The generator terms of one space restricted to its n - m sector.
+
+    Built once per space; liouvillian(params) then costs one sparse sum.
+    """
+
+    index: np.ndarray
+    terms: tuple[sp.csr_matrix, ...]
+
+    @classmethod
+    def build(cls, space: HilbertSpace) -> "SectorTerms":
+        index = sector_index(space)
+        terms = tuple(term[index][:, index] for term in _generator_terms(space))
+        return cls(index, terms)
+
+    def liouvillian(self, params: SystemParams) -> sp.csr_matrix:
+        """L restricted to the sector, for the given parameters."""
+        return _combine(params, self.terms, self.index.size)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

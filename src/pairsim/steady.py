@@ -1,20 +1,34 @@
 """Steady-state solvers and the time-evolution cross-check.
 
-The primary path replaces one row of the (singular) Liouvillian with the
-trace functional and solves the resulting nonsingular sparse system with an
-LU factorization.  Row 0 is used: it corresponds to a diagonal element of
-rho, and the trace-preservation identity makes any diagonal row linearly
-dependent on the others, so the replacement loses no information.
+The production path solves L vec(rho) = 0 in the n - m sector only: the
+entries rho[i, j] whose ket and bra carry equal photon-minus-phonon number.
+H conserves n - m and each jump operator shifts it by a fixed amount
+(sigma- by 0, a by -1, b by +1, b^dag by -1), so L maps the sector into
+itself and into its complement separately (a weak U(1) symmetry).  A
+unique steady state is invariant under that symmetry and therefore has no
+weight outside the sector, so solving there is exact, not an
+approximation.  The sector holds 1/9 of the dim^2 unknowns at (5, 5) and
+1/23 at (12, 16), and its LU fill shrinks by a larger factor still.
 
-Two independent oracles guard that path: a dense null-space computation
-(null_space_steady) and a fixed-step RK4 integration of the master equation
-(evolve_to_steady).  Tests compare all three; production code uses the
-sparse path only.
+Within the sector, the row of the diagonal element rho[0, 0] is replaced by
+the trace functional and the nonsingular system is solved by sparse LU.
+The trace-preservation identity makes any diagonal row linearly dependent
+on the others, so the replacement loses no information.
+
+solve_steady also accepts a full-space L, as the oracles' callers build it.
+It restricts L to the sector but measures the residual with the full L on
+the embedded solution, so a generator without the symmetry fails the
+residual test rather than being solved in the wrong space.
+
+Two independent oracles guard that path and stay full-space: a dense
+null-space computation (null_space_steady) and a fixed-step RK4 integration
+of the master equation (evolve_to_steady).  Tests compare all three;
+production code uses the sector path only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -22,7 +36,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DegenerateSteadyStateError
-from .model import SystemParams, build_liouvillian, trace_functional, unvec, vec
+from .model import SectorTerms, SystemParams, sector_index, trace_functional, unvec, vec
+from .observables import DEFAULT_FLOOR, ObservableRecord, compute_observables
 from .operators import HilbertSpace
 
 __all__ = [
@@ -48,11 +63,15 @@ class SolveReport:
 
     truncation_converged is None when no truncation check was run, and a
     boolean once check_truncation has compared against doubled levels.
+    unknowns is the size of the n - m sector that was factored and lu_nnz
+    the fill of its LU factors (L.nnz + U.nnz).
     """
 
     residual_norm: float
     truncation_converged: bool | None
     levels_used: tuple[int, int]
+    unknowns: int
+    lu_nnz: int
 
 
 def _validated(rho: np.ndarray, residual: float, where: str) -> np.ndarray:
@@ -89,22 +108,31 @@ def solve_steady(
     space: HilbertSpace,
     max_refine: int = 3,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Solve L vec(rho) = 0 with unit trace via trace-row replacement.
+    """Solve L vec(rho) = 0 with unit trace in the n - m sector.
 
-    Returns the Hermitized density matrix and a report carrying the
-    residual of the original (unmodified) Liouvillian.  A singular
-    factorization signals a degenerate steady-state manifold.
+    `liouvillian` is either the sector operator (SectorTerms.liouvillian)
+    or the full dim^2 operator, which is restricted here.  Returns the
+    Hermitized density matrix and a report carrying the residual of the
+    unmodified L: the full one when given, so that off-sector rows count.
+    A singular factorization signals a degenerate steady-state manifold.
     """
     lv = sp.csr_matrix(liouvillian)
     dim = space.dim
-    if lv.shape != (dim * dim, dim * dim):
+    index = sector_index(space)
+    if lv.shape == (dim * dim, dim * dim):
+        check = lv[:, index]
+        lv = check[index]
+    elif lv.shape == (index.size, index.size):
+        check = lv
+    else:
         raise ValueError(
-            f"Liouvillian shape {lv.shape} does not match space dimension {dim}"
+            f"Liouvillian shape {lv.shape} does not match space dimension {dim} "
+            f"(full {dim * dim} or sector {index.size} unknowns)"
         )
-    modified = lv.tolil()
-    modified[0, :] = trace_functional(dim)
-    modified = modified.tocsc()
-    rhs = np.zeros(dim * dim, dtype=complex)
+    # index[0] = 0 is rho[0, 0], so row 0 is a diagonal row
+    trace_row = sp.csr_matrix(trace_functional(dim)[index])
+    modified = sp.vstack([trace_row, lv[1:]], format="csc")
+    rhs = np.zeros(index.size, dtype=complex)
     rhs[0] = 1.0
     try:
         lu = spla.splu(modified)
@@ -114,26 +142,32 @@ def solve_steady(
             "the steady state is not unique"
         ) from exc
     x = lu.solve(rhs)
-    residual = float(np.linalg.norm(lv @ x))
+    residual = float(np.linalg.norm(check @ x))
     # Iterative refinement rarely triggers (direct solves land near 1e-14)
     # but costs little and protects ill-conditioned corners.
     for _ in range(max_refine):
         if residual <= 0.1 * RESIDUAL_TOL:
             break
         x = x + lu.solve(rhs - modified @ x)
-        residual = float(np.linalg.norm(lv @ x))
-    rho = _validated(unvec(x, dim), residual, "solve_steady")
+        residual = float(np.linalg.norm(check @ x))
+    full = np.zeros(dim * dim, dtype=complex)
+    full[index] = x
+    rho = _validated(unvec(full, dim), residual, "solve_steady")
     return rho, SolveReport(
-        residual_norm=residual, truncation_converged=None, levels_used=(space.n_c, space.n_m)
+        residual_norm=residual,
+        truncation_converged=None,
+        levels_used=(space.n_c, space.n_m),
+        unknowns=int(index.size),
+        lu_nnz=int(lu.L.nnz + lu.U.nnz),
     )
 
 
 def steady_state(
     params: SystemParams, space: HilbertSpace | None = None
 ) -> tuple[np.ndarray, SolveReport]:
-    """Convenience wrapper: build the Liouvillian and solve it."""
+    """Convenience wrapper: build the sector Liouvillian and solve it."""
     space = space or HilbertSpace()
-    return solve_steady(build_liouvillian(params, space), space)
+    return solve_steady(SectorTerms.build(space).liouvillian(params), space)
 
 
 def null_space_steady(
@@ -261,6 +295,8 @@ def check_truncation(
     params: SystemParams,
     base_levels: tuple[int, int] = (5, 5),
     tolerance: float = 1e-6,
+    base: tuple[ObservableRecord, SolveReport] | None = None,
+    floor: float = DEFAULT_FLOOR,
 ) -> SolveReport:
     """Compare observables at base_levels against doubled levels.
 
@@ -269,17 +305,26 @@ def check_truncation(
     `tolerance` relative, with a small absolute floor so that observables
     that are exactly zero do not trip on rounding noise.  Undefined
     correlations must be undefined at both truncations to count as agreeing.
-    """
-    from .observables import compute_observables
 
+    `base` is the record and report of a solve already made at base_levels,
+    computed with the same `floor`; without it the base point is solved
+    here.  The returned report is the base report with the verdict added.
+    """
     if base_levels[0] < 2 or base_levels[1] < 2:
         raise ValueError(f"base truncation must be at least (2, 2), got {base_levels}")
-    base_space = HilbertSpace(*base_levels)
+    if base is None:
+        base_space = HilbertSpace(*base_levels)
+        rho_base, report = steady_state(params, base_space)
+        obs_base = compute_observables(rho_base, base_space, floor=floor)
+    else:
+        obs_base, report = base
+        if tuple(report.levels_used) != tuple(base_levels):
+            raise ValueError(
+                f"base solution at {report.levels_used} does not match base_levels {base_levels}"
+            )
     big_space = HilbertSpace(2 * base_levels[0], 2 * base_levels[1])
-    rho_base, report = steady_state(params, base_space)
     rho_big, _ = steady_state(params, big_space)
-    obs_base = compute_observables(rho_base, base_space)
-    obs_big = compute_observables(rho_big, big_space)
+    obs_big = compute_observables(rho_big, big_space, floor=floor)
 
     def agree(x: float | None, y: float | None) -> bool:
         if x is None or y is None:
@@ -290,8 +335,4 @@ def check_truncation(
         agree(getattr(obs_base, name), getattr(obs_big, name))
         for name in ("mean_n", "mean_m", "g2_n", "g2_m", "g2_nm", "log_neg")
     )
-    return SolveReport(
-        residual_norm=report.residual_norm,
-        truncation_converged=converged,
-        levels_used=base_levels,
-    )
+    return replace(report, truncation_converged=converged, levels_used=base_levels)

@@ -23,10 +23,12 @@ import yaml
 
 from . import __version__
 from .errors import ConfigError, PairsimError, TruncationError
-from .model import SystemParams, build_liouvillian
+# build_liouvillian is not called here; it stays importable from this
+# module because bench/child.py traces calls through sweep's names.
+from .model import SectorTerms, SystemParams, build_liouvillian  # noqa: F401
 from .observables import DEFAULT_FLOOR, ELEMENT_KEYS, ObservableRecord, compute_observables
 from .operators import HilbertSpace
-from .steady import RESIDUAL_TOL, SolveReport, check_truncation, solve_steady
+from .steady import SolveReport, check_truncation, solve_steady
 
 __all__ = [
     "AXES",
@@ -96,11 +98,10 @@ class SweepRow:
 
     @property
     def converged(self) -> bool:
-        """True when the point solved within tolerance and the sweep-level
-        truncation check (if one ran) did not flag it."""
+        """True when the point solved (solve_steady enforces the residual
+        tolerance) and the sweep-level truncation check, if one ran, did not
+        flag it."""
         if self.error is not None or self.report is None:
-            return False
-        if self.report.residual_norm > RESIDUAL_TOL:
             return False
         return self.report.truncation_converged is not False
 
@@ -217,14 +218,16 @@ def run_sweep(
     With strict truncation on, a single check_truncation pass runs at the
     grid point with the largest occupation (the worst case for Fock-space
     truncation); failure aborts the sweep naming that point.  With it off,
-    no truncation check runs and the per-row flag stays None.
+    no truncation check runs and the per-row flag stays None.  The sector
+    terms are built once, so each point costs a sparse sum and one LU.
     """
     space = HilbertSpace(*config.truncation)
+    terms = SectorTerms.build(space)
     rows: list[SweepRow] = []
     for i, value in enumerate(config.axis_values):
         params = config.params_at(value)
         try:
-            rho, report = solve_steady(build_liouvillian(params, space), space)
+            rho, report = solve_steady(terms.liouvillian(params), space)
             record = compute_observables(rho, space, floor=config.floor)
             rows.append(SweepRow(axis_value=value, record=record, report=report))
         except PairsimError as exc:
@@ -241,6 +244,8 @@ def run_sweep(
             config.params_at(worst.axis_value),
             base_levels=config.truncation,
             tolerance=config.truncation_tol,
+            base=(worst.record, worst.report),
+            floor=config.floor,
         )
         for row in solved:
             row.report.truncation_converged = check.truncation_converged
@@ -337,6 +342,8 @@ def emit_json(result: SweepResult, path: str) -> None:
                 "residual_norm": row.report.residual_norm,
                 "truncation_converged": row.report.truncation_converged,
                 "levels_used": list(row.report.levels_used),
+                "unknowns": row.report.unknowns,
+                "lu_nnz": row.report.lu_nnz,
             }
             entry["converged"] = row.converged
         else:

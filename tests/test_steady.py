@@ -3,11 +3,23 @@ truncation checking and failure modes."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+import pairsim.steady
 from pairsim.errors import ConvergenceError, DegenerateSteadyStateError
-from pairsim.model import SystemParams, build_liouvillian, vec
-from pairsim.operators import HilbertSpace
+from pairsim.model import (
+    SectorTerms,
+    SystemParams,
+    build_liouvillian,
+    hamiltonian_superop,
+    sector_index,
+    trace_functional,
+    unvec,
+    vec,
+)
+from pairsim.observables import compute_observables
+from pairsim.operators import HilbertSpace, photon_lowering
 from pairsim.steady import (
     RESIDUAL_TOL,
     check_truncation,
@@ -22,6 +34,36 @@ from pairsim.steady import (
 WEAK_POINT = SystemParams(
     delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0, m_th=0.0
 )
+# Points of the shipped fig2_weak, fig6 and fig7 sweeps at their truncations.
+CANONICAL_POINTS = [
+    (WEAK_POINT, HilbertSpace(5, 5)),
+    (
+        SystemParams(delta=100.0, j_coupling=100.0, omega=1.0, gamma_c=10.0, gamma_m=0.01),
+        HilbertSpace(6, 8),
+    ),
+    (
+        SystemParams(
+            delta=100.0, j_coupling=100.0, omega=1.0, gamma_c=10.0, gamma_m=10.0, m_th=0.3
+        ),
+        HilbertSpace(6, 14),
+    ),
+]
+
+
+def full_space_solve(lv, space: HilbertSpace) -> np.ndarray:
+    """Reference solver on all dim^2 unknowns: row 0 of L replaced by the
+    trace functional, sparse LU, no symmetry used."""
+    modified = lv.tolil()
+    modified[0, :] = trace_functional(space.dim)
+    rhs = np.zeros(space.dim**2, dtype=complex)
+    rhs[0] = 1.0
+    return unvec(spla.splu(modified.tocsc()).solve(rhs), space.dim)
+
+
+def observable_values(rho, space: HilbertSpace) -> list[float]:
+    rec = compute_observables(rho, space)
+    scalars = [rec.mean_n, rec.mean_m, rec.g2_n, rec.g2_m, rec.g2_nm, rec.log_neg]
+    return scalars + list(rec.elements.values())
 
 
 def test_undriven_steady_state_is_vacuum():
@@ -179,6 +221,8 @@ def test_degenerate_steady_state_is_reported():
         solve_steady(lv, space)
     with pytest.raises(DegenerateSteadyStateError):
         null_space_steady(lv, space)
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(params, space)
 
 
 def test_truncation_check_passes_for_contained_states():
@@ -195,6 +239,80 @@ def test_truncation_check_fails_for_strong_drive():
     )
     report = check_truncation(params, base_levels=(2, 2))
     assert report.truncation_converged is False
+
+
+@pytest.mark.parametrize("params, space", CANONICAL_POINTS)
+def test_sector_solve_matches_full_space_oracle(params, space):
+    rho_full = full_space_solve(build_liouvillian(params, space), space)
+    outside = np.ones(space.dim**2, dtype=bool)
+    outside[sector_index(space)] = False
+    assert np.count_nonzero(vec(rho_full)[outside]) == 0
+    rho, report = steady_state(params, space)
+    assert report.unknowns == sector_index(space).size
+    assert_allclose(
+        observable_values(rho, space),
+        observable_values(rho_full, space),
+        rtol=1e-12,
+        atol=1e-15,
+    )
+
+
+def test_sector_solve_of_a_full_operator_matches_dense_oracle():
+    space = HilbertSpace(2, 2)
+    params, _ = CANONICAL_POINTS[2]
+    lv = build_liouvillian(params, space)
+    rho, report = solve_steady(lv, space)
+    assert_allclose(rho, null_space_steady(lv, space), atol=1e-10)
+    assert_allclose(rho, full_space_solve(lv, space), atol=1e-12)
+    assert report.unknowns < space.dim**2
+
+
+@pytest.mark.parametrize(
+    "levels, size",
+    [((5, 5), 584), ((6, 8), 1316), ((6, 14), 2492), ((10, 10), 3564), ((12, 16), 8580)],
+)
+def test_sector_sizes(levels, size):
+    assert sector_index(HilbertSpace(*levels)).size == size
+
+
+def test_sector_terms_restrict_the_full_liouvillian():
+    params, space = CANONICAL_POINTS[2][0], HilbertSpace(2, 3)
+    index = sector_index(space)
+    full = build_liouvillian(params, space)
+    sector = SectorTerms.build(space).liouvillian(params)
+    assert abs(sector - full[index][:, index]).max() <= 1e-12
+    # L maps the sector into itself: no sector column reaches outside it
+    outside = np.setdiff1d(np.arange(space.dim**2), index)
+    assert full[outside][:, index].count_nonzero() == 0
+
+
+def test_generator_without_the_symmetry_is_rejected():
+    # a coherent photon drive changes n - m by one, so the steady state has
+    # off-sector weight that the sector solve cannot represent
+    space = HilbertSpace(3, 3)
+    a = photon_lowering(space)
+    lv = build_liouvillian(WEAK_POINT, space) + hamiltonian_superop(0.5 * (a + a.conj().T))
+    with pytest.raises(ConvergenceError):
+        solve_steady(lv, space)
+
+
+def test_truncation_check_reuses_the_base_solution(monkeypatch):
+    space = HilbertSpace(3, 3)
+    rho, report = steady_state(WEAK_POINT, space)
+    base = (compute_observables(rho, space), report)
+    solved = []
+
+    def counting(params, space=None):
+        solved.append((space.n_c, space.n_m))
+        return steady_state(params, space)
+
+    monkeypatch.setattr(pairsim.steady, "steady_state", counting)
+    with_base = check_truncation(WEAK_POINT, base_levels=(3, 3), base=base)
+    assert solved == [(6, 6)]
+    assert with_base == check_truncation(WEAK_POINT, base_levels=(3, 3))
+    assert with_base.truncation_converged is True
+    with pytest.raises(ValueError):
+        check_truncation(WEAK_POINT, base_levels=(4, 4), base=base)
 
 
 def test_truncation_check_rejects_tiny_base():

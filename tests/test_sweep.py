@@ -302,6 +302,9 @@ def test_cli_sweep_writes_csv_and_json(tmp_path, capsys):
     doc = json.loads((tmp_path / "mini.json").read_text())
     assert len(doc["rows"]) == 3
     assert doc["metadata"]["config"]["truncation"] == [3, 3]
+    report = doc["rows"][0]["report"]
+    assert report["unknowns"] == 176  # n - m sector of (3, 3), of 1024 entries
+    assert report["lu_nnz"] > report["unknowns"]
     assert "wrote" in capsys.readouterr().out
 
 
@@ -362,6 +365,14 @@ def test_cli_point_json(capsys):
     space = HilbertSpace(3, 3)
     rho, _ = steady_state(BASE, space)
     assert doc["g2_nm"] == pytest.approx(compute_observables(rho, space).g2_nm)
+
+
+def test_cli_point_json_reports_solve_size(capsys):
+    assert main(["point", "--omega", "1", "--gamma-c", "10", "--gamma-m", "10", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["truncation"] == [5, 5]
+    assert doc["unknowns"] == 584  # n - m sector of (5, 5), of 5184 entries
+    assert doc["lu_nnz"] > doc["unknowns"]
 
 
 def test_cli_point_text_reports_undef(capsys):
