@@ -46,22 +46,22 @@ from .observables import (
 from .operators import HilbertSpace
 from .steady import (
     SolveReport,
-    check_truncation,
     evolve_to_steady,
     null_space_steady,
     solve_steady,
-    steady_state,
     suggest_step,
 )
 from .sweep import (
     SweepConfig,
     SweepResult,
     SweepRow,
+    check_truncation,
     emit_csv,
     emit_json,
     load_config,
     read_csv,
     run_sweep,
+    solve_point,
 )
 
 __all__ = [
@@ -73,11 +73,9 @@ __all__ = [
     "lindblad_dissipator",
     "SolveReport",
     "solve_steady",
-    "steady_state",
     "null_space_steady",
     "evolve_to_steady",
     "suggest_step",
-    "check_truncation",
     "ObservableRecord",
     "compute_observables",
     "mean_number",
@@ -98,6 +96,8 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "load_config",
+    "solve_point",
+    "check_truncation",
     "run_sweep",
     "emit_csv",
     "emit_json",

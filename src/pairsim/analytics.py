@@ -45,20 +45,14 @@ class WeakExcitationEstimate:
 
 
 def weak_excitation_estimate(
-    elements: dict[str, float],
-    gamma_c: float,
-    gamma_m: float,
-    threshold: float = WEAK_OCCUPATION_THRESHOLD,
+    elements: dict[str, float], threshold: float = WEAK_OCCUPATION_THRESHOLD
 ) -> WeakExcitationEstimate:
     """Estimate occupations and the cross correlation from the named
     populations alone.
 
     est_mean_n = rho55 + rho44, est_mean_m = rho55 + rho33, and
-    est_g2_nm = rho55 / ((rho55 + rho33)(rho55 + rho44)).  The damping rates
-    are accepted for symmetry with the relations they come from but do not
-    enter the estimates themselves.
+    est_g2_nm = rho55 / ((rho55 + rho33)(rho55 + rho44)).
     """
-    del gamma_c, gamma_m
     r33 = elements["rho33"]
     r44 = elements["rho44"]
     r55 = elements["rho55"]

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -19,11 +19,20 @@ import numpy as np
 from . import __version__
 from .analytics import pair_subspace_spectrum
 from .errors import ConfigError, PairsimError
-from .model import SystemParams, build_liouvillian, trace_functional
-from .observables import ELEMENT_KEYS, compute_observables
+from .model import SectorTerms, SystemParams, build_liouvillian, trace_functional
+from .observables import DEFAULT_FLOOR, ELEMENT_KEYS, SCALAR_KEYS, ObservableRecord
 from .operators import HilbertSpace
-from .steady import null_space_steady, solve_steady, steady_state
-from .sweep import SweepConfig, emit_csv, emit_json, load_config, run_sweep
+from .steady import null_space_steady, solve_steady
+from .sweep import (
+    SweepConfig,
+    check_floor,
+    emit_csv,
+    emit_json,
+    load_config,
+    point_json,
+    run_sweep,
+    solve_point,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,52 +95,20 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_point(args) -> int:
-    params = SystemParams(
-        delta=args.delta,
-        j_coupling=args.j_coupling,
-        omega=args.omega,
-        kappa=args.kappa,
-        gamma_c=args.gamma_c,
-        gamma_m=args.gamma_m,
-        m_th=args.m_th,
-    )
+    check_floor(args.floor)
+    params = SystemParams(**{f.name: getattr(args, f.name) for f in fields(SystemParams)})
     space = HilbertSpace(*args.truncation)
-    rho, report = steady_state(params, space)
-    record = compute_observables(rho, space, floor=args.floor)
+    record, report = solve_point(params, SectorTerms.build(space), args.floor)
     if args.json:
-        doc = {
-            "params": {
-                "delta": params.delta,
-                "j_coupling": params.j_coupling,
-                "omega": params.omega,
-                "kappa": params.kappa,
-                "gamma_c": params.gamma_c,
-                "gamma_m": params.gamma_m,
-                "m_th": params.m_th,
-            },
-            "truncation": list(args.truncation),
-            "mean_n": record.mean_n,
-            "mean_m": record.mean_m,
-            "g2_n": record.g2_n,
-            "g2_m": record.g2_m,
-            "g2_nm": record.g2_nm,
-            "log_neg": record.log_neg,
-            "elements": record.elements,
-            "residual_norm": report.residual_norm,
-            "unknowns": report.unknowns,
-            "lu_nnz": report.lu_nnz,
-        }
-        print(json.dumps(doc, indent=1))
+        doc = {"params": asdict(params), "truncation": list(args.truncation)}
+        print(json.dumps({**doc, **point_json(record, report)}, indent=1))
         return 0
+
     def show(name: str, value) -> None:
         print(f"{name:10s} = {'undef' if value is None else format(value, '.12g')}")
 
-    show("mean_n", record.mean_n)
-    show("mean_m", record.mean_m)
-    show("g2_n", record.g2_n)
-    show("g2_m", record.g2_m)
-    show("g2_nm", record.g2_nm)
-    show("log_neg", record.log_neg)
+    for key in SCALAR_KEYS:
+        show(key, getattr(record, key))
     for key in ELEMENT_KEYS:
         show(key, record.elements[key])
     show("residual", report.residual_norm)
@@ -150,6 +127,9 @@ def _check_battery() -> list[tuple[str, bool, str]]:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append((name, ok, detail))
 
+    def solve(params: SystemParams, n_c: int, n_m: int) -> ObservableRecord:
+        return solve_point(params, SectorTerms.build(HilbertSpace(n_c, n_m)))[0]
+
     def spectrum():
         space = HilbertSpace(2, 2)
         rep = pair_subspace_spectrum(
@@ -159,10 +139,7 @@ def _check_battery() -> list[tuple[str, bool, str]]:
         return dev < 1e-10, f"doublet {rep.pair_doublet}, expected (3, 7)"
 
     def vacuum():
-        params = SystemParams(j_coupling=0.3, gamma_c=2.0, gamma_m=3.0)
-        space = HilbertSpace(3, 3)
-        rho, _ = steady_state(params, space)
-        rec = compute_observables(rho, space)
+        rec = solve(SystemParams(j_coupling=0.3, gamma_c=2.0, gamma_m=3.0), 3, 3)
         ok = (
             rec.mean_n < 1e-12
             and rec.mean_m < 1e-12
@@ -174,18 +151,12 @@ def _check_battery() -> list[tuple[str, bool, str]]:
     def thermal():
         # the second factorial moment converges like level^2 * (1/3)^level,
         # so the phonon space must be much taller than the mean suggests
-        params = SystemParams(gamma_c=1.0, gamma_m=1.0, m_th=0.5)
-        space = HilbertSpace(2, 24)
-        rho, _ = steady_state(params, space)
-        rec = compute_observables(rho, space)
+        rec = solve(SystemParams(gamma_c=1.0, gamma_m=1.0, m_th=0.5), 2, 24)
         dev = max(abs(rec.mean_m - 0.5), abs(rec.g2_m - 2.0))
         return dev < 1e-6, f"mean_m={rec.mean_m:.8f}, g2_m={rec.g2_m:.8f}"
 
     def driven_atom():
-        params = SystemParams(omega=1.0, gamma_c=1.0, gamma_m=1.0)
-        space = HilbertSpace(2, 2)
-        rho, _ = steady_state(params, space)
-        r22 = compute_observables(rho, space).elements["rho22"]
+        r22 = solve(SystemParams(omega=1.0, gamma_c=1.0, gamma_m=1.0), 2, 2).elements["rho22"]
         return abs(r22 - 4.0 / 9.0) < 1e-8, f"rho22={r22:.10f}, expected 4/9"
 
     def trace_null():
@@ -201,26 +172,16 @@ def _check_battery() -> list[tuple[str, bool, str]]:
         params = SystemParams(
             delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0
         )
-        space = HilbertSpace(5, 5)
-        rho, _ = steady_state(params, space)
-        rec = compute_observables(rho, space)
+        rec = solve(params, 5, 5)
         dev = max(abs(rec.mean_n - rec.mean_m), abs(rec.g2_n - rec.g2_m))
         return dev < 1e-8, f"max photon/phonon asymmetry {dev:.2e}"
 
     def parity():
-        space = HilbertSpace(4, 4)
-        recs = []
-        for sign in (1.0, -1.0):
-            params = SystemParams(
-                delta=sign, j_coupling=1.0, omega=1.0, gamma_c=10.0, gamma_m=10.0
-            )
-            rho, _ = steady_state(params, space)
-            recs.append(compute_observables(rho, space))
-        dev = max(
-            abs(recs[0].mean_n - recs[1].mean_n),
-            abs(recs[0].g2_n - recs[1].g2_n),
-            abs(recs[0].log_neg - recs[1].log_neg),
+        plus, minus = (
+            solve(SystemParams(delta=d, j_coupling=1.0, omega=1.0, gamma_c=10.0, gamma_m=10.0), 4, 4)
+            for d in (1.0, -1.0)
         )
+        dev = max(abs(getattr(plus, k) - getattr(minus, k)) for k in ("mean_n", "g2_n", "log_neg"))
         return dev < 1e-8, f"max |obs(+delta) - obs(-delta)| = {dev:.2e}"
 
     def dense_oracle():
@@ -296,7 +257,7 @@ def build_parser() -> _Parser:
     p_point.add_argument(
         "--truncation", nargs=2, type=int, default=(5, 5), metavar=("N_C", "N_M")
     )
-    p_point.add_argument("--floor", type=float, default=1e-12)
+    p_point.add_argument("--floor", type=float, default=DEFAULT_FLOOR)
     p_point.add_argument("--json", action="store_true", help="print JSON instead of text")
     p_point.set_defaults(func=_cmd_point)
 

@@ -195,9 +195,11 @@ def sector_index(space: HilbertSpace) -> np.ndarray:
 class SectorTerms:
     """The generator terms of one space restricted to its n - m sector.
 
-    Built once per space; liouvillian(params) then costs one sparse sum.
+    Built once per space, which it carries along so that terms and space
+    cannot be mismatched; liouvillian(params) then costs one sparse sum.
     """
 
+    space: HilbertSpace
     index: np.ndarray
     terms: tuple[sp.csr_matrix, ...]
 
@@ -205,7 +207,7 @@ class SectorTerms:
     def build(cls, space: HilbertSpace) -> "SectorTerms":
         index = sector_index(space)
         terms = tuple(term[index][:, index] for term in _generator_terms(space))
-        return cls(index, terms)
+        return cls(space, index, terms)
 
     def liouvillian(self, params: SystemParams) -> sp.csr_matrix:
         """L restricted to the sector, for the given parameters."""

@@ -23,6 +23,7 @@ from .operators import HilbertSpace
 __all__ = [
     "ObservableRecord",
     "DEFAULT_FLOOR",
+    "SCALAR_KEYS",
     "ELEMENT_KEYS",
     "mean_number",
     "g2_auto",
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 DEFAULT_FLOOR = 1e-12
+
+# The scalar fields of ObservableRecord, in field (and output column) order.
+SCALAR_KEYS = ("mean_n", "mean_m", "g2_n", "g2_m", "g2_nm", "log_neg")
 
 ELEMENT_KEYS = (
     "rho11",
@@ -65,16 +69,13 @@ class ObservableRecord:
 
 
 def _populations(rho: np.ndarray) -> np.ndarray:
-    return np.diag(rho).real
-
-
-def mean_number(rho: np.ndarray, space: HilbertSpace, mode: str) -> float:
-    """Mean occupation of the photon ("cavity") or phonon ("mech") mode."""
-    values = _mode_values(space, mode)
-    imag = float(np.abs(np.diag(rho).imag).max()) if rho.size else 0.0
+    """The diagonal of rho as real populations; an imaginary residue on it
+    marks an invalid state and raises."""
+    diag = np.diag(rho)
+    imag = float(np.abs(diag.imag).max()) if rho.size else 0.0
     if imag > 1e-10:
         raise PairsimError(f"diagonal of rho has imaginary residue {imag:.3e}")
-    return float(values @ _populations(rho))
+    return diag.real
 
 
 def _mode_values(space: HilbertSpace, mode: str) -> np.ndarray:
@@ -85,12 +86,7 @@ def _mode_values(space: HilbertSpace, mode: str) -> np.ndarray:
     raise ValueError(f"mode must be 'cavity' or 'mech', got {mode!r}")
 
 
-def g2_auto(
-    rho: np.ndarray, space: HilbertSpace, mode: str, floor: float = DEFAULT_FLOOR
-) -> float | None:
-    """Equal-time autocorrelation <o^dag o^dag o o> / <o^dag o>^2."""
-    values = _mode_values(space, mode)
-    pops = _populations(rho)
+def _g2_auto(values: np.ndarray, pops: np.ndarray, floor: float) -> float | None:
     mean = float(values @ pops)
     if mean < floor:
         return None
@@ -98,16 +94,33 @@ def g2_auto(
     return numerator / mean**2
 
 
-def g2_cross(rho: np.ndarray, space: HilbertSpace, floor: float = DEFAULT_FLOOR) -> float | None:
-    """Equal-time photon-phonon cross correlation <a^dag b^dag b a> / (<n><m>)."""
-    nvals = space.photon_values().astype(float)
-    mvals = space.phonon_values().astype(float)
-    pops = _populations(rho)
+def _g2_cross(
+    nvals: np.ndarray, mvals: np.ndarray, pops: np.ndarray, floor: float
+) -> float | None:
     mean_n = float(nvals @ pops)
     mean_m = float(mvals @ pops)
     if mean_n < floor or mean_m < floor:
         return None
     return float((nvals * mvals) @ pops) / (mean_n * mean_m)
+
+
+def mean_number(rho: np.ndarray, space: HilbertSpace, mode: str) -> float:
+    """Mean occupation of the photon ("cavity") or phonon ("mech") mode."""
+    return float(_mode_values(space, mode) @ _populations(rho))
+
+
+def g2_auto(
+    rho: np.ndarray, space: HilbertSpace, mode: str, floor: float = DEFAULT_FLOOR
+) -> float | None:
+    """Equal-time autocorrelation <o^dag o^dag o o> / <o^dag o>^2."""
+    return _g2_auto(_mode_values(space, mode), _populations(rho), floor)
+
+
+def g2_cross(rho: np.ndarray, space: HilbertSpace, floor: float = DEFAULT_FLOOR) -> float | None:
+    """Equal-time photon-phonon cross correlation <a^dag b^dag b a> / (<n><m>)."""
+    return _g2_cross(
+        _mode_values(space, "cavity"), _mode_values(space, "mech"), _populations(rho), floor
+    )
 
 
 def partial_trace_atom(rho: np.ndarray, space: HilbertSpace) -> np.ndarray:
@@ -157,8 +170,7 @@ def named_elements(rho: np.ndarray, space: HilbertSpace) -> dict[str, float]:
     """Populations of the five low-excitation reference states plus the
     moduli of the three coherences that track pair emission."""
     idx = [space.index(*state) for state in _NAMED_STATES]
-    pops = _populations(rho)
-    out = {f"rho{k + 1}{k + 1}": float(pops[idx[k]]) for k in range(5)}
+    out = {f"rho{k + 1}{k + 1}": float(rho[i, i].real) for k, i in enumerate(idx)}
     out["abs_rho14"] = float(abs(rho[idx[0], idx[3]]))
     out["abs_rho15"] = float(abs(rho[idx[0], idx[4]]))
     out["abs_rho25"] = float(abs(rho[idx[1], idx[4]]))
@@ -168,14 +180,18 @@ def named_elements(rho: np.ndarray, space: HilbertSpace) -> dict[str, float]:
 def compute_observables(
     rho: np.ndarray, space: HilbertSpace, floor: float = DEFAULT_FLOOR
 ) -> ObservableRecord:
-    """Evaluate the full record reported by sweeps."""
+    """Evaluate the full record reported by sweeps, reading the diagonal
+    populations once."""
     reduced = partial_trace_atom(rho, space)
+    pops = _populations(rho)
+    nvals = _mode_values(space, "cavity")
+    mvals = _mode_values(space, "mech")
     return ObservableRecord(
-        mean_n=mean_number(rho, space, "cavity"),
-        mean_m=mean_number(rho, space, "mech"),
-        g2_n=g2_auto(rho, space, "cavity", floor),
-        g2_m=g2_auto(rho, space, "mech", floor),
-        g2_nm=g2_cross(rho, space, floor),
+        mean_n=float(nvals @ pops),
+        mean_m=float(mvals @ pops),
+        g2_n=_g2_auto(nvals, pops, floor),
+        g2_m=_g2_auto(mvals, pops, floor),
+        g2_nm=_g2_cross(nvals, mvals, pops, floor),
         log_neg=log_negativity(reduced, space),
         elements=named_elements(rho, space),
     )

@@ -28,7 +28,7 @@ production code uses the sector path only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -36,18 +36,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DegenerateSteadyStateError
-from .model import SectorTerms, SystemParams, sector_index, trace_functional, unvec, vec
-from .observables import DEFAULT_FLOOR, ObservableRecord, compute_observables
+from .model import sector_index, trace_functional, unvec, vec
 from .operators import HilbertSpace
 
 __all__ = [
     "SolveReport",
     "solve_steady",
-    "steady_state",
     "null_space_steady",
     "evolve_to_steady",
     "suggest_step",
-    "check_truncation",
     "vacuum_state",
 ]
 
@@ -62,7 +59,7 @@ class SolveReport:
     """Diagnostics attached to a steady-state solution.
 
     truncation_converged is None when no truncation check was run, and a
-    boolean once check_truncation has compared against doubled levels.
+    boolean once sweep.check_truncation has compared against doubled levels.
     unknowns is the size of the n - m sector that was factored and lu_nnz
     the fill of its LU factors (L.nnz + U.nnz).
     """
@@ -78,8 +75,14 @@ def _validated(rho: np.ndarray, residual: float, where: str) -> np.ndarray:
     """Hermitize within tolerance and enforce the density-matrix invariants.
 
     Violations beyond the stated tolerances raise instead of being repaired,
-    since silent repair would mask assembly bugs upstream.
+    since silent repair would mask assembly bugs upstream.  A non-finite
+    solution is rejected first: every comparison with NaN is False, so it
+    would pass the tolerance tests and crash the eigenvalue call.
     """
+    if not (np.isfinite(residual) and np.isfinite(rho).all()):
+        raise ConvergenceError(
+            f"{where}: steady state not finite (residual {residual:.3e})"
+        )
     herm_dev = float(np.abs(rho - rho.conj().T).max())
     if herm_dev > HERM_TOL:
         raise ConvergenceError(
@@ -160,14 +163,6 @@ def solve_steady(
         unknowns=int(index.size),
         lu_nnz=int(lu.L.nnz + lu.U.nnz),
     )
-
-
-def steady_state(
-    params: SystemParams, space: HilbertSpace | None = None
-) -> tuple[np.ndarray, SolveReport]:
-    """Convenience wrapper: build the sector Liouvillian and solve it."""
-    space = space or HilbertSpace()
-    return solve_steady(SectorTerms.build(space).liouvillian(params), space)
 
 
 def null_space_steady(
@@ -289,50 +284,3 @@ def vacuum_state(space: HilbertSpace) -> np.ndarray:
     rho = np.zeros((space.dim, space.dim), dtype=complex)
     rho[0, 0] = 1.0
     return rho
-
-
-def check_truncation(
-    params: SystemParams,
-    base_levels: tuple[int, int] = (5, 5),
-    tolerance: float = 1e-6,
-    base: tuple[ObservableRecord, SolveReport] | None = None,
-    floor: float = DEFAULT_FLOOR,
-) -> SolveReport:
-    """Compare observables at base_levels against doubled levels.
-
-    truncation_converged is True iff every scalar observable (mean
-    occupations, the three g2 functions, log negativity) agrees to
-    `tolerance` relative, with a small absolute floor so that observables
-    that are exactly zero do not trip on rounding noise.  Undefined
-    correlations must be undefined at both truncations to count as agreeing.
-
-    `base` is the record and report of a solve already made at base_levels,
-    computed with the same `floor`; without it the base point is solved
-    here.  The returned report is the base report with the verdict added.
-    """
-    if base_levels[0] < 2 or base_levels[1] < 2:
-        raise ValueError(f"base truncation must be at least (2, 2), got {base_levels}")
-    if base is None:
-        base_space = HilbertSpace(*base_levels)
-        rho_base, report = steady_state(params, base_space)
-        obs_base = compute_observables(rho_base, base_space, floor=floor)
-    else:
-        obs_base, report = base
-        if tuple(report.levels_used) != tuple(base_levels):
-            raise ValueError(
-                f"base solution at {report.levels_used} does not match base_levels {base_levels}"
-            )
-    big_space = HilbertSpace(2 * base_levels[0], 2 * base_levels[1])
-    rho_big, _ = steady_state(params, big_space)
-    obs_big = compute_observables(rho_big, big_space, floor=floor)
-
-    def agree(x: float | None, y: float | None) -> bool:
-        if x is None or y is None:
-            return x is None and y is None
-        return abs(x - y) <= tolerance * max(abs(x), abs(y), 1e-9)
-
-    converged = all(
-        agree(getattr(obs_base, name), getattr(obs_big, name))
-        for name in ("mean_n", "mean_m", "g2_n", "g2_m", "g2_nm", "log_neg")
-    )
-    return replace(report, truncation_converged=converged, levels_used=base_levels)

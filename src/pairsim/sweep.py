@@ -5,6 +5,10 @@ explicit grid, solves the steady state at every point, and records the full
 observable set per point.  Points that fail to solve are recorded with an
 error marker; they are never interpolated over or silently dropped.
 
+solve_point is the one per-point pipeline (sector solve, then reduction to
+an ObservableRecord); sweeps, the truncation check and the CLI all go
+through it.
+
 Output contract: a CSV whose first line is a comment carrying version and
 timestamp (the only nondeterministic line), then a header, then one row per
 grid point in axis order.  A JSON document mirroring the whole result is
@@ -14,7 +18,8 @@ written alongside for programmatic use.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -26,9 +31,15 @@ from .errors import ConfigError, PairsimError, TruncationError
 # build_liouvillian is not called here; it stays importable from this
 # module because bench/child.py traces calls through sweep's names.
 from .model import SectorTerms, SystemParams, build_liouvillian  # noqa: F401
-from .observables import DEFAULT_FLOOR, ELEMENT_KEYS, ObservableRecord, compute_observables
+from .observables import (
+    DEFAULT_FLOOR,
+    ELEMENT_KEYS,
+    SCALAR_KEYS,
+    ObservableRecord,
+    compute_observables,
+)
 from .operators import HilbertSpace
-from .steady import SolveReport, check_truncation, solve_steady
+from .steady import SolveReport, solve_steady
 
 __all__ = [
     "AXES",
@@ -36,6 +47,8 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "load_config",
+    "solve_point",
+    "check_truncation",
     "run_sweep",
     "emit_csv",
     "emit_json",
@@ -46,6 +59,14 @@ AXES = ("delta", "j_coupling", "gamma_m", "m_th")
 
 UNDEF_TOKEN = "undef"
 ERROR_TOKEN = "error"
+
+
+def check_floor(floor: float) -> None:
+    """Reject a correlation floor that is negative or not finite.  A NaN
+    floor fails every `mean < floor` test, so g2 of an empty mode would
+    divide 0 by 0 instead of coming out undefined."""
+    if not (math.isfinite(floor) and floor >= 0):
+        raise ConfigError(f"floor must be finite and nonnegative, got {floor}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +97,13 @@ class SweepConfig:
             raise ConfigError(f"truncation must be at least (2, 2), got {self.truncation}")
         if self.couple_delta_to_j and self.axis == "delta":
             raise ConfigError("couple_delta_to_j cannot be combined with a delta sweep")
-        if self.floor < 0:
-            raise ConfigError("floor must be nonnegative")
+        check_floor(self.floor)
+        # an infinite tolerance would pass every doubling comparison and a
+        # zero, negative or NaN one would fail them all
+        if not (math.isfinite(self.truncation_tol) and self.truncation_tol > 0):
+            raise ConfigError(
+                f"truncation_tol must be finite and positive, got {self.truncation_tol}"
+            )
 
     def params_at(self, value: float) -> SystemParams:
         """Parameters for one grid point, applying the |delta| = j coupling
@@ -210,6 +236,51 @@ def load_config(path: str) -> SweepConfig:
     )
 
 
+def solve_point(
+    params: SystemParams, terms: SectorTerms, floor: float = DEFAULT_FLOOR
+) -> tuple[ObservableRecord, SolveReport]:
+    """Solve the steady state on terms.space and reduce it to its record.
+
+    solve_steady and compute_observables are looked up in this module, so
+    wrapping them here (as the benchmark's tracer does) sees every solve.
+    """
+    rho, report = solve_steady(terms.liouvillian(params), terms.space)
+    return compute_observables(rho, terms.space, floor=floor), report
+
+
+def _agree(x: float | None, y: float | None, tolerance: float) -> bool:
+    """Relative agreement with a small absolute floor, so that observables
+    that are exactly zero do not trip on rounding noise; undefined values
+    agree only with undefined ones."""
+    if x is None or y is None:
+        return x is None and y is None
+    return abs(x - y) <= tolerance * max(abs(x), abs(y), 1e-9)
+
+
+def check_truncation(
+    params: SystemParams,
+    base: tuple[ObservableRecord, SolveReport],
+    tolerance: float = 1e-6,
+    floor: float = DEFAULT_FLOOR,
+) -> SolveReport:
+    """Compare a solved point against the same point at doubled levels.
+
+    `base` is the record and report of solve_point at report.levels_used,
+    computed with the same `floor`; only the doubled space is solved here.
+    truncation_converged is True iff every scalar observable agrees to
+    `tolerance` relative.  Returns the base report with that verdict.
+    """
+    record, report = base
+    n_c, n_m = report.levels_used
+    if n_c < 2 or n_m < 2:
+        raise ValueError(f"base truncation must be at least (2, 2), got {(n_c, n_m)}")
+    doubled, _ = solve_point(params, SectorTerms.build(HilbertSpace(2 * n_c, 2 * n_m)), floor)
+    converged = all(
+        _agree(getattr(record, key), getattr(doubled, key), tolerance) for key in SCALAR_KEYS
+    )
+    return replace(report, truncation_converged=converged)
+
+
 def run_sweep(
     config: SweepConfig, progress: Callable[[int, int], None] | None = None
 ) -> SweepResult:
@@ -221,14 +292,11 @@ def run_sweep(
     no truncation check runs and the per-row flag stays None.  The sector
     terms are built once, so each point costs a sparse sum and one LU.
     """
-    space = HilbertSpace(*config.truncation)
-    terms = SectorTerms.build(space)
+    terms = SectorTerms.build(HilbertSpace(*config.truncation))
     rows: list[SweepRow] = []
     for i, value in enumerate(config.axis_values):
-        params = config.params_at(value)
         try:
-            rho, report = solve_steady(terms.liouvillian(params), space)
-            record = compute_observables(rho, space, floor=config.floor)
+            record, report = solve_point(config.params_at(value), terms, config.floor)
             rows.append(SweepRow(axis_value=value, record=record, report=report))
         except PairsimError as exc:
             rows.append(
@@ -242,9 +310,8 @@ def run_sweep(
         worst = max(solved, key=lambda row: max(row.record.mean_n, row.record.mean_m))
         check = check_truncation(
             config.params_at(worst.axis_value),
-            base_levels=config.truncation,
-            tolerance=config.truncation_tol,
             base=(worst.record, worst.report),
+            tolerance=config.truncation_tol,
             floor=config.floor,
         )
         for row in solved:
@@ -273,10 +340,14 @@ def _config_dict(config: SweepConfig) -> dict:
 
 
 def _csv_columns(emit_elements: bool) -> list[str]:
-    cols = ["axis", "mean_n", "mean_m", "g2_n", "g2_m", "g2_nm", "log_neg"]
-    if emit_elements:
-        cols += list(ELEMENT_KEYS)
-    return cols + ["residual", "converged"]
+    elements = list(ELEMENT_KEYS) if emit_elements else []
+    return ["axis", *SCALAR_KEYS, *elements, "residual", "converged"]
+
+
+def point_json(record: ObservableRecord, report: SolveReport) -> dict:
+    """The "observables" and "report" objects of one solved point, as they
+    appear in a sweep JSON row and in `pairsim point --json`."""
+    return {"observables": asdict(record), "report": asdict(report)}
 
 
 def _fmt(value) -> str:
@@ -305,15 +376,8 @@ def emit_csv(result: SweepResult, path: str) -> None:
             cells.append("false")
         else:
             rec = row.record
-            cells = [
-                format(row.axis_value, ".17e"),
-                _fmt(rec.mean_n),
-                _fmt(rec.mean_m),
-                _fmt(rec.g2_n),
-                _fmt(rec.g2_m),
-                _fmt(rec.g2_nm),
-                _fmt(rec.log_neg),
-            ]
+            cells = [format(row.axis_value, ".17e")]
+            cells += [_fmt(getattr(rec, key)) for key in SCALAR_KEYS]
             if result.config.emit_elements:
                 cells += [_fmt(rec.elements[key]) for key in ELEMENT_KEYS]
             cells.append(_fmt(row.report.residual_norm))
@@ -328,28 +392,11 @@ def emit_json(result: SweepResult, path: str) -> None:
     rows = []
     for row in result.rows:
         entry: dict = {"axis_value": row.axis_value, "error": row.error}
-        if row.record is not None:
-            entry["observables"] = {
-                "mean_n": row.record.mean_n,
-                "mean_m": row.record.mean_m,
-                "g2_n": row.record.g2_n,
-                "g2_m": row.record.g2_m,
-                "g2_nm": row.record.g2_nm,
-                "log_neg": row.record.log_neg,
-                "elements": row.record.elements,
-            }
-            entry["report"] = {
-                "residual_norm": row.report.residual_norm,
-                "truncation_converged": row.report.truncation_converged,
-                "levels_used": list(row.report.levels_used),
-                "unknowns": row.report.unknowns,
-                "lu_nnz": row.report.lu_nnz,
-            }
-            entry["converged"] = row.converged
+        if row.record is None:
+            entry.update(observables=None, report=None)
         else:
-            entry["observables"] = None
-            entry["report"] = None
-            entry["converged"] = False
+            entry.update(point_json(row.record, row.report))
+        entry["converged"] = row.converged
         rows.append(entry)
     doc = {"metadata": result.metadata, "rows": rows}
     with open(path, "w", encoding="utf-8") as fh:

@@ -10,7 +10,6 @@ detuning sweeps, the coupling sweep, a mechanical-damping point from each
 coupling regime, and a thermal point.
 """
 
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -22,18 +21,11 @@ from pairsim.analytics import (
     pair_subspace_spectrum,
     resonance_locator,
 )
-from pairsim.model import SystemParams, build_liouvillian, trace_functional
+from pairsim.model import SectorTerms, SystemParams, build_liouvillian, trace_functional
 from pairsim.observables import compute_observables
 from pairsim.operators import HilbertSpace
-from pairsim.steady import (
-    check_truncation,
-    evolve_to_steady,
-    null_space_steady,
-    solve_steady,
-    steady_state,
-    vacuum_state,
-)
-from pairsim.sweep import load_config, run_sweep
+from pairsim.steady import evolve_to_steady, null_space_steady, solve_steady, vacuum_state
+from pairsim.sweep import check_truncation, load_config, run_sweep, solve_point
 
 SPACE = HilbertSpace(5, 5)
 
@@ -57,6 +49,11 @@ CANONICAL = {
         delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0, m_th=0.01
     ),
 }
+
+
+def observe(params: SystemParams, space: HilbertSpace = SPACE):
+    """The observable record of one point, through the sweep's pipeline."""
+    return solve_point(params, SectorTerms.build(space))[0]
 
 
 def shipped_config(name: str):
@@ -90,19 +87,18 @@ def sweep_results():
 def thermal_panels():
     """E_N against m_th for both couplings (criterion 9), including the
     m_th = 0 anchor.  The grid decimates the shipped fig7 range."""
-    space = HilbertSpace(6, 14)
+    terms = SectorTerms.build(HilbertSpace(6, 14))
     grid = np.geomspace(1e-3, 1.0, 13)
     panels = {}
     for j in (0.1, 100.0):
         base = SystemParams(
             delta=j, j_coupling=j, omega=1.0, gamma_c=10.0, gamma_m=10.0, m_th=0.0
         )
-        rho, _ = steady_state(base, space)
-        at_zero = compute_observables(rho, space).log_neg
-        values = []
-        for m_th in grid:
-            rho, _ = steady_state(base.with_value("m_th", float(m_th)), space)
-            values.append(compute_observables(rho, space).log_neg)
+        at_zero = solve_point(base, terms)[0].log_neg
+        values = [
+            solve_point(base.with_value("m_th", float(m_th)), terms)[0].log_neg
+            for m_th in grid
+        ]
         panels[j] = (at_zero, grid, np.array(values))
     return panels
 
@@ -134,7 +130,7 @@ def test_criterion_02_exact_limit_fixed_points():
     params = SystemParams(
         delta=0.3, j_coupling=2.0, omega=0.0, gamma_c=1.0, gamma_m=1.0, m_th=0.0
     )
-    rho, _ = steady_state(params, space)
+    rho, _ = solve_steady(SectorTerms.build(space).liouvillian(params), space)
     assert float(np.abs(rho - vacuum_state(space)).max()) < 1e-12
     obs = compute_observables(rho, space)
     assert obs.mean_n == 0.0 and obs.mean_m == 0.0 and obs.log_neg == 0.0
@@ -147,8 +143,7 @@ def test_criterion_02_exact_limit_fixed_points():
     params = SystemParams(
         delta=0.0, j_coupling=0.0, omega=0.0, gamma_c=1.0, gamma_m=1.0, m_th=0.5
     )
-    rho, _ = steady_state(params, space)
-    obs = compute_observables(rho, space)
+    obs = observe(params, space)
     assert abs(obs.mean_m - 0.5) < 1e-6
     assert abs(obs.g2_m - 2.0) < 1e-6
 
@@ -194,8 +189,7 @@ def test_criterion_04_blockade_with_cross_bunching():
         )),
     ]
     for label, params in points:
-        rho, _ = steady_state(params, SPACE)
-        obs = compute_observables(rho, SPACE)
+        obs = observe(params)
         assert obs.g2_n is not None and obs.g2_m is not None and obs.g2_nm is not None
         assert obs.g2_n < 1.0, f"{label}: g2_n = {obs.g2_n}"
         assert obs.g2_m < 1.0, f"{label}: g2_m = {obs.g2_m}"
@@ -266,8 +260,7 @@ def test_criterion_07_slow_phonon_population():
     params = SystemParams(
         delta=100.0, j_coupling=100.0, omega=1.0, gamma_c=10.0, gamma_m=0.01, m_th=0.0
     )
-    rho, _ = steady_state(params, SPACE)
-    r33 = compute_observables(rho, SPACE).elements["rho33"]
+    r33 = observe(params).elements["rho33"]
     assert abs(r33 - 0.875) < 0.03
     print(f"criterion  7 PASS: slowly drained single-phonon state holds "
           f"rho33 = {r33:.4f} (target 0.875 +/- 0.03)")
@@ -283,8 +276,7 @@ def test_criterion_08_entanglement_structure(sweep_results):
         params = SystemParams(
             delta=0.2, j_coupling=0.0, omega=1.0, gamma_c=10.0, gamma_m=10.0, m_th=m_th
         )
-        rho, _ = steady_state(params, space)
-        assert compute_observables(rho, space).log_neg < 1e-10
+        assert observe(params, space).log_neg < 1e-10
 
     # (b) detuning resonances of E_N at delta = -/+ J
     rows = sweep_results["fig2_strong"].rows
@@ -359,8 +351,7 @@ def test_criterion_10_structural_invariants(solved_canonicals):
 
         # detuning parity: flipping the sign of delta changes no reported
         # observable
-        flipped, _ = steady_state(params.with_value("delta", -params.delta), SPACE)
-        obs_flip = compute_observables(flipped, SPACE)
+        obs_flip = observe(params.with_value("delta", -params.delta))
         for field in ("mean_n", "mean_m", "g2_n", "g2_m", "g2_nm", "log_neg"):
             assert agree(getattr(obs, field), getattr(obs_flip, field)), (name, field)
         for key, value in obs.elements.items():
@@ -385,7 +376,8 @@ def test_criterion_10_structural_invariants(solved_canonicals):
 
     # truncation convergence, doubling (5, 5) to (10, 10)
     for name, params in CANONICAL.items():
-        check = check_truncation(params, base_levels=(5, 5), tolerance=1e-6)
+        _, _, report, obs = solved_canonicals[name]
+        check = check_truncation(params, (obs, report), tolerance=1e-6)
         assert check.truncation_converged, f"{name}: not converged at (5, 5)"
     print("criterion 10 PASS: trace preservation, state invariants, parity, "
           "exchange symmetry, scale covariance, and (5,5)->(10,10) convergence "

@@ -14,10 +14,10 @@ from pairsim.analytics import (
     weak_excitation_estimate,
 )
 from pairsim.errors import InvalidSweepError
-from pairsim.model import SystemParams, build_hamiltonian
-from pairsim.observables import ObservableRecord, compute_observables
+from pairsim.model import SectorTerms, SystemParams, build_hamiltonian
+from pairsim.observables import ObservableRecord
 from pairsim.operators import HilbertSpace
-from pairsim.steady import steady_state
+from pairsim.sweep import solve_point
 
 
 def make_elements(**overrides) -> dict[str, float]:
@@ -44,9 +44,7 @@ def make_record(mean_n=0.0, mean_m=0.0, g2_nm=None, elements=None) -> Observable
 
 def test_estimates_from_symmetric_populations():
     p = 0.001
-    est = weak_excitation_estimate(
-        make_elements(rho33=p, rho44=p, rho55=p), gamma_c=10.0, gamma_m=10.0
-    )
+    est = weak_excitation_estimate(make_elements(rho33=p, rho44=p, rho55=p))
     assert est.est_mean_n == pytest.approx(2 * p)
     assert est.est_mean_m == pytest.approx(2 * p)
     assert est.est_g2_nm == pytest.approx(1.0 / (4 * p))
@@ -54,19 +52,17 @@ def test_estimates_from_symmetric_populations():
 
 
 def test_estimate_handles_empty_modes_and_threshold():
-    est = weak_excitation_estimate(make_elements(), gamma_c=1.0, gamma_m=1.0)
+    est = weak_excitation_estimate(make_elements())
     assert est.est_g2_nm is None
     assert est.valid
-    est = weak_excitation_estimate(
-        make_elements(rho44=0.02), gamma_c=1.0, gamma_m=1.0
-    )
+    est = weak_excitation_estimate(make_elements(rho44=0.02))
     assert not est.valid
 
 
 def test_estimates_converge_as_the_drive_weakens():
     # the population-based estimates carry O(Omega^2) corrections, so their
     # relative error must fall as the drive is turned down
-    space = HilbertSpace(4, 4)
+    terms = SectorTerms.build(HilbertSpace(4, 4))
     errors_n = []
     errors_g2 = []
     for omega in (2.0, 1.0, 0.5, 0.25):
@@ -74,9 +70,8 @@ def test_estimates_converge_as_the_drive_weakens():
             delta=0.1, j_coupling=0.1, omega=omega,
             gamma_c=10.0, gamma_m=10.0, m_th=0.0,
         )
-        rho, _ = steady_state(params, space)
-        obs = compute_observables(rho, space)
-        est = weak_excitation_estimate(obs.elements, params.gamma_c, params.gamma_m)
+        obs, _ = solve_point(params, terms)
+        est = weak_excitation_estimate(obs.elements)
         errors_n.append(abs(est.est_mean_n / obs.mean_n - 1.0))
         errors_g2.append(abs(est.est_g2_nm / obs.g2_nm - 1.0))
     assert all(a > b for a, b in zip(errors_n, errors_n[1:]))

@@ -1,12 +1,14 @@
 """Steady-state solver tests: exact fixed points, oracle agreement,
 truncation checking and failure modes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-import pairsim.steady
+import pairsim.sweep
 from pairsim.errors import ConvergenceError, DegenerateSteadyStateError
 from pairsim.model import (
     SectorTerms,
@@ -22,14 +24,13 @@ from pairsim.observables import compute_observables
 from pairsim.operators import HilbertSpace, photon_lowering
 from pairsim.steady import (
     RESIDUAL_TOL,
-    check_truncation,
     evolve_to_steady,
     null_space_steady,
     solve_steady,
-    steady_state,
     suggest_step,
     vacuum_state,
 )
+from pairsim.sweep import check_truncation, solve_point
 
 WEAK_POINT = SystemParams(
     delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0, m_th=0.0
@@ -71,7 +72,7 @@ def test_undriven_steady_state_is_vacuum():
     params = SystemParams(
         delta=0.4, j_coupling=2.0, omega=0.0, gamma_c=1.0, gamma_m=1.0, m_th=0.0
     )
-    rho, report = steady_state(params, space)
+    rho, report = solve_steady(SectorTerms.build(space).liouvillian(params), space)
     expected = vacuum_state(space)
     assert_allclose(rho, expected, atol=1e-12)
     assert report.residual_norm <= RESIDUAL_TOL
@@ -86,7 +87,7 @@ def test_thermal_phonon_distribution_is_geometric():
     params = SystemParams(
         delta=0.0, j_coupling=0.0, omega=0.0, gamma_c=1.0, gamma_m=2.0, m_th=0.5
     )
-    rho, _ = steady_state(params, space)
+    rho, _ = solve_steady(SectorTerms.build(space).liouvillian(params), space)
     pops = np.array([rho[space.index(0, 0, m), space.index(0, 0, m)].real
                      for m in range(space.n_m + 1)])
     ratios = pops[1:] / pops[:-1]
@@ -101,7 +102,7 @@ def test_thermal_phonon_mean_converges_with_truncation():
         delta=0.0, j_coupling=0.0, omega=0.0, gamma_c=1.0, gamma_m=1.0, m_th=0.5
     )
     space = HilbertSpace(2, 24)
-    rho, _ = steady_state(params, space)
+    rho, _ = solve_steady(SectorTerms.build(space).liouvillian(params), space)
     mean = float(np.sum(space.phonon_values() * np.diag(rho).real))
     assert mean == pytest.approx(0.5, abs=1e-8)
 
@@ -113,7 +114,7 @@ def test_driven_atom_population():
     params = SystemParams(
         delta=0.0, j_coupling=0.0, omega=1.0, gamma_c=1.0, gamma_m=1.0, m_th=0.0
     )
-    rho, _ = steady_state(params, space)
+    rho, _ = solve_steady(SectorTerms.build(space).liouvillian(params), space)
     excited = sum(
         rho[space.index(1, n, m), space.index(1, n, m)].real
         for n in range(space.n_c + 1)
@@ -222,11 +223,12 @@ def test_degenerate_steady_state_is_reported():
     with pytest.raises(DegenerateSteadyStateError):
         null_space_steady(lv, space)
     with pytest.raises(DegenerateSteadyStateError):
-        steady_state(params, space)
+        solve_point(params, SectorTerms.build(space))
 
 
 def test_truncation_check_passes_for_contained_states():
-    report = check_truncation(WEAK_POINT, base_levels=(3, 3))
+    base = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(3, 3)))
+    report = check_truncation(WEAK_POINT, base)
     assert report.truncation_converged is True
     assert report.levels_used == (3, 3)
 
@@ -237,7 +239,7 @@ def test_truncation_check_fails_for_strong_drive():
     params = SystemParams(
         delta=0.0, j_coupling=1.0, omega=100.0, gamma_c=1.0, gamma_m=1.0, m_th=0.0
     )
-    report = check_truncation(params, base_levels=(2, 2))
+    report = check_truncation(params, solve_point(params, SectorTerms.build(HilbertSpace(2, 2))))
     assert report.truncation_converged is False
 
 
@@ -247,7 +249,7 @@ def test_sector_solve_matches_full_space_oracle(params, space):
     outside = np.ones(space.dim**2, dtype=bool)
     outside[sector_index(space)] = False
     assert np.count_nonzero(vec(rho_full)[outside]) == 0
-    rho, report = steady_state(params, space)
+    rho, report = solve_steady(SectorTerms.build(space).liouvillian(params), space)
     assert report.unknowns == sector_index(space).size
     assert_allclose(
         observable_values(rho, space),
@@ -297,24 +299,29 @@ def test_generator_without_the_symmetry_is_rejected():
 
 
 def test_truncation_check_reuses_the_base_solution(monkeypatch):
-    space = HilbertSpace(3, 3)
-    rho, report = steady_state(WEAK_POINT, space)
-    base = (compute_observables(rho, space), report)
+    record, report = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(3, 3)))
     solved = []
 
-    def counting(params, space=None):
+    def counting(liouvillian, space):
         solved.append((space.n_c, space.n_m))
-        return steady_state(params, space)
+        return solve_steady(liouvillian, space)
 
-    monkeypatch.setattr(pairsim.steady, "steady_state", counting)
-    with_base = check_truncation(WEAK_POINT, base_levels=(3, 3), base=base)
+    monkeypatch.setattr(pairsim.sweep, "solve_steady", counting)
+    checked = check_truncation(WEAK_POINT, (record, report))
     assert solved == [(6, 6)]
-    assert with_base == check_truncation(WEAK_POINT, base_levels=(3, 3))
-    assert with_base.truncation_converged is True
-    with pytest.raises(ValueError):
-        check_truncation(WEAK_POINT, base_levels=(4, 4), base=base)
+    assert checked == replace(report, truncation_converged=True)
 
 
 def test_truncation_check_rejects_tiny_base():
+    record, report = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(1, 1)))
     with pytest.raises(ValueError):
-        check_truncation(WEAK_POINT, base_levels=(1, 1))
+        check_truncation(WEAK_POINT, (record, report))
+
+
+def test_non_finite_solution_is_a_convergence_error():
+    # at omega = 1e300 the LU solve overflows; a NaN state must not reach
+    # the eigenvalue call, whose numpy error would escape the error types
+    space = HilbertSpace(2, 2)
+    params = SystemParams(delta=0.1, j_coupling=1.0, omega=1e300, gamma_c=1.0, gamma_m=1.0)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        solve_steady(SectorTerms.build(space).liouvillian(params), space)

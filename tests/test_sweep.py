@@ -2,16 +2,14 @@
 
 import json
 
-import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pairsim.sweep
 from pairsim.cli import main
 from pairsim.errors import ConfigError, TruncationError
-from pairsim.model import SystemParams
-from pairsim.observables import compute_observables
+from pairsim.model import SectorTerms, SystemParams
 from pairsim.operators import HilbertSpace
-from pairsim.steady import steady_state
 from pairsim.sweep import (
     SweepConfig,
     _expand_values,
@@ -20,6 +18,7 @@ from pairsim.sweep import (
     load_config,
     read_csv,
     run_sweep,
+    solve_point,
 )
 
 BASE = SystemParams(
@@ -147,6 +146,27 @@ def test_load_config_defaults_and_rejections(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "truncation_tol: .inf",
+        "truncation_tol: 0",
+        "truncation_tol: -1.0e-6",
+        "truncation_tol: .nan",
+        "floor: .nan",
+        "floor: .inf",
+        "floor: -1.0e-12",
+    ],
+)
+def test_load_config_rejects_tolerances_that_defeat_the_checks(tmp_path, line):
+    path = write_yaml(
+        tmp_path / "bad.yaml",
+        f"axis: delta\nvalues: [0.0, 0.5]\nparams: {{omega: 1.0, gamma_c: 1.0}}\n{line}\n",
+    )
+    with pytest.raises(ConfigError, match=line.split(":")[0]):
+        load_config(path)
+
+
 # ---------------------------------------------------------------- running
 
 
@@ -154,12 +174,11 @@ def test_sweep_rows_match_direct_solves():
     config = make_config()
     result = run_sweep(config)
     assert [row.axis_value for row in result.rows] == [-0.2, 0.0, 0.2]
-    space = HilbertSpace(3, 3)
+    terms = SectorTerms.build(HilbertSpace(3, 3))
     for row in result.rows:
         assert row.error is None
         assert row.converged
-        rho, _ = steady_state(config.params_at(row.axis_value), space)
-        direct = compute_observables(rho, space)
+        direct, _ = solve_point(config.params_at(row.axis_value), terms)
         assert row.record.mean_n == pytest.approx(direct.mean_n, abs=1e-15)
         assert row.record.g2_nm == pytest.approx(direct.g2_nm, rel=1e-12)
         assert row.record.log_neg == pytest.approx(direct.log_neg, abs=1e-12)
@@ -200,6 +219,29 @@ def test_failed_points_become_error_rows(tmp_path):
     assert "not unique" in doc["rows"][0]["error"]
     assert doc["rows"][1]["error"] is None
     assert doc["metadata"]["version"]
+
+
+def test_non_finite_solutions_become_error_rows(tmp_path):
+    # at omega = 1e300 the solve overflows to NaN; each point must fail on
+    # its own row instead of aborting the sweep with a numpy error
+    config = make_config(
+        axis_values=(0.0, 0.1),
+        base_params=BASE.with_value("omega", 1e300),
+        truncation=(2, 2),
+        strict_truncation=True,
+    )
+    result = run_sweep(config)
+    assert [row.record for row in result.rows] == [None, None]
+    assert all("not finite" in row.error for row in result.rows)
+    cfg = write_yaml(
+        tmp_path / "overflow.yaml",
+        "axis: delta\nvalues: [0.0, 0.1]\ntruncation: [2, 2]\n"
+        "params: {j_coupling: 0.1, omega: 1.0e300, gamma_c: 10.0, gamma_m: 10.0}\n",
+    )
+    out = tmp_path / "overflow.csv"
+    assert main(["sweep", cfg, "--output", str(out)]) == 2
+    _, rows = read_csv(str(out))
+    assert [row["mean_n"] for row in rows] == ["error", "error"]
 
 
 def test_undefined_correlations_round_trip(tmp_path):
@@ -272,6 +314,24 @@ def test_strict_truncation_aborts_with_context():
     )
     with pytest.raises(TruncationError, match="delta = 0"):
         run_sweep(config)
+
+
+def test_benchmark_hooks_see_every_layer_call(monkeypatch):
+    # the sweep benchmark traces these names on pairsim.sweep, and its
+    # reference generator replaces check_truncation there
+    for name in ("build_liouvillian", "solve_steady", "compute_observables", "check_truncation"):
+        assert callable(getattr(pairsim.sweep, name))
+    calls = {}
+    for name in ("solve_steady", "compute_observables", "check_truncation"):
+        original = getattr(pairsim.sweep, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pairsim.sweep, name, counting)
+    run_sweep(make_config(strict_truncation=True))
+    assert calls == {"solve_steady": 3 + 1, "compute_observables": 3 + 1, "check_truncation": 1}
 
 
 def test_strict_truncation_marks_rows_converged():
@@ -359,20 +419,30 @@ def test_cli_point_json(capsys):
     ])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["params", "truncation", "observables", "report"]
     assert doc["params"]["gamma_c"] == 10.0
-    assert doc["mean_n"] > 0
-    assert doc["residual_norm"] < 1e-10
-    space = HilbertSpace(3, 3)
-    rho, _ = steady_state(BASE, space)
-    assert doc["g2_nm"] == pytest.approx(compute_observables(rho, space).g2_nm)
+    assert doc["observables"]["mean_n"] > 0
+    assert doc["report"]["residual_norm"] < 1e-10
+    assert doc["report"]["levels_used"] == [3, 3]
+    direct, _ = solve_point(BASE, SectorTerms.build(HilbertSpace(3, 3)))
+    assert doc["observables"]["g2_nm"] == pytest.approx(direct.g2_nm)
 
 
 def test_cli_point_json_reports_solve_size(capsys):
     assert main(["point", "--omega", "1", "--gamma-c", "10", "--gamma-m", "10", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["truncation"] == [5, 5]
-    assert doc["unknowns"] == 584  # n - m sector of (5, 5), of 5184 entries
-    assert doc["lu_nnz"] > doc["unknowns"]
+    report = doc["report"]
+    assert report["unknowns"] == 584  # n - m sector of (5, 5), of 5184 entries
+    assert report["lu_nnz"] > report["unknowns"]
+
+
+def test_cli_point_failures_exit_codes():
+    # 2: a non-finite solution is a solver failure, not a crash
+    assert main(["point", "--omega", "1e300", "--j-coupling", "1", "--gamma-c", "1",
+                 "--gamma-m", "1", "--truncation", "2", "2"]) == 2
+    # 1: a floor that would let g2 divide 0 by 0
+    assert main(["point", "--gamma-c", "1", "--gamma-m", "1", "--floor", "nan"]) == 1
 
 
 def test_cli_point_text_reports_undef(capsys):
