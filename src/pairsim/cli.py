@@ -188,10 +188,9 @@ def _check_battery() -> list[tuple[str, bool, str]]:
         params = SystemParams(
             delta=1.0, j_coupling=1.0, omega=1.0, gamma_c=10.0, gamma_m=10.0
         )
-        space = HilbertSpace(2, 2)
-        lv = build_liouvillian(params, space)
-        rho_sparse, _ = solve_steady(lv, space)
-        rho_dense = null_space_steady(lv, space)
+        terms = SectorTerms.build(HilbertSpace(2, 2))
+        rho_sparse, _ = solve_steady(terms.liouvillian(params), terms)
+        rho_dense = null_space_steady(build_liouvillian(params, terms.space), terms.space)
         dev = float(np.abs(rho_sparse - rho_dense).max())
         return dev < 1e-9, f"max elementwise gap sparse vs dense {dev:.2e}"
 

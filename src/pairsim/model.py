@@ -75,15 +75,25 @@ class SystemParams:
         return replace(self, **{name: value})
 
     @property
-    def max_rate(self) -> float:
-        return max(self.kappa, self.gamma_c, self.gamma_m * (self.m_th + 1.0))
-
-    @property
     def min_positive_rate(self) -> float:
         rates = [r for r in (self.kappa, self.gamma_c, self.gamma_m) if r > 0]
         if not rates:
             raise ConfigError("no positive damping rate; the dynamics has no relaxation scale")
         return min(rates)
+
+
+def _operators(space: HilbertSpace) -> tuple[dict, dict]:
+    """H's three Hermitian pieces, keyed by the parameter that weights them
+    (delta, J, Omega), and the four jump operators, keyed by their names."""
+    s_minus = atom_lowering(space)
+    s_plus = s_minus.conj().T.tocsr()
+    a = photon_lowering(space)
+    b = phonon_lowering(space)
+    pair = s_plus @ a @ b
+    pieces = {"delta": s_plus @ s_minus + a.conj().T @ a, "J": pair + pair.conj().T,
+              "Omega": s_plus + s_minus}
+    jumps = {"sigma-": s_minus, "a": a, "b": b, "b^dag": b.conj().T}
+    return pieces, jumps
 
 
 def build_hamiltonian(params: SystemParams, space: HilbertSpace) -> sp.csr_matrix:
@@ -92,17 +102,8 @@ def build_hamiltonian(params: SystemParams, space: HilbertSpace) -> sp.csr_matri
     H = Delta sigma+ sigma- + Delta a^dag a
         + J (sigma+ a b + sigma- a^dag b^dag) + Omega (sigma+ + sigma-)
     """
-    s_minus = atom_lowering(space)
-    s_plus = s_minus.conj().T.tocsr()
-    a = photon_lowering(space)
-    b = phonon_lowering(space)
-
-    h = params.delta * (s_plus @ s_minus)
-    h = h + params.delta * (a.conj().T @ a)
-    pair = s_plus @ a @ b
-    h = h + params.j_coupling * (pair + pair.conj().T)
-    h = h + params.omega * (s_plus + s_minus)
-    return h.tocsr()
+    pieces, _ = _operators(space)
+    return _combine(params, pieces.values(), space.dim)
 
 
 def hamiltonian_superop(h: sp.spmatrix) -> sp.csr_matrix:
@@ -126,20 +127,15 @@ def lindblad_dissipator(op: sp.spmatrix, rate: float) -> sp.csr_matrix:
 
 
 def _generator_terms(space: HilbertSpace):
-    """Yield the seven parameter-free pieces of L, in the order of
-    _coefficients: the delta, J and Omega commutators, then D[sigma-],
+    """Yield (name, term) for the seven parameter-free pieces of L in the
+    order of _coefficients: the delta, J and Omega commutators, then D[sigma-],
     D[a], D[b] and D[b^dag] at unit rate.  One at a time, so that a caller
     restricting them to the sector never holds all seven full terms."""
-    s_minus = atom_lowering(space)
-    s_plus = s_minus.conj().T.tocsr()
-    a = photon_lowering(space)
-    b = phonon_lowering(space)
-    pair = s_plus @ a @ b
-    yield hamiltonian_superop(s_plus @ s_minus + a.conj().T @ a)
-    yield hamiltonian_superop(pair + pair.conj().T)
-    yield hamiltonian_superop(s_plus + s_minus)
-    for op in (s_minus, a, b, b.conj().T):
-        yield lindblad_dissipator(op, 1.0)
+    pieces, jumps = _operators(space)
+    for name, piece in pieces.items():
+        yield f"the {name} commutator", hamiltonian_superop(piece)
+    for name, op in jumps.items():
+        yield f"D[{name}]", lindblad_dissipator(op, 1.0)
 
 
 def _coefficients(params: SystemParams) -> tuple[float, ...]:
@@ -175,7 +171,8 @@ def build_liouvillian(params: SystemParams, space: HilbertSpace) -> sp.csr_matri
     The solvers work on the n - m sector (SectorTerms); this full operator
     serves the oracles and the tests.
     """
-    return _combine(params, _generator_terms(space), space.dim**2)
+    terms = (term for _, term in _generator_terms(space))
+    return _combine(params, terms, space.dim**2)
 
 
 def sector_index(space: HilbertSpace) -> np.ndarray:
@@ -205,9 +202,18 @@ class SectorTerms:
 
     @classmethod
     def build(cls, space: HilbertSpace) -> "SectorTerms":
+        """Restrict each generator term to the sector.  A term that maps
+        sector entries outside it raises ValueError: the solve would drop them."""
         index = sector_index(space)
-        terms = tuple(term[index][:, index] for term in _generator_terms(space))
-        return cls(space, index, terms)
+        terms = []
+        for name, term in _generator_terms(space):
+            columns = term[:, index]
+            block = columns[index]
+            leaking = columns.count_nonzero() - block.count_nonzero()
+            if leaking:
+                raise ValueError(f"{name} maps {leaking} entries out of the n - m sector")
+            terms.append(block)
+        return cls(space, index, tuple(terms))
 
     def liouvillian(self, params: SystemParams) -> sp.csr_matrix:
         """L restricted to the sector, for the given parameters."""

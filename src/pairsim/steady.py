@@ -1,29 +1,17 @@
 """Steady-state solvers and the time-evolution cross-check.
 
-The production path solves L vec(rho) = 0 in the n - m sector only: the
-entries rho[i, j] whose ket and bra carry equal photon-minus-phonon number.
-H conserves n - m and each jump operator shifts it by a fixed amount
-(sigma- by 0, a by -1, b by +1, b^dag by -1), so L maps the sector into
-itself and into its complement separately (a weak U(1) symmetry).  A
-unique steady state is invariant under that symmetry and therefore has no
-weight outside the sector, so solving there is exact, not an
-approximation.  The sector holds 1/9 of the dim^2 unknowns at (5, 5) and
-1/23 at (12, 16), and its LU fill shrinks by a larger factor still.
+The production path, solve_steady, solves L vec(rho) = 0 on the n - m
+sector of a model.SectorTerms, which owns that sector: its index, the
+generator terms restricted to it, and the check, made when the terms are
+built, that no term leaves it (model.sector_index says why solving there is
+exact).  The row of the diagonal element rho[0, 0] is replaced by the trace
+functional, which trace preservation makes linearly dependent on the other
+diagonal rows, and the system is solved by sparse LU.
 
-Within the sector, the row of the diagonal element rho[0, 0] is replaced by
-the trace functional and the nonsingular system is solved by sparse LU.
-The trace-preservation identity makes any diagonal row linearly dependent
-on the others, so the replacement loses no information.
-
-solve_steady also accepts a full-space L, as the oracles' callers build it.
-It restricts L to the sector but measures the residual with the full L on
-the embedded solution, so a generator without the symmetry fails the
-residual test rather than being solved in the wrong space.
-
-Two independent oracles guard that path and stay full-space: a dense
-null-space computation (null_space_steady) and a fixed-step RK4 integration
-of the master equation (evolve_to_steady).  Tests compare all three;
-production code uses the sector path only.
+Two independent oracles stay full-space, since their job is not to assume
+the symmetry: a dense null-space computation (null_space_steady) and a
+fixed-step RK4 integration of the master equation (evolve_to_steady).
+Tests compare all three.
 """
 
 from __future__ import annotations
@@ -36,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DegenerateSteadyStateError
-from .model import sector_index, trace_functional, unvec, vec
+from .model import SectorTerms, unvec, vec
 from .operators import HilbertSpace
 
 __all__ = [
@@ -52,6 +40,7 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
 RESIDUAL_TOL = 1e-10
+MAX_REFINE = 3  # refinement steps after the direct solve, at most
 
 
 @dataclass
@@ -61,7 +50,8 @@ class SolveReport:
     truncation_converged is None when no truncation check was run, and a
     boolean once sweep.check_truncation has compared against doubled levels.
     unknowns is the size of the n - m sector that was factored and lu_nnz
-    the fill of its LU factors (L.nnz + U.nnz).
+    the entries SuperLU stores for its LU factors, supernodal padding
+    included: 60897 at a (5, 5) point whose L and U hold 53286 nonzeros.
     """
 
     residual_norm: float
@@ -107,33 +97,25 @@ def _validated(rho: np.ndarray, residual: float, where: str) -> np.ndarray:
 
 
 def solve_steady(
-    liouvillian: sp.spmatrix,
-    space: HilbertSpace,
-    max_refine: int = 3,
+    liouvillian: sp.spmatrix, terms: SectorTerms
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve L vec(rho) = 0 with unit trace in the n - m sector.
 
-    `liouvillian` is either the sector operator (SectorTerms.liouvillian)
-    or the full dim^2 operator, which is restricted here.  Returns the
-    Hermitized density matrix and a report carrying the residual of the
-    unmodified L: the full one when given, so that off-sector rows count.
-    A singular factorization signals a degenerate steady-state manifold.
+    `liouvillian` is the sector operator terms.liouvillian(params); an
+    operator of any other size raises ValueError.  Returns the Hermitized
+    density matrix on terms.space and a report carrying the residual of the
+    unmodified L.  A singular factorization signals a degenerate
+    steady-state manifold.
     """
     lv = sp.csr_matrix(liouvillian)
-    dim = space.dim
-    index = sector_index(space)
-    if lv.shape == (dim * dim, dim * dim):
-        check = lv[:, index]
-        lv = check[index]
-    elif lv.shape == (index.size, index.size):
-        check = lv
-    else:
+    index, space, dim = terms.index, terms.space, terms.space.dim
+    if lv.shape != (index.size, index.size):
         raise ValueError(
-            f"Liouvillian shape {lv.shape} does not match space dimension {dim} "
-            f"(full {dim * dim} or sector {index.size} unknowns)"
+            f"Liouvillian shape {lv.shape} does not fit the {index.size} sector unknowns of {space}"
         )
-    # index[0] = 0 is rho[0, 0], so row 0 is a diagonal row
-    trace_row = sp.csr_matrix(trace_functional(dim)[index])
+    # the trace functional, 1 at rho[i, i] (k = i (dim + 1)); index[0] = 0
+    # is rho[0, 0], so row 0 is a diagonal row
+    trace_row = sp.csr_matrix((index % (dim + 1) == 0).astype(complex))
     modified = sp.vstack([trace_row, lv[1:]], format="csc")
     rhs = np.zeros(index.size, dtype=complex)
     rhs[0] = 1.0
@@ -145,14 +127,14 @@ def solve_steady(
             "the steady state is not unique"
         ) from exc
     x = lu.solve(rhs)
-    residual = float(np.linalg.norm(check @ x))
+    residual = float(np.linalg.norm(lv @ x))
     # Iterative refinement rarely triggers (direct solves land near 1e-14)
     # but costs little and protects ill-conditioned corners.
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         if residual <= 0.1 * RESIDUAL_TOL:
             break
         x = x + lu.solve(rhs - modified @ x)
-        residual = float(np.linalg.norm(check @ x))
+        residual = float(np.linalg.norm(lv @ x))
     full = np.zeros(dim * dim, dtype=complex)
     full[index] = x
     rho = _validated(unvec(full, dim), residual, "solve_steady")
@@ -161,7 +143,7 @@ def solve_steady(
         truncation_converged=None,
         levels_used=(space.n_c, space.n_m),
         unknowns=int(index.size),
-        lu_nnz=int(lu.L.nnz + lu.U.nnz),
+        lu_nnz=int(lu.nnz),
     )
 
 

@@ -93,8 +93,14 @@ class SweepConfig:
             np.all(np.diff(values) > 0) or np.all(np.diff(values) < 0)
         ):
             raise ConfigError("axis_values must be strictly monotone")
-        if self.truncation[0] < 2 or self.truncation[1] < 2:
-            raise ConfigError(f"truncation must be at least (2, 2), got {self.truncation}")
+        if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in self.truncation):
+            raise ConfigError(f"truncation must be whole numbers >= 2, got {self.truncation}")
+        # a quoted "false" from YAML would be truthy
+        for name in ("couple_delta_to_j", "strict_truncation", "emit_elements"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigError(f"output must be a file path, got {self.output_path!r}")
         if self.couple_delta_to_j and self.axis == "delta":
             raise ConfigError("couple_delta_to_j cannot be combined with a delta sweep")
         check_floor(self.floor)
@@ -139,13 +145,21 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _number(value, key: str) -> float:
+    """float(value), or a ConfigError naming the key.  Strings reach float()
+    because YAML 1.1 reads 1e-6 as a string; booleans are not numbers."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 def _expand_values(raw, context: str) -> tuple[float, ...]:
     """Accept either an explicit list or {start, stop, points, spacing}."""
     if isinstance(raw, (list, tuple)):
-        try:
-            return tuple(float(v) for v in raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{context}: values list must be numeric ({exc})") from exc
+        return tuple(_number(v, context) for v in raw)
     if isinstance(raw, dict):
         allowed = {"start", "stop", "points", "spacing"}
         unknown = set(raw) - allowed
@@ -154,10 +168,11 @@ def _expand_values(raw, context: str) -> tuple[float, ...]:
         missing = {"start", "stop", "points"} - set(raw)
         if missing:
             raise ConfigError(f"{context}: missing keys {sorted(missing)}")
-        start, stop = float(raw["start"]), float(raw["stop"])
-        points = int(raw["points"])
-        if points < 1:
-            raise ConfigError(f"{context}: points must be >= 1, got {points}")
+        start = _number(raw["start"], f"{context} start")
+        stop = _number(raw["stop"], f"{context} stop")
+        points = raw["points"]
+        if not (type(points) is int and points >= 1):  # bool is an int subclass
+            raise ConfigError(f"{context}: points must be a whole number >= 1, got {points!r}")
         spacing = raw.get("spacing", "linear")
         if spacing == "linear":
             return tuple(np.linspace(start, stop, points))
@@ -211,28 +226,24 @@ def load_config(path: str) -> SweepConfig:
     unknown = set(raw_params) - _PARAM_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown params keys {sorted(unknown)}")
-    try:
-        base = SystemParams(**{k: float(v) for k, v in raw_params.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad params ({exc})") from exc
+    base = SystemParams(**{k: _number(v, f"params {k}") for k, v in raw_params.items()})
 
     truncation = data.get("truncation", (5, 5))
     if not (isinstance(truncation, (list, tuple)) and len(truncation) == 2):
         raise ConfigError(f"{path}: truncation must be a pair, got {truncation!r}")
 
-    name = data.get("name", "sweep")
     return SweepConfig(
         axis=data["axis"],
         axis_values=_expand_values(data["values"], f"{path}: values"),
         base_params=base,
-        couple_delta_to_j=bool(data.get("couple_delta_to_j", False)),
-        truncation=(int(truncation[0]), int(truncation[1])),
-        strict_truncation=bool(data.get("strict_truncation", True)),
-        truncation_tol=float(data.get("truncation_tol", 1e-6)),
-        emit_elements=bool(data.get("emit_elements", True)),
-        floor=float(data.get("floor", DEFAULT_FLOOR)),
+        couple_delta_to_j=data.get("couple_delta_to_j", False),
+        truncation=tuple(truncation),
+        strict_truncation=data.get("strict_truncation", True),
+        truncation_tol=_number(data.get("truncation_tol", 1e-6), "truncation_tol"),
+        emit_elements=data.get("emit_elements", True),
+        floor=_number(data.get("floor", DEFAULT_FLOOR), "floor"),
         output_path=data.get("output"),
-        name=str(name),
+        name=str(data.get("name", "sweep")),
     )
 
 
@@ -244,7 +255,7 @@ def solve_point(
     solve_steady and compute_observables are looked up in this module, so
     wrapping them here (as the benchmark's tracer does) sees every solve.
     """
-    rho, report = solve_steady(terms.liouvillian(params), terms.space)
+    rho, report = solve_steady(terms.liouvillian(params), terms)
     return compute_observables(rho, terms.space, floor=floor), report
 
 

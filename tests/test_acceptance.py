@@ -67,9 +67,10 @@ def solved_canonicals():
     """Sparse steady state, Liouvillian, and observables at every canonical
     point, shared by criteria 3 and 10."""
     out = {}
+    terms = SectorTerms.build(SPACE)
     for name, params in CANONICAL.items():
         lv = build_liouvillian(params, SPACE)
-        rho, report = solve_steady(lv, SPACE)
+        rho, report = solve_steady(terms.liouvillian(params), terms)
         out[name] = (lv, rho, report, compute_observables(rho, SPACE))
     return out
 
@@ -130,7 +131,8 @@ def test_criterion_02_exact_limit_fixed_points():
     params = SystemParams(
         delta=0.3, j_coupling=2.0, omega=0.0, gamma_c=1.0, gamma_m=1.0, m_th=0.0
     )
-    rho, _ = solve_steady(SectorTerms.build(space).liouvillian(params), space)
+    terms = SectorTerms.build(space)
+    rho, _ = solve_steady(terms.liouvillian(params), terms)
     assert float(np.abs(rho - vacuum_state(space)).max()) < 1e-12
     obs = compute_observables(rho, space)
     assert obs.mean_n == 0.0 and obs.mean_m == 0.0 and obs.log_neg == 0.0
@@ -157,7 +159,8 @@ def test_criterion_02_exact_limit_fixed_points():
     i_e = space.index(1, 0, 0)
     rho_oracle = null_space_steady(lv, space)
     assert abs(rho_oracle[i_e, i_e].real - 4.0 / 9.0) < 1e-8
-    rho_sparse, _ = solve_steady(lv, space)
+    terms = SectorTerms.build(space)
+    rho_sparse, _ = solve_steady(terms.liouvillian(params), terms)
     assert abs(rho_sparse[i_e, i_e].real - 4.0 / 9.0) < 1e-8
     assert float(np.abs(rho_sparse - rho_oracle).max()) < 1e-10
     print("criterion  2 PASS: vacuum, thermal (<m>=0.5, g2_m=2), and driven-atom 4/9 limits")

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+import pairsim.model
 import pairsim.sweep
 from pairsim.errors import ConvergenceError, DegenerateSteadyStateError
 from pairsim.model import (
@@ -61,6 +62,12 @@ def full_space_solve(lv, space: HilbertSpace) -> np.ndarray:
     return unvec(spla.splu(modified.tocsc()).solve(rhs), space.dim)
 
 
+def sector_solve(params: SystemParams, space: HilbertSpace):
+    """solve_steady on the sector operator of `space`, as solve_point does."""
+    terms = SectorTerms.build(space)
+    return solve_steady(terms.liouvillian(params), terms)
+
+
 def observable_values(rho, space: HilbertSpace) -> list[float]:
     rec = compute_observables(rho, space)
     scalars = [rec.mean_n, rec.mean_m, rec.g2_n, rec.g2_m, rec.g2_nm, rec.log_neg]
@@ -72,7 +79,7 @@ def test_undriven_steady_state_is_vacuum():
     params = SystemParams(
         delta=0.4, j_coupling=2.0, omega=0.0, gamma_c=1.0, gamma_m=1.0, m_th=0.0
     )
-    rho, report = solve_steady(SectorTerms.build(space).liouvillian(params), space)
+    rho, report = sector_solve(params, space)
     expected = vacuum_state(space)
     assert_allclose(rho, expected, atol=1e-12)
     assert report.residual_norm <= RESIDUAL_TOL
@@ -87,7 +94,7 @@ def test_thermal_phonon_distribution_is_geometric():
     params = SystemParams(
         delta=0.0, j_coupling=0.0, omega=0.0, gamma_c=1.0, gamma_m=2.0, m_th=0.5
     )
-    rho, _ = solve_steady(SectorTerms.build(space).liouvillian(params), space)
+    rho, _ = sector_solve(params, space)
     pops = np.array([rho[space.index(0, 0, m), space.index(0, 0, m)].real
                      for m in range(space.n_m + 1)])
     ratios = pops[1:] / pops[:-1]
@@ -102,7 +109,7 @@ def test_thermal_phonon_mean_converges_with_truncation():
         delta=0.0, j_coupling=0.0, omega=0.0, gamma_c=1.0, gamma_m=1.0, m_th=0.5
     )
     space = HilbertSpace(2, 24)
-    rho, _ = solve_steady(SectorTerms.build(space).liouvillian(params), space)
+    rho, _ = sector_solve(params, space)
     mean = float(np.sum(space.phonon_values() * np.diag(rho).real))
     assert mean == pytest.approx(0.5, abs=1e-8)
 
@@ -114,7 +121,7 @@ def test_driven_atom_population():
     params = SystemParams(
         delta=0.0, j_coupling=0.0, omega=1.0, gamma_c=1.0, gamma_m=1.0, m_th=0.0
     )
-    rho, _ = solve_steady(SectorTerms.build(space).liouvillian(params), space)
+    rho, _ = sector_solve(params, space)
     excited = sum(
         rho[space.index(1, n, m), space.index(1, n, m)].real
         for n in range(space.n_c + 1)
@@ -125,16 +132,15 @@ def test_driven_atom_population():
 
 def test_sparse_and_dense_solvers_agree():
     space = HilbertSpace(3, 3)
-    lv = build_liouvillian(WEAK_POINT, space)
-    rho_sparse, _ = solve_steady(lv, space)
-    rho_dense = null_space_steady(lv, space)
+    rho_sparse, _ = sector_solve(WEAK_POINT, space)
+    rho_dense = null_space_steady(build_liouvillian(WEAK_POINT, space), space)
     assert_allclose(rho_sparse, rho_dense, atol=1e-10)
 
 
 def test_time_evolution_reaches_the_same_steady_state():
     space = HilbertSpace(3, 3)
     lv = build_liouvillian(WEAK_POINT, space)
-    rho_sparse, _ = solve_steady(lv, space)
+    rho_sparse, _ = sector_solve(WEAK_POINT, space)
     rho_evolved, info = evolve_to_steady(
         lv, vacuum_state(space), t_max=500.0, return_info=True
     )
@@ -156,7 +162,7 @@ def test_three_way_agreement_on_random_parameters():
             m_th=rng.uniform(0, 0.5),
         )
         lv = build_liouvillian(params, space)
-        rho, _ = solve_steady(lv, space)
+        rho, _ = sector_solve(params, space)
         assert_allclose(rho, null_space_steady(lv, space), atol=1e-9)
         rho_t = evolve_to_steady(lv, vacuum_state(space), t_max=2000.0)
         assert_allclose(rho, rho_t, atol=1e-8)
@@ -165,7 +171,7 @@ def test_three_way_agreement_on_random_parameters():
 def test_evolution_from_the_fixed_point_stops_immediately():
     space = HilbertSpace(2, 2)
     lv = build_liouvillian(WEAK_POINT, space)
-    rho, _ = solve_steady(lv, space)
+    rho, _ = sector_solve(WEAK_POINT, space)
     out, info = evolve_to_steady(lv, rho, t_max=10.0, return_info=True)
     assert info["steps"] == 0
     assert_allclose(out, rho, atol=0)
@@ -205,9 +211,14 @@ def test_suggested_step_is_stable_and_not_tiny():
 
 
 def test_solver_shape_mismatch():
-    lv = build_liouvillian(WEAK_POINT, HilbertSpace(2, 2))
-    with pytest.raises(ValueError):
-        solve_steady(lv, HilbertSpace(3, 3))
+    terms = SectorTerms.build(HilbertSpace(2, 2))
+    # the full-space operator of the same space
+    with pytest.raises(ValueError, match="sector unknowns"):
+        solve_steady(build_liouvillian(WEAK_POINT, terms.space), terms)
+    # the sector operator of another space
+    other = SectorTerms.build(HilbertSpace(3, 3)).liouvillian(WEAK_POINT)
+    with pytest.raises(ValueError, match="sector unknowns"):
+        solve_steady(other, terms)
 
 
 def test_degenerate_steady_state_is_reported():
@@ -217,11 +228,10 @@ def test_degenerate_steady_state_is_reported():
     params = SystemParams(
         delta=0.0, j_coupling=0.0, omega=0.0, gamma_c=1.0, gamma_m=0.0, m_th=0.0
     )
-    lv = build_liouvillian(params, space)
     with pytest.raises(DegenerateSteadyStateError):
-        solve_steady(lv, space)
+        sector_solve(params, space)
     with pytest.raises(DegenerateSteadyStateError):
-        null_space_steady(lv, space)
+        null_space_steady(build_liouvillian(params, space), space)
     with pytest.raises(DegenerateSteadyStateError):
         solve_point(params, SectorTerms.build(space))
 
@@ -249,7 +259,7 @@ def test_sector_solve_matches_full_space_oracle(params, space):
     outside = np.ones(space.dim**2, dtype=bool)
     outside[sector_index(space)] = False
     assert np.count_nonzero(vec(rho_full)[outside]) == 0
-    rho, report = solve_steady(SectorTerms.build(space).liouvillian(params), space)
+    rho, report = sector_solve(params, space)
     assert report.unknowns == sector_index(space).size
     assert_allclose(
         observable_values(rho, space),
@@ -260,10 +270,11 @@ def test_sector_solve_matches_full_space_oracle(params, space):
 
 
 def test_sector_solve_of_a_full_operator_matches_dense_oracle():
+    # the oracles solve the full operator, the sector solve only its block
     space = HilbertSpace(2, 2)
     params, _ = CANONICAL_POINTS[2]
     lv = build_liouvillian(params, space)
-    rho, report = solve_steady(lv, space)
+    rho, report = sector_solve(params, space)
     assert_allclose(rho, null_space_steady(lv, space), atol=1e-10)
     assert_allclose(rho, full_space_solve(lv, space), atol=1e-12)
     assert report.unknowns < space.dim**2
@@ -288,23 +299,29 @@ def test_sector_terms_restrict_the_full_liouvillian():
     assert full[outside][:, index].count_nonzero() == 0
 
 
-def test_generator_without_the_symmetry_is_rejected():
+def test_generator_without_the_symmetry_is_rejected(monkeypatch):
     # a coherent photon drive changes n - m by one, so the steady state has
-    # off-sector weight that the sector solve cannot represent
-    space = HilbertSpace(3, 3)
-    a = photon_lowering(space)
-    lv = build_liouvillian(WEAK_POINT, space) + hamiltonian_superop(0.5 * (a + a.conj().T))
-    with pytest.raises(ConvergenceError):
-        solve_steady(lv, space)
+    # off-sector weight that the sector solve cannot represent; building
+    # the sector terms must refuse it instead of truncating it
+    original = pairsim.model._generator_terms
+
+    def with_photon_drive(space):
+        yield from original(space)
+        a = photon_lowering(space)
+        yield "the photon drive", hamiltonian_superop(a + a.conj().T)
+
+    monkeypatch.setattr(pairsim.model, "_generator_terms", with_photon_drive)
+    with pytest.raises(ValueError, match="the photon drive maps 544 entries"):
+        SectorTerms.build(HilbertSpace(3, 3))
 
 
 def test_truncation_check_reuses_the_base_solution(monkeypatch):
     record, report = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(3, 3)))
     solved = []
 
-    def counting(liouvillian, space):
-        solved.append((space.n_c, space.n_m))
-        return solve_steady(liouvillian, space)
+    def counting(liouvillian, terms):
+        solved.append((terms.space.n_c, terms.space.n_m))
+        return solve_steady(liouvillian, terms)
 
     monkeypatch.setattr(pairsim.sweep, "solve_steady", counting)
     checked = check_truncation(WEAK_POINT, (record, report))
@@ -324,4 +341,4 @@ def test_non_finite_solution_is_a_convergence_error():
     space = HilbertSpace(2, 2)
     params = SystemParams(delta=0.1, j_coupling=1.0, omega=1e300, gamma_c=1.0, gamma_m=1.0)
     with pytest.raises(ConvergenceError, match="not finite"):
-        solve_steady(SectorTerms.build(space).liouvillian(params), space)
+        sector_solve(params, space)

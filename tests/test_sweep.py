@@ -1,6 +1,9 @@
 """Sweep configuration, execution, serialization, and CLI tests."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
@@ -156,6 +159,21 @@ def test_load_config_defaults_and_rejections(tmp_path):
         "floor: .nan",
         "floor: .inf",
         "floor: -1.0e-12",
+        "floor: low",
+        "truncation_tol: tight",
+        "truncation: [a, 3]",
+        "truncation: [2.7, 3]",
+        "strict_truncation: \"false\"",
+        # a quoted "false" is caught by the delta-axis guard here; 0 is not
+        "couple_delta_to_j: 0",
+        "emit_elements: \"false\"",
+        "output: 5",
+        # these replace the file's values list, the later key winning
+        "values: {start: a, stop: 1.0, points: 3}",
+        "values: {start: 0.0, stop: b, points: 3}",
+        "values: {start: 0.0, stop: 1.0, points: many}",
+        "values: {start: 0.0, stop: 1.0, points: 2.5}",
+        "values: {start: 0.0, stop: 1.0, points: true}",
     ],
 )
 def test_load_config_rejects_tolerances_that_defeat_the_checks(tmp_path, line):
@@ -332,6 +350,20 @@ def test_benchmark_hooks_see_every_layer_call(monkeypatch):
         monkeypatch.setattr(pairsim.sweep, name, counting)
     run_sweep(make_config(strict_truncation=True))
     assert calls == {"solve_steady": 3 + 1, "compute_observables": 3 + 1, "check_truncation": 1}
+
+
+def test_benchmark_self_test_passes():
+    # bench/run.py wraps the sweep names above and counts LU fill through
+    # the model's API; its self-test runs that harness on a tiny config
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "bench" / "run.py"), "--self-test"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_strict_truncation_marks_rows_converged():
