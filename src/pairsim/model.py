@@ -153,7 +153,8 @@ def _coefficients(params: SystemParams) -> tuple[float, ...]:
 
 def _combine(params: SystemParams, terms, size: int) -> sp.csr_matrix:
     """sum_i c_i L_i, leaving out terms whose weight is zero so that
-    switched-off channels add no entries, not even explicit zeros."""
+    switched-off channels add no entries, not even explicit zeros.  Serves
+    the full-space build_hamiltonian and build_liouvillian."""
     lv = sp.csr_matrix((size, size), dtype=complex)
     for coeff, term in zip(_coefficients(params), terms):
         if coeff != 0:
@@ -193,31 +194,69 @@ class SectorTerms:
     """The generator terms of one space restricted to its n - m sector.
 
     Built once per space, which it carries along so that terms and space
-    cannot be mismatched; liouvillian(params) then costs one sparse sum.
+    cannot be mismatched.  The terms share one CSR pattern (indptr,
+    indices), the union of their own; term i keeps values[i] and
+    positions[i], where those values sit in the pattern.  L is linear in
+    the parameters, so liouvillian(params) is one weighted fill of that
+    fixed pattern.
     """
 
     space: HilbertSpace
     index: np.ndarray
-    terms: tuple[sp.csr_matrix, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    positions: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
 
     @classmethod
     def build(cls, space: HilbertSpace) -> "SectorTerms":
         """Restrict each generator term to the sector.  A term that maps
         sector entries outside it raises ValueError: the solve would drop them."""
         index = sector_index(space)
-        terms = []
+        size = index.size
+        keys, values = [], []
         for name, term in _generator_terms(space):
             columns = term[:, index]
             block = columns[index]
             leaking = columns.count_nonzero() - block.count_nonzero()
             if leaking:
                 raise ValueError(f"{name} maps {leaking} entries out of the n - m sector")
-            terms.append(block)
-        return cls(space, index, tuple(terms))
+            block.sum_duplicates()  # the fill needs each position once per term
+            # row-major keys row * size + column: sorted, they are CSR order
+            rows = np.repeat(np.arange(0, size * size, size), np.diff(block.indptr))
+            keys.append(rows + block.indices)
+            values.append(block.data)
+        # free the last full-space term before the pattern is allocated
+        # above it; a long-lived array there would keep the heap from shrinking
+        del term, columns, block, rows
+        pattern = np.unique(np.concatenate(keys))
+        idx = np.int32 if max(size, pattern.size) < 2**31 else np.int64
+        return cls(
+            space,
+            index,
+            indptr=np.searchsorted(pattern, np.arange(0, size * size + 1, size)).astype(idx),
+            indices=(pattern % size).astype(idx),
+            positions=tuple(np.searchsorted(pattern, k).astype(idx) for k in keys),
+            values=tuple(values),
+        )
 
     def liouvillian(self, params: SystemParams) -> sp.csr_matrix:
-        """L restricted to the sector, for the given parameters."""
-        return _combine(params, self.terms, self.index.size)
+        """L restricted to the sector, for the given parameters.
+
+        Term by term in _coefficients order, zero weights skipped: the
+        arithmetic of _combine's sparse sums, so the matrix is the same bit
+        for bit.  Like csr + csr, it drops exact zeros; an explicit zero
+        would change the column order of the LU.
+        """
+        data = np.zeros(self.indices.size, dtype=complex)
+        for coeff, pos, values in zip(_coefficients(params), self.positions, self.values):
+            if coeff != 0:
+                data[pos] += values * coeff
+        size = self.index.size
+        # copies, since eliminate_zeros prunes indices and indptr in place
+        lv = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(size, size))
+        lv.eliminate_zeros()
+        return lv
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

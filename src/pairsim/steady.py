@@ -4,9 +4,11 @@ The production path, solve_steady, solves L vec(rho) = 0 on the n - m
 sector of a model.SectorTerms, which owns that sector: its index, the
 generator terms restricted to it, and the check, made when the terms are
 built, that no term leaves it (model.sector_index says why solving there is
-exact).  The row of the diagonal element rho[0, 0] is replaced by the trace
-functional, which trace preservation makes linearly dependent on the other
-diagonal rows, and the system is solved by sparse LU.
+exact).  Per point, L is one weighted fill of the terms' fixed pattern
+(SectorTerms.liouvillian); the row of the diagonal element rho[0, 0] is
+replaced by the trace functional, which trace preservation makes linearly
+dependent on the other diagonal rows, and the system is solved by one
+sparse LU.
 
 Two independent oracles stay full-space, since their job is not to assume
 the symmetry: a dense null-space computation (null_space_steady) and a
@@ -52,6 +54,9 @@ class SolveReport:
     unknowns is the size of the n - m sector that was factored and lu_nnz
     the entries SuperLU stores for its LU factors, supernodal padding
     included: 60897 at a (5, 5) point whose L and U hold 53286 nonzeros.
+    refine_steps counts the iterative-refinement steps taken after the
+    direct solve (0 to MAX_REFINE), and min_eigenvalue is the smallest
+    eigenvalue of the Hermitized state (at least EIG_FLOOR).
     """
 
     residual_norm: float
@@ -59,10 +64,13 @@ class SolveReport:
     levels_used: tuple[int, int]
     unknowns: int
     lu_nnz: int
+    refine_steps: int
+    min_eigenvalue: float
 
 
-def _validated(rho: np.ndarray, residual: float, where: str) -> np.ndarray:
-    """Hermitize within tolerance and enforce the density-matrix invariants.
+def _validated(rho: np.ndarray, residual: float, where: str) -> tuple[np.ndarray, float]:
+    """Hermitize within tolerance and enforce the density-matrix invariants;
+    return the Hermitized state and its smallest eigenvalue.
 
     Violations beyond the stated tolerances raise instead of being repaired,
     since silent repair would mask assembly bugs upstream.  A non-finite
@@ -93,7 +101,7 @@ def _validated(rho: np.ndarray, residual: float, where: str) -> np.ndarray:
         raise ConvergenceError(
             f"{where}: residual {residual:.3e} above tolerance {RESIDUAL_TOL:.0e}"
         )
-    return rho
+    return rho, min_eig
 
 
 def solve_steady(
@@ -102,10 +110,11 @@ def solve_steady(
     """Solve L vec(rho) = 0 with unit trace in the n - m sector.
 
     `liouvillian` is the sector operator terms.liouvillian(params); an
-    operator of any other size raises ValueError.  Returns the Hermitized
-    density matrix on terms.space and a report carrying the residual of the
-    unmodified L.  A singular factorization signals a degenerate
-    steady-state manifold.
+    operator of any other size raises ValueError.  The trace-replaced system
+    is assembled straight from L's CSR arrays and converted to CSC once for
+    one LU.  Returns the Hermitized density matrix on terms.space and a
+    report carrying the residual of the unmodified L.  A singular
+    factorization signals a degenerate steady-state manifold.
     """
     lv = sp.csr_matrix(liouvillian)
     index, space, dim = terms.index, terms.space, terms.space.dim
@@ -113,10 +122,18 @@ def solve_steady(
         raise ValueError(
             f"Liouvillian shape {lv.shape} does not fit the {index.size} sector unknowns of {space}"
         )
-    # the trace functional, 1 at rho[i, i] (k = i (dim + 1)); index[0] = 0
-    # is rho[0, 0], so row 0 is a diagonal row
-    trace_row = sp.csr_matrix((index % (dim + 1) == 0).astype(complex))
-    modified = sp.vstack([trace_row, lv[1:]], format="csc")
+    # row 0 becomes the trace functional, 1 at rho[i, i] (k = i (dim + 1));
+    # index[0] = 0 is rho[0, 0], so row 0 is a diagonal row
+    trace_cols = np.flatnonzero(index % (dim + 1) == 0).astype(lv.indices.dtype)
+    start = lv.indptr[1]
+    modified = sp.csr_matrix(
+        (
+            np.concatenate([np.ones(trace_cols.size, dtype=complex), lv.data[start:]]),
+            np.concatenate([trace_cols, lv.indices[start:]]),
+            np.concatenate([[0], lv.indptr[1:] - start + trace_cols.size]),
+        ),
+        shape=lv.shape,
+    ).tocsc()
     rhs = np.zeros(index.size, dtype=complex)
     rhs[0] = 1.0
     try:
@@ -130,20 +147,22 @@ def solve_steady(
     residual = float(np.linalg.norm(lv @ x))
     # Iterative refinement rarely triggers (direct solves land near 1e-14)
     # but costs little and protects ill-conditioned corners.
-    for _ in range(MAX_REFINE):
-        if residual <= 0.1 * RESIDUAL_TOL:
-            break
+    steps = 0
+    while steps < MAX_REFINE and residual > 0.1 * RESIDUAL_TOL:
         x = x + lu.solve(rhs - modified @ x)
         residual = float(np.linalg.norm(lv @ x))
+        steps += 1
     full = np.zeros(dim * dim, dtype=complex)
     full[index] = x
-    rho = _validated(unvec(full, dim), residual, "solve_steady")
+    rho, min_eig = _validated(unvec(full, dim), residual, "solve_steady")
     return rho, SolveReport(
         residual_norm=residual,
         truncation_converged=None,
         levels_used=(space.n_c, space.n_m),
         unknowns=int(index.size),
         lu_nnz=int(lu.nnz),
+        refine_steps=steps,
+        min_eigenvalue=min_eig,
     )
 
 
@@ -165,7 +184,8 @@ def null_space_steady(
     rho = unvec(basis[:, 0], space.dim)
     rho = rho / np.trace(rho)
     residual = float(np.linalg.norm(dense @ vec(rho)))
-    return _validated(rho, residual, "null_space_steady")
+    rho, _ = _validated(rho, residual, "null_space_steady")
+    return rho
 
 
 def suggest_step(liouvillian: sp.spmatrix, safety: float = 0.8, iters: int = 40) -> float:

@@ -89,6 +89,8 @@ class SweepConfig:
         values = np.asarray(self.axis_values, dtype=float)
         if values.size == 0:
             raise ConfigError("axis_values must be non-empty")
+        if not np.isfinite(values).all():
+            raise ConfigError(f"axis_values must be finite, got {list(self.axis_values)}")
         if values.size > 1 and not (
             np.all(np.diff(values) > 0) or np.all(np.diff(values) < 0)
         ):
@@ -110,6 +112,12 @@ class SweepConfig:
             raise ConfigError(
                 f"truncation_tol must be finite and positive, got {self.truncation_tol}"
             )
+        # a grid point the model rejects would otherwise become an error row
+        for value in self.axis_values:
+            try:
+                self.params_at(value)
+            except ConfigError as exc:
+                raise ConfigError(f"axis_values: {self.axis} = {value:g} is invalid ({exc})") from exc
 
     def params_at(self, value: float) -> SystemParams:
         """Parameters for one grid point, applying the |delta| = j coupling
@@ -301,7 +309,8 @@ def run_sweep(
     grid point with the largest occupation (the worst case for Fock-space
     truncation); failure aborts the sweep naming that point.  With it off,
     no truncation check runs and the per-row flag stays None.  The sector
-    terms are built once, so each point costs a sparse sum and one LU.
+    terms are built once, so each point costs one weighted fill of their
+    fixed pattern and one LU.
     """
     terms = SectorTerms.build(HilbertSpace(*config.truncation))
     rows: list[SweepRow] = []

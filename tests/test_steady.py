@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
@@ -24,6 +25,7 @@ from pairsim.model import (
 from pairsim.observables import compute_observables
 from pairsim.operators import HilbertSpace, photon_lowering
 from pairsim.steady import (
+    MAX_REFINE,
     RESIDUAL_TOL,
     evolve_to_steady,
     null_space_steady,
@@ -66,6 +68,78 @@ def sector_solve(params: SystemParams, space: HilbertSpace):
     """solve_steady on the sector operator of `space`, as solve_point does."""
     terms = SectorTerms.build(space)
     return solve_steady(terms.liouvillian(params), terms)
+
+
+def per_point_liouvillian(params: SystemParams, space: HilbertSpace):
+    """Oracle for SectorTerms.liouvillian: each generator term sliced to the
+    sector and the blocks summed by _combine, rebuilt for every point."""
+    index = sector_index(space)
+    blocks = [term[:, index][index] for _, term in pairsim.model._generator_terms(space)]
+    return pairsim.model._combine(params, blocks, index.size)
+
+
+def per_point_solve(lv, space: HilbertSpace):
+    """Oracle for solve_steady's assembly: a trace-row matrix stacked on
+    rows 1.. of L, then the same LU, refinement and Hermitization.
+    Returns the factored matrix and the state."""
+    index = sector_index(space)
+    trace_row = sp.csr_matrix((index % (space.dim + 1) == 0).astype(complex))
+    modified = sp.vstack([trace_row, lv[1:]], format="csc")
+    rhs = np.zeros(index.size, dtype=complex)
+    rhs[0] = 1.0
+    lu = spla.splu(modified)
+    x = lu.solve(rhs)
+    for _ in range(MAX_REFINE):
+        if np.linalg.norm(lv @ x) <= 0.1 * RESIDUAL_TOL:
+            break
+        x = x + lu.solve(rhs - modified @ x)
+    full = np.zeros(space.dim**2, dtype=complex)
+    full[index] = x
+    rho = unvec(full, space.dim)
+    return modified, 0.5 * (rho + rho.conj().T)
+
+
+def assert_same_arrays(got, want, names):
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, tuple):
+            assert len(a) == len(b), name
+            pairs = zip(a, b)
+        else:
+            pairs = [(a, b)]
+        for x, y in pairs:
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+# zero weights switched on and off: delta = 0, m_th = 0, m_th > 0, delta < 0
+ZERO_PATTERNS = [
+    SystemParams(delta=0.0, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0),
+    SystemParams(delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0, m_th=0.3),
+    SystemParams(delta=-100.0, j_coupling=100.0, omega=1.0, gamma_c=10.0, gamma_m=0.01),
+    SystemParams(delta=0.0, j_coupling=1.0, omega=0.5, gamma_c=1.0, gamma_m=1.0, m_th=0.5),
+]
+
+
+@pytest.mark.parametrize("levels", [(2, 3), (5, 5)])
+def test_pattern_fill_reproduces_the_per_point_sum_bit_for_bit(levels, monkeypatch):
+    space = HilbertSpace(*levels)
+    terms = SectorTerms.build(space)
+    factored = []
+    splu = spla.splu
+    for params in ZERO_PATTERNS + ZERO_PATTERNS[::-1]:
+        lv = terms.liouvillian(params)
+        oracle = per_point_liouvillian(params, space)
+        assert_same_arrays(lv, oracle, ("data", "indices", "indptr"))
+        want_modified, want_rho = per_point_solve(oracle, space)
+        monkeypatch.setattr(spla, "splu", lambda a: factored.append(a) or splu(a))
+        rho, _ = solve_steady(lv, terms)
+        monkeypatch.setattr(spla, "splu", splu)
+        assert_same_arrays(factored.pop(), want_modified, ("data", "indices", "indptr"))
+        assert rho.tobytes() == want_rho.tobytes()
+    # the fill and the LU assembly leave the shared template as built
+    fresh = SectorTerms.build(space)
+    assert_same_arrays(terms, fresh, ("index", "indptr", "indices", "positions", "values"))
 
 
 def observable_values(rho, space: HilbertSpace) -> list[float]:

@@ -1,6 +1,7 @@
 """Sweep configuration, execution, serialization, and CLI tests."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from pairsim.cli import main
 from pairsim.errors import ConfigError, TruncationError
 from pairsim.model import SectorTerms, SystemParams
 from pairsim.operators import HilbertSpace
+from pairsim.steady import EIG_FLOOR, MAX_REFINE
 from pairsim.sweep import (
     SweepConfig,
     _expand_values,
@@ -174,6 +176,10 @@ def test_load_config_defaults_and_rejections(tmp_path):
         "values: {start: 0.0, stop: 1.0, points: many}",
         "values: {start: 0.0, stop: 1.0, points: 2.5}",
         "values: {start: 0.0, stop: 1.0, points: true}",
+        # grid points the model rejects; a later axis key replaces delta
+        "values: [.nan]",
+        "values: [1.0, .inf]\naxis: gamma_m",
+        "values: [-0.1, 0.1]\naxis: m_th",
     ],
 )
 def test_load_config_rejects_tolerances_that_defeat_the_checks(tmp_path, line):
@@ -467,6 +473,21 @@ def test_cli_point_json_reports_solve_size(capsys):
     report = doc["report"]
     assert report["unknowns"] == 584  # n - m sector of (5, 5), of 5184 entries
     assert report["lu_nnz"] > report["unknowns"]
+
+
+def test_reports_carry_refinement_steps_and_smallest_eigenvalue(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    emit_json(run_sweep(make_config()), str(path))
+    reports = [row["report"] for row in json.loads(path.read_text())["rows"]]
+    assert main(["point", "--omega", "1", "--gamma-c", "10", "--gamma-m", "10",
+                 "--truncation", "3", "3", "--json"]) == 0
+    reports.append(json.loads(capsys.readouterr().out)["report"])
+    assert len(reports) == 4
+    for report in reports:
+        assert type(report["refine_steps"]) is int
+        assert 0 <= report["refine_steps"] <= MAX_REFINE
+        assert math.isfinite(report["min_eigenvalue"])
+        assert EIG_FLOOR <= report["min_eigenvalue"] <= 1.0
 
 
 def test_cli_point_failures_exit_codes():
