@@ -85,6 +85,16 @@ def _cmd_sweep(args) -> int:
             print(f"  {done}/{n}", file=sys.stderr)
 
     result = run_sweep(config, progress=progress)
+    check = result.metadata["truncation_check"]
+    if check is not None:
+        print(
+            f"truncation check at {config.axis} = {check['axis_value']:g}, levels "
+            f"{tuple(check['levels'])}: {check['unknowns']} unknowns, LU {check['lu_nnz']} "
+            f"entries, residual {check['residual_norm']:.2e}, {check['refine_steps']} "
+            f"refinement steps, min eigenvalue {check['min_eigenvalue']:.2e}; largest "
+            f"deviation {check['max_deviation']:.2e} (tolerance {check['tolerance']:g})",
+            file=sys.stderr,
+        )
     csv_path = config.output_path or f"{config.name}.csv"
     json_path = os.path.splitext(csv_path)[0] + ".json"
     emit_csv(result, csv_path)

@@ -199,10 +199,17 @@ class SectorTerms:
     positions[i], where those values sit in the pattern.  L is linear in
     the parameters, so liouvillian(params) is one weighted fill of that
     fixed pattern.
+
+    The sector is closed under transposition: partner[p] is the position of
+    rho[j, i] when index[p] holds rho[i, j], so partner[p] > p below the
+    diagonal (i > j) and partner[p] == p on it.  blocks groups the basis
+    states by n - m; a state in the sector is block diagonal in them.
     """
 
     space: HilbertSpace
     index: np.ndarray
+    partner: np.ndarray
+    blocks: tuple[np.ndarray, ...]
     indptr: np.ndarray
     indices: np.ndarray
     positions: tuple[np.ndarray, ...]
@@ -231,9 +238,14 @@ class SectorTerms:
         del term, columns, block, rows
         pattern = np.unique(np.concatenate(keys))
         idx = np.int32 if max(size, pattern.size) < 2**31 else np.int64
+        ket, bra = index % space.dim, index // space.dim
+        q = space.photon_values() - space.phonon_values()
+        order = np.argsort(q, kind="stable")
         return cls(
             space,
             index,
+            partner=np.searchsorted(index, bra + ket * space.dim),
+            blocks=tuple(np.split(order, np.flatnonzero(np.diff(q[order])) + 1)),
             indptr=np.searchsorted(pattern, np.arange(0, size * size + 1, size)).astype(idx),
             indices=(pattern % size).astype(idx),
             positions=tuple(np.searchsorted(pattern, k).astype(idx) for k in keys),

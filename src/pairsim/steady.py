@@ -10,6 +10,15 @@ replaced by the trace functional, which trace preservation makes linearly
 dependent on the other diagonal rows, and the system is solved by one
 sparse LU.
 
+solve_steady_real solves the same sector in real arithmetic.  L preserves
+Hermiticity, so rho[j, i] is the conjugate of rho[i, j], and the sector,
+closed under transposition, has as many real unknowns as complex ones.
+Real SuperLU needs about half the factor memory and LU time.  The
+truncation check solves its doubled space, the largest factorization of a
+sweep, this way.  The rows keep the complex solve: the real one rounds
+differently, by up to a few 1e-12 relative, which moves values that the
+benchmark's references pin at 1e-12, while the check only compares at 1e-6.
+
 Two independent oracles stay full-space, since their job is not to assume
 the symmetry: a dense null-space computation (null_space_steady) and a
 fixed-step RK4 integration of the master equation (evolve_to_steady).
@@ -32,6 +41,7 @@ from .operators import HilbertSpace
 __all__ = [
     "SolveReport",
     "solve_steady",
+    "solve_steady_real",
     "null_space_steady",
     "evolve_to_steady",
     "suggest_step",
@@ -68,14 +78,19 @@ class SolveReport:
     min_eigenvalue: float
 
 
-def _validated(rho: np.ndarray, residual: float, where: str) -> tuple[np.ndarray, float]:
+def _validated(
+    rho: np.ndarray, residual: float, where: str, blocks: tuple[np.ndarray, ...] | None = None
+) -> tuple[np.ndarray, float]:
     """Hermitize within tolerance and enforce the density-matrix invariants;
     return the Hermitized state and its smallest eigenvalue.
 
     Violations beyond the stated tolerances raise instead of being repaired,
     since silent repair would mask assembly bugs upstream.  A non-finite
     solution is rejected first: every comparison with NaN is False, so it
-    would pass the tolerance tests and crash the eigenvalue call.
+    would pass the tolerance tests and crash the eigenvalue call.  `blocks`
+    (SectorTerms.blocks) may be given only for a state that is zero outside
+    them, as a sector solve's is; the eigenvalues are then found one block
+    at a time.
     """
     if not (np.isfinite(residual) and np.isfinite(rho).all()):
         raise ConvergenceError(
@@ -92,7 +107,10 @@ def _validated(rho: np.ndarray, residual: float, where: str) -> tuple[np.ndarray
         raise ConvergenceError(
             f"{where}: steady-state trace off by {trace_dev:.3e}"
         )
-    min_eig = float(np.linalg.eigvalsh(rho).min())
+    if blocks is None:
+        min_eig = float(np.linalg.eigvalsh(rho).min())
+    else:
+        min_eig = min(float(np.linalg.eigvalsh(rho[np.ix_(b, b)]).min()) for b in blocks)
     if min_eig < EIG_FLOOR:
         raise ConvergenceError(
             f"{where}: steady state indefinite (min eigenvalue {min_eig:.3e})"
@@ -104,37 +122,43 @@ def _validated(rho: np.ndarray, residual: float, where: str) -> tuple[np.ndarray
     return rho, min_eig
 
 
-def solve_steady(
-    liouvillian: sp.spmatrix, terms: SectorTerms
-) -> tuple[np.ndarray, SolveReport]:
-    """Solve L vec(rho) = 0 with unit trace in the n - m sector.
-
-    `liouvillian` is the sector operator terms.liouvillian(params); an
-    operator of any other size raises ValueError.  The trace-replaced system
-    is assembled straight from L's CSR arrays and converted to CSC once for
-    one LU.  Returns the Hermitized density matrix on terms.space and a
-    report carrying the residual of the unmodified L.  A singular
-    factorization signals a degenerate steady-state manifold.
-    """
+def _sector_operator(liouvillian: sp.spmatrix, terms: SectorTerms) -> sp.csr_matrix:
+    """L as CSR, or ValueError unless it is the sector operator of terms."""
     lv = sp.csr_matrix(liouvillian)
-    index, space, dim = terms.index, terms.space, terms.space.dim
-    if lv.shape != (index.size, index.size):
+    size = terms.index.size
+    if lv.shape != (size, size):
         raise ValueError(
-            f"Liouvillian shape {lv.shape} does not fit the {index.size} sector unknowns of {space}"
+            f"Liouvillian shape {lv.shape} does not fit the {size} sector unknowns of {terms.space}"
         )
-    # row 0 becomes the trace functional, 1 at rho[i, i] (k = i (dim + 1));
-    # index[0] = 0 is rho[0, 0], so row 0 is a diagonal row
-    trace_cols = np.flatnonzero(index % (dim + 1) == 0).astype(lv.indices.dtype)
-    start = lv.indptr[1]
+    return lv
+
+
+def _solved(
+    lv: sp.csr_matrix, system: sp.csr_matrix, terms: SectorTerms, expand, where: str
+) -> tuple[np.ndarray, SolveReport]:
+    """Solve `system` y = 0 for unit trace and return the validated state
+    x = expand @ y (x = y without a map) on terms.space, with its report.
+
+    Row 0 of `system`, rho[0, 0] (index[0] = 0), is replaced by the trace
+    functional: 1 at the diagonal entries rho[i, i] (k = i (dim + 1)),
+    which are unknowns of the complex and of the real system alike.  The
+    result is assembled from system's CSR arrays, converted to CSC once and
+    factored by one sparse LU.  The residual is that of the sector operator
+    `lv` on x.  A singular factorization signals a degenerate steady-state
+    manifold.
+    """
+    space, dim = terms.space, terms.space.dim
+    trace_cols = np.flatnonzero(terms.index % (dim + 1) == 0).astype(system.indices.dtype)
+    start = system.indptr[1]
     modified = sp.csr_matrix(
         (
-            np.concatenate([np.ones(trace_cols.size, dtype=complex), lv.data[start:]]),
-            np.concatenate([trace_cols, lv.indices[start:]]),
-            np.concatenate([[0], lv.indptr[1:] - start + trace_cols.size]),
+            np.concatenate([np.ones(trace_cols.size, dtype=system.dtype), system.data[start:]]),
+            np.concatenate([trace_cols, system.indices[start:]]),
+            np.concatenate([[0], system.indptr[1:] - start + trace_cols.size]),
         ),
-        shape=lv.shape,
+        shape=system.shape,
     ).tocsc()
-    rhs = np.zeros(index.size, dtype=complex)
+    rhs = np.zeros(system.shape[0], dtype=system.dtype)
     rhs[0] = 1.0
     try:
         lu = spla.splu(modified)
@@ -143,27 +167,89 @@ def solve_steady(
             f"trace-replaced Liouvillian is singular ({exc}); "
             "the steady state is not unique"
         ) from exc
-    x = lu.solve(rhs)
-    residual = float(np.linalg.norm(lv @ x))
+
+    def sector(y):
+        return y if expand is None else expand @ y
+
+    y = lu.solve(rhs)
+    residual = float(np.linalg.norm(lv @ sector(y)))
     # Iterative refinement rarely triggers (direct solves land near 1e-14)
     # but costs little and protects ill-conditioned corners.
     steps = 0
     while steps < MAX_REFINE and residual > 0.1 * RESIDUAL_TOL:
-        x = x + lu.solve(rhs - modified @ x)
-        residual = float(np.linalg.norm(lv @ x))
+        y = y + lu.solve(rhs - modified @ y)
+        residual = float(np.linalg.norm(lv @ sector(y)))
         steps += 1
     full = np.zeros(dim * dim, dtype=complex)
-    full[index] = x
-    rho, min_eig = _validated(unvec(full, dim), residual, "solve_steady")
+    full[terms.index] = sector(y)
+    rho, min_eig = _validated(unvec(full, dim), residual, where, terms.blocks)
     return rho, SolveReport(
         residual_norm=residual,
         truncation_converged=None,
         levels_used=(space.n_c, space.n_m),
-        unknowns=int(index.size),
+        unknowns=int(terms.index.size),
         lu_nnz=int(lu.nnz),
         refine_steps=steps,
         min_eigenvalue=min_eig,
     )
+
+
+def solve_steady(
+    liouvillian: sp.spmatrix, terms: SectorTerms
+) -> tuple[np.ndarray, SolveReport]:
+    """Solve L vec(rho) = 0 with unit trace in the n - m sector.
+
+    `liouvillian` is the sector operator terms.liouvillian(params); an
+    operator of any other size raises ValueError.  Returns the Hermitized
+    density matrix on terms.space and a report carrying the residual of the
+    unmodified L; a degenerate steady state raises (see _solved).
+    """
+    lv = _sector_operator(liouvillian, terms)
+    return _solved(lv, lv, terms, None, "solve_steady")
+
+
+def _hermitian_map(partner: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The map x = T y from the real unknowns y to the sector vector x of a
+    Hermitian state, and the mask of the positions below the diagonal.
+
+    y holds rho[i, i] on the diagonal, Re rho[i, j] at (i, j) and
+    Im rho[i, j] at its partner (j, i), for i < j.
+    """
+    own = np.arange(partner.size)
+    lower = partner > own
+    off = partner != own
+    return sp.csr_matrix(
+        (
+            np.concatenate([np.where(lower, -1j, 1.0), np.where(lower[off], 1j, 1.0)]),
+            (np.concatenate([own, partner[off]]), np.concatenate([own, own[off]])),
+        ),
+        shape=(partner.size, partner.size),
+    ), lower
+
+
+def solve_steady_real(
+    liouvillian: sp.spmatrix, terms: SectorTerms
+) -> tuple[np.ndarray, SolveReport]:
+    """solve_steady in real arithmetic, for a generator that preserves
+    Hermiticity.
+
+    The unknowns are y with x = T y (_hermitian_map): as many real numbers
+    as complex ones, since the sector is closed under transposition.  The
+    equations are the real parts of the rows i <= j of L T and, at each
+    position i > j, the imaginary part of its partner row.  Every stored
+    complex entry of L T keeps a real and an imaginary entry, zero or not,
+    so the pattern keeps its 2 x 2 blocks and COLAMD orders it as well as
+    the complex one; real SuperLU then stores about half the bytes.
+
+    The residual is that of the complex L on x, so a generator that does not
+    preserve Hermiticity fails validation instead of returning a state.
+    """
+    lv = _sector_operator(liouvillian, terms)
+    expand, lower = _hermitian_map(terms.partner)
+    rows = (lv @ expand)[np.where(lower, terms.partner, np.arange(lower.size))]
+    parts = np.where(np.repeat(lower, np.diff(rows.indptr)), rows.data.imag, rows.data.real)
+    real = sp.csr_matrix((parts, rows.indices, rows.indptr), shape=lv.shape)
+    return _solved(lv, real, terms, expand, "solve_steady_real")
 
 
 def null_space_steady(

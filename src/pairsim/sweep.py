@@ -6,8 +6,10 @@ observable set per point.  Points that fail to solve are recorded with an
 error marker; they are never interpolated over or silently dropped.
 
 solve_point is the one per-point pipeline (sector solve, then reduction to
-an ObservableRecord); sweeps, the truncation check and the CLI all go
-through it.
+an ObservableRecord); sweeps and the CLI go through it.  The truncation
+check solves its doubled space with the real-arithmetic solve_steady_real,
+which needs half the factor memory of the complex solve; the rows keep the
+complex solve_steady, whose values the references pin.
 
 Output contract: a CSV whose first line is a comment carrying version and
 timestamp (the only nondeterministic line), then a header, then one row per
@@ -39,7 +41,7 @@ from .observables import (
     compute_observables,
 )
 from .operators import HilbertSpace
-from .steady import SolveReport, solve_steady
+from .steady import SolveReport, solve_steady, solve_steady_real
 
 __all__ = [
     "AXES",
@@ -261,19 +263,20 @@ def solve_point(
     """Solve the steady state on terms.space and reduce it to its record.
 
     solve_steady and compute_observables are looked up in this module, so
-    wrapping them here (as the benchmark's tracer does) sees every solve.
+    wrapping them here (as the benchmark's tracer does) sees every row's
+    solve; check_truncation looks up solve_steady_real here too.
     """
     rho, report = solve_steady(terms.liouvillian(params), terms)
     return compute_observables(rho, terms.space, floor=floor), report
 
 
-def _agree(x: float | None, y: float | None, tolerance: float) -> bool:
-    """Relative agreement with a small absolute floor, so that observables
-    that are exactly zero do not trip on rounding noise; undefined values
-    agree only with undefined ones."""
+def _deviation(x: float | None, y: float | None) -> float:
+    """Relative difference with a small absolute floor, so that observables
+    that are exactly zero do not trip on rounding noise; an undefined value
+    differs infinitely from a defined one and not at all from another."""
     if x is None or y is None:
-        return x is None and y is None
-    return abs(x - y) <= tolerance * max(abs(x), abs(y), 1e-9)
+        return 0.0 if x is None and y is None else math.inf
+    return abs(x - y) / max(abs(x), abs(y), 1e-9)
 
 
 def check_truncation(
@@ -281,23 +284,37 @@ def check_truncation(
     base: tuple[ObservableRecord, SolveReport],
     tolerance: float = 1e-6,
     floor: float = DEFAULT_FLOOR,
+    details: dict | None = None,
 ) -> SolveReport:
     """Compare a solved point against the same point at doubled levels.
 
     `base` is the record and report of solve_point at report.levels_used,
-    computed with the same `floor`; only the doubled space is solved here.
-    truncation_converged is True iff every scalar observable agrees to
-    `tolerance` relative.  Returns the base report with that verdict.
+    computed with the same `floor`; only the doubled space is solved here,
+    by solve_steady_real.  truncation_converged is True iff every scalar
+    observable agrees to `tolerance` relative.  Returns the base report with
+    that verdict.  A `details` dict receives the doubled levels, the doubled
+    solve's diagnostics, the largest scalar deviation and the tolerance.
     """
     record, report = base
     n_c, n_m = report.levels_used
     if n_c < 2 or n_m < 2:
         raise ValueError(f"base truncation must be at least (2, 2), got {(n_c, n_m)}")
-    doubled, _ = solve_point(params, SectorTerms.build(HilbertSpace(2 * n_c, 2 * n_m)), floor)
-    converged = all(
-        _agree(getattr(record, key), getattr(doubled, key), tolerance) for key in SCALAR_KEYS
-    )
-    return replace(report, truncation_converged=converged)
+    terms = SectorTerms.build(HilbertSpace(2 * n_c, 2 * n_m))
+    rho, solved = solve_steady_real(terms.liouvillian(params), terms)
+    doubled = compute_observables(rho, terms.space, floor=floor)
+    deviation = max(_deviation(getattr(record, key), getattr(doubled, key)) for key in SCALAR_KEYS)
+    if details is not None:
+        details.update(
+            levels=list(solved.levels_used),
+            unknowns=solved.unknowns,
+            lu_nnz=solved.lu_nnz,
+            residual_norm=solved.residual_norm,
+            refine_steps=solved.refine_steps,
+            min_eigenvalue=solved.min_eigenvalue,
+            max_deviation=deviation,
+            tolerance=tolerance,
+        )
+    return replace(report, truncation_converged=deviation <= tolerance)
 
 
 def run_sweep(
@@ -307,10 +324,11 @@ def run_sweep(
 
     With strict truncation on, a single check_truncation pass runs at the
     grid point with the largest occupation (the worst case for Fock-space
-    truncation); failure aborts the sweep naming that point.  With it off,
-    no truncation check runs and the per-row flag stays None.  The sector
-    terms are built once, so each point costs one weighted fill of their
-    fixed pattern and one LU.
+    truncation); failure aborts the sweep naming that point, and success
+    records the check in metadata["truncation_check"].  With it off, no
+    truncation check runs, the per-row flag stays None and that entry is
+    None.  The sector terms are built once, so each point costs one
+    weighted fill of their fixed pattern and one LU.
     """
     terms = SectorTerms.build(HilbertSpace(*config.truncation))
     rows: list[SweepRow] = []
@@ -326,20 +344,24 @@ def run_sweep(
             progress(i + 1, len(config.axis_values))
 
     solved = [row for row in rows if row.record is not None]
+    truncation_check = None
     if config.strict_truncation and solved:
         worst = max(solved, key=lambda row: max(row.record.mean_n, row.record.mean_m))
+        truncation_check = {"axis_value": worst.axis_value}
         check = check_truncation(
             config.params_at(worst.axis_value),
             base=(worst.record, worst.report),
             tolerance=config.truncation_tol,
             floor=config.floor,
+            details=truncation_check,
         )
         for row in solved:
             row.report.truncation_converged = check.truncation_converged
         if not check.truncation_converged:
             raise TruncationError(
                 f"observables not converged at truncation {config.truncation} "
-                f"(doubling changed them beyond {config.truncation_tol:g}) at "
+                f"(doubling changed them by up to {truncation_check['max_deviation']:.2e} "
+                f"relative, beyond {config.truncation_tol:g}) at "
                 f"{config.axis} = {worst.axis_value:g}"
             )
 
@@ -348,6 +370,7 @@ def run_sweep(
         "version": __version__,
         "generated": datetime.now(timezone.utc).isoformat(),
         "config": _config_dict(config),
+        "truncation_check": truncation_check,
     }
     return SweepResult(config=config, rows=rows, metadata=metadata)
 

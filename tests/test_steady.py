@@ -27,9 +27,11 @@ from pairsim.operators import HilbertSpace, photon_lowering
 from pairsim.steady import (
     MAX_REFINE,
     RESIDUAL_TOL,
+    _validated,
     evolve_to_steady,
     null_space_steady,
     solve_steady,
+    solve_steady_real,
     suggest_step,
     vacuum_state,
 )
@@ -392,14 +394,15 @@ def test_generator_without_the_symmetry_is_rejected(monkeypatch):
 def test_truncation_check_reuses_the_base_solution(monkeypatch):
     record, report = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(3, 3)))
     solved = []
+    for name, solver in (("solve_steady", solve_steady), ("solve_steady_real", solve_steady_real)):
 
-    def counting(liouvillian, terms):
-        solved.append((terms.space.n_c, terms.space.n_m))
-        return solve_steady(liouvillian, terms)
+        def counting(liouvillian, terms, _name=name, _solver=solver):
+            solved.append((_name, terms.space.n_c, terms.space.n_m))
+            return _solver(liouvillian, terms)
 
-    monkeypatch.setattr(pairsim.sweep, "solve_steady", counting)
+        monkeypatch.setattr(pairsim.sweep, name, counting)
     checked = check_truncation(WEAK_POINT, (record, report))
-    assert solved == [(6, 6)]
+    assert solved == [("solve_steady_real", 6, 6)]
     assert checked == replace(report, truncation_converged=True)
 
 
@@ -416,3 +419,75 @@ def test_non_finite_solution_is_a_convergence_error():
     params = SystemParams(delta=0.1, j_coupling=1.0, omega=1e300, gamma_c=1.0, gamma_m=1.0)
     with pytest.raises(ConvergenceError, match="not finite"):
         sector_solve(params, space)
+
+
+# (2, 3), a point with delta = 0 (its term skipped) and a thermal point
+REAL_SOLVE_POINTS = [
+    (WEAK_POINT, HilbertSpace(2, 3)),
+    (ZERO_PATTERNS[0], HilbertSpace(5, 5)),
+    CANONICAL_POINTS[2],
+]
+
+
+@pytest.mark.parametrize("params, space", REAL_SOLVE_POINTS)
+def test_real_solve_matches_the_complex_solve(params, space):
+    terms = SectorTerms.build(space)
+    lv = terms.liouvillian(params)
+    want, _ = solve_steady(lv, terms)
+    rho, report = solve_steady_real(lv, terms)
+    assert_allclose(rho, want, rtol=0, atol=1e-12)
+    assert_allclose(observable_values(rho, space), observable_values(want, space), rtol=1e-10)
+    assert report.residual_norm < RESIDUAL_TOL
+    assert report.unknowns == terms.index.size
+
+
+def test_real_solve_rejects_a_generator_that_breaks_hermiticity(monkeypatch):
+    # i times the delta piece conserves n - m, so the sector terms build,
+    # but -i[i H_delta, rho] maps Hermitian states to anti-Hermitian ones
+    original = pairsim.model._operators
+
+    def non_hermitian(space):
+        pieces, jumps = original(space)
+        return dict(pieces, delta=1j * pieces["delta"]), jumps
+
+    monkeypatch.setattr(pairsim.model, "_operators", non_hermitian)
+    terms = SectorTerms.build(HilbertSpace(3, 3))
+    with pytest.raises(ConvergenceError):
+        solve_steady_real(terms.liouvillian(WEAK_POINT), terms)
+
+
+@pytest.mark.parametrize("levels, stored", [((2, 3), 1017), ((5, 5), 6545)])
+def test_real_system_keeps_the_block_pattern(levels, stored, monkeypatch):
+    # a real and an imaginary entry for every complex entry of L T, zeros
+    # included: pruning the zeros hides the 2 x 2 blocks from COLAMD
+    terms = SectorTerms.build(HilbertSpace(*levels))
+    factored = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a: factored.append(a) or splu(a))
+    solve_steady_real(terms.liouvillian(WEAK_POINT), terms)
+    (real,) = factored
+    assert real.dtype == np.float64
+    assert real.nnz == stored
+    assert np.count_nonzero(real.data) < stored
+
+
+@pytest.mark.parametrize("levels", [(5, 5), (6, 14)])
+def test_blockwise_min_eigenvalue_matches_the_full_one(levels):
+    params = CANONICAL_POINTS[2][0]
+    terms = SectorTerms.build(HilbertSpace(*levels))
+    rho, report = solve_steady(terms.liouvillian(params), terms)
+    _, full = _validated(rho, report.residual_norm, "test")
+    _, blockwise = _validated(rho, report.residual_norm, "test", terms.blocks)
+    assert report.min_eigenvalue == blockwise
+    assert abs(blockwise - full) <= 1e-15
+
+
+def test_blockwise_validation_rejects_an_indefinite_block():
+    terms = SectorTerms.build(HilbertSpace(2, 3))
+    block = next(b for b in terms.blocks if b.size >= 2)
+    i, j = block[:2]
+    rho = np.zeros((terms.space.dim,) * 2, dtype=complex)
+    rho[i, i] = rho[j, j] = 0.5
+    rho[i, j] = rho[j, i] = 0.5 + 1e-3  # eigenvalues 1.001 and -0.001
+    with pytest.raises(ConvergenceError, match="indefinite"):
+        _validated(rho, 0.0, "test", terms.blocks)

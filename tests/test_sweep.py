@@ -14,7 +14,7 @@ from pairsim.cli import main
 from pairsim.errors import ConfigError, TruncationError
 from pairsim.model import SectorTerms, SystemParams
 from pairsim.operators import HilbertSpace
-from pairsim.steady import EIG_FLOOR, MAX_REFINE
+from pairsim.steady import EIG_FLOOR, MAX_REFINE, RESIDUAL_TOL, solve_steady_real
 from pairsim.sweep import (
     SweepConfig,
     _expand_values,
@@ -340,13 +340,24 @@ def test_strict_truncation_aborts_with_context():
         run_sweep(config)
 
 
+def test_strict_truncation_abort_names_the_deviation():
+    config = make_config(
+        axis_values=(0.0,),
+        base_params=SystemParams(delta=0.0, j_coupling=1.0, omega=100.0, gamma_c=1.0, gamma_m=1.0),
+        truncation=(2, 2),
+        strict_truncation=True,
+    )
+    with pytest.raises(TruncationError, match=r"by up to \d\.\d\de[+-]\d+ relative, beyond 1e-06"):
+        run_sweep(config)
+
+
 def test_benchmark_hooks_see_every_layer_call(monkeypatch):
     # the sweep benchmark traces these names on pairsim.sweep, and its
     # reference generator replaces check_truncation there
     for name in ("build_liouvillian", "solve_steady", "compute_observables", "check_truncation"):
         assert callable(getattr(pairsim.sweep, name))
     calls = {}
-    for name in ("solve_steady", "compute_observables", "check_truncation"):
+    for name in ("solve_steady", "solve_steady_real", "compute_observables", "check_truncation"):
         original = getattr(pairsim.sweep, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -355,7 +366,13 @@ def test_benchmark_hooks_see_every_layer_call(monkeypatch):
 
         monkeypatch.setattr(pairsim.sweep, name, counting)
     run_sweep(make_config(strict_truncation=True))
-    assert calls == {"solve_steady": 3 + 1, "compute_observables": 3 + 1, "check_truncation": 1}
+    # the check solves its doubled space with the real solve, not solve_steady
+    assert calls == {
+        "solve_steady": 3,
+        "solve_steady_real": 1,
+        "compute_observables": 3 + 1,
+        "check_truncation": 1,
+    }
 
 
 def test_benchmark_self_test_passes():
@@ -370,6 +387,26 @@ def test_benchmark_self_test_passes():
         timeout=600,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_sweep_metadata_records_the_truncation_check():
+    config = make_config(strict_truncation=True)
+    check = run_sweep(config).metadata["truncation_check"]
+    assert set(check) == {
+        "axis_value", "levels", "unknowns", "lu_nnz", "residual_norm",
+        "refine_steps", "min_eigenvalue", "max_deviation", "tolerance",
+    }
+    assert all(math.isfinite(value) for key, value in check.items() if key != "levels")
+    assert check["levels"] == [6, 6]
+    assert check["axis_value"] in config.axis_values
+    assert check["residual_norm"] < RESIDUAL_TOL
+    assert check["min_eigenvalue"] >= EIG_FLOOR
+    assert 0 < check["max_deviation"] <= check["tolerance"] == config.truncation_tol
+    # the count is that of the real factorization the check made
+    terms = SectorTerms.build(HilbertSpace(6, 6))
+    _, real = solve_steady_real(terms.liouvillian(config.params_at(check["axis_value"])), terms)
+    assert (check["unknowns"], check["lu_nnz"]) == (real.unknowns, real.lu_nnz)
+    assert run_sweep(make_config()).metadata["truncation_check"] is None
 
 
 def test_strict_truncation_marks_rows_converged():
@@ -413,6 +450,14 @@ def test_cli_sweep_truncation_override(tmp_path):
     doc = json.loads((tmp_path / "odd.json").read_text())
     assert doc["metadata"]["config"]["truncation"] == [2, 4]
     assert doc["rows"][0]["report"]["levels_used"] == [2, 4]
+
+
+def test_cli_sweep_reports_the_truncation_check(tmp_path, capsys):
+    cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML.replace("strict_truncation: false", ""))
+    assert main(["sweep", cfg, "--output", str(tmp_path / "mini.csv")]) == 0
+    doc = json.loads((tmp_path / "mini.json").read_text())
+    check = doc["metadata"]["truncation_check"]
+    assert f"{check['unknowns']} unknowns, LU {check['lu_nnz']} entries" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path):
