@@ -8,6 +8,7 @@ convergence failure (including strict-truncation aborts and failed checks),
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -72,6 +73,12 @@ def _cmd_sweep(args) -> int:
     if args.output is not None:
         config = replace(config, output_path=args.output)
 
+    csv_path = config.output_path or f"{config.name}.csv"
+    json_path = os.path.splitext(csv_path)[0] + ".json"
+    # found before the sweep rather than when its results are written
+    if not os.path.isdir(os.path.dirname(csv_path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), csv_path)
+
     total = len(config.axis_values)
     print(
         f"{config.name}: sweeping {config.axis} over {total} points "
@@ -95,8 +102,6 @@ def _cmd_sweep(args) -> int:
             f"deviation {check['max_deviation']:.2e} (tolerance {check['tolerance']:g})",
             file=sys.stderr,
         )
-    csv_path = config.output_path or f"{config.name}.csv"
-    json_path = os.path.splitext(csv_path)[0] + ".json"
     emit_csv(result, csv_path)
     emit_json(result, json_path)
     failed = sum(1 for row in result.rows if row.error is not None)

@@ -180,6 +180,10 @@ def _solved(
         y = y + lu.solve(rhs - modified @ y)
         residual = float(np.linalg.norm(lv @ sector(y)))
         steps += 1
+    lu_nnz = int(lu.nnz)
+    # release the factor before validation allocates, so that its pages can
+    # be reused instead of adding to the peak
+    del lu, modified
     full = np.zeros(dim * dim, dtype=complex)
     full[terms.index] = sector(y)
     rho, min_eig = _validated(unvec(full, dim), residual, where, terms.blocks)
@@ -188,7 +192,7 @@ def _solved(
         truncation_converged=None,
         levels_used=(space.n_c, space.n_m),
         unknowns=int(terms.index.size),
-        lu_nnz=int(lu.nnz),
+        lu_nnz=lu_nnz,
         refine_steps=steps,
         min_eigenvalue=min_eig,
     )
@@ -249,6 +253,7 @@ def solve_steady_real(
     rows = (lv @ expand)[np.where(lower, terms.partner, np.arange(lower.size))]
     parts = np.where(np.repeat(lower, np.diff(rows.indptr)), rows.data.imag, rows.data.real)
     real = sp.csr_matrix((parts, rows.indices, rows.indptr), shape=lv.shape)
+    del rows, parts  # free the complex products before the factorization
     return _solved(lv, real, terms, expand, "solve_steady_real")
 
 

@@ -11,6 +11,16 @@ check solves its doubled space with the real-arithmetic solve_steady_real,
 which needs half the factor memory of the complex solve; the rows keep the
 complex solve_steady, whose values the references pin.
 
+A sweep that runs the truncation check solves its rows on a thread pool:
+each row is one SuperLU factorization, which runs without the interpreter
+lock, and the rows are independent.  The check's doubled factor sets the
+sweep's peak memory, and the worker count keeps the concurrent row factors
+below it (_row_workers).  The pool's rows call a one-thread BLAS
+(_one_blas_thread), since spinning BLAS threads would take the CPUs the
+other rows need.  A sweep without the check solves its rows on the calling
+thread, so a pool adds nothing to its peak memory.  Either way each row's
+arithmetic is that of a serial solve with the same BLAS threads.
+
 Output contract: a CSV whose first line is a comment carrying version and
 timestamp (the only nondeterministic line), then a header, then one row per
 grid point in axis order.  A JSON document mirroring the whole result is
@@ -19,10 +29,15 @@ written alongside for programmatic use.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,7 +47,7 @@ from . import __version__
 from .errors import ConfigError, PairsimError, TruncationError
 # build_liouvillian is not called here; it stays importable from this
 # module because bench/child.py traces calls through sweep's names.
-from .model import SectorTerms, SystemParams, build_liouvillian  # noqa: F401
+from .model import SectorTerms, SystemParams, build_liouvillian, sector_index  # noqa: F401
 from .observables import (
     DEFAULT_FLOOR,
     ELEMENT_KEYS,
@@ -105,6 +120,12 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not isinstance(self.output_path, (str, type(None))):
             raise ConfigError(f"output must be a file path, got {self.output_path!r}")
+        # the JSON mirror goes next to the CSV with its suffix replaced by .json
+        path = self.output_path
+        if path is not None and os.path.splitext(path)[1].lower() == ".json":
+            raise ConfigError(
+                f"output is the CSV path and its JSON mirror would overwrite it, got {path!r}"
+            )
         if self.couple_delta_to_j and self.axis == "delta":
             raise ConfigError("couple_delta_to_j cannot be combined with a delta sweep")
         check_floor(self.floor)
@@ -317,6 +338,93 @@ def check_truncation(
     return replace(report, truncation_converged=deviation <= tolerance)
 
 
+def _row_workers(config: SweepConfig, unknowns: int) -> int:
+    """Threads that solve the rows of `config`, whose sector has `unknowns`.
+
+    1 without the truncation check: the rows then run on the calling thread.
+    With it, min(CPUs available to the process, rows, doubled-sector
+    unknowns // row-sector unknowns).  The last bound keeps the concurrent
+    row factors below the check's doubled factor, which sets the sweep's
+    peak memory: the ratio is 6 for every shipped config, and the doubled
+    LU holds 11 to 13 times the entries of a row's.
+    """
+    if not config.strict_truncation:
+        return 1
+    n_c, n_m = config.truncation
+    doubled = sector_index(HilbertSpace(2 * n_c, 2 * n_m)).size
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, len(config.axis_values), doubled // unknowns))
+
+
+# thread-count getter and setter of each OpenBLAS build: plain (32- and
+# 64-bit integers) and the symbol-prefixed ones that scipy and numpy bundle
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
+
+
+def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) of the thread count of every OpenBLAS this process has
+    loaded, found through /proc/self/maps: on Linux only, elsewhere none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping that is not a loadable library
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every loaded OpenBLAS at one thread, and restore its counts after.
+
+    Concurrent rows need this: OpenBLAS threads spin while they wait for
+    work, so rows whose LU calls a threaded BLAS run slower side by side
+    than one after the other.  On a 2-vCPU machine, with OpenBLAS's default
+    two threads, fig6's rows took about 5.5 s serially, 8 to 9 s on two
+    workers and about 3 s on two workers with one BLAS thread.  The count is
+    process-wide: other threads of the process get one BLAS thread meanwhile
+    too.
+    """
+    controls = _openblas_thread_controls()
+    counts = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, counts):
+            put(count)
+
+
+def _solve_row(config: SweepConfig, terms: SectorTerms, value: float) -> SweepRow:
+    """The row of one grid point; a PairsimError becomes its error row."""
+    try:
+        record, report = solve_point(config.params_at(value), terms, config.floor)
+    except PairsimError as exc:
+        return SweepRow(axis_value=value, record=None, report=None, error=str(exc))
+    return SweepRow(axis_value=value, record=record, report=report)
+
+
 def run_sweep(
     config: SweepConfig, progress: Callable[[int, int], None] | None = None
 ) -> SweepResult:
@@ -329,19 +437,38 @@ def run_sweep(
     truncation check runs, the per-row flag stays None and that entry is
     None.  The sector terms are built once, so each point costs one
     weighted fill of their fixed pattern and one LU.
+
+    With the check on, the rows are solved on _row_workers threads, with
+    every loaded OpenBLAS held at one thread meanwhile (_one_blas_thread);
+    without it, or with one worker, on the calling thread with the BLAS
+    threads as they are.  Rows come back in axis order either way, and
+    `progress(done, total)` is called from the calling thread after each
+    one.  An exception other than a PairsimError, or an interrupt, cancels
+    the rows not yet started and propagates once the running ones finish.
     """
     terms = SectorTerms.build(HilbertSpace(*config.truncation))
+    values = config.axis_values
+    solve = partial(_solve_row, config, terms)
     rows: list[SweepRow] = []
-    for i, value in enumerate(config.axis_values):
-        try:
-            record, report = solve_point(config.params_at(value), terms, config.floor)
-            rows.append(SweepRow(axis_value=value, record=record, report=report))
-        except PairsimError as exc:
-            rows.append(
-                SweepRow(axis_value=value, record=None, report=None, error=str(exc))
-            )
-        if progress is not None:
-            progress(i + 1, len(config.axis_values))
+
+    def collect(solved) -> None:
+        for row in solved:
+            rows.append(row)
+            if progress is not None:
+                progress(len(rows), len(values))
+
+    workers = _row_workers(config, terms.index.size)
+    if workers == 1:
+        collect(map(solve, values))
+    else:
+        with _one_blas_thread():
+            pool = ThreadPoolExecutor(workers)
+            try:
+                collect(pool.map(solve, values))
+            finally:
+                # Executor.map submits every row up front; without the
+                # cancel, an exception would wait for all of them to be solved
+                pool.shutdown(cancel_futures=True)
 
     solved = [row for row in rows if row.record is not None]
     truncation_check = None

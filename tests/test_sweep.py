@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
+import time
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,12 +17,13 @@ from numpy.testing import assert_allclose
 import pairsim.sweep
 from pairsim.cli import main
 from pairsim.errors import ConfigError, TruncationError
-from pairsim.model import SectorTerms, SystemParams
+from pairsim.model import SectorTerms, SystemParams, sector_index
 from pairsim.operators import HilbertSpace
 from pairsim.steady import EIG_FLOOR, MAX_REFINE, RESIDUAL_TOL, solve_steady_real
 from pairsim.sweep import (
     SweepConfig,
     _expand_values,
+    _row_workers,
     emit_csv,
     emit_json,
     load_config,
@@ -356,18 +362,18 @@ def test_benchmark_hooks_see_every_layer_call(monkeypatch):
     # reference generator replaces check_truncation there
     for name in ("build_liouvillian", "solve_steady", "compute_observables", "check_truncation"):
         assert callable(getattr(pairsim.sweep, name))
-    calls = {}
+    calls = []  # appended to, since rows may finish together on two threads
     for name in ("solve_steady", "solve_steady_real", "compute_observables", "check_truncation"):
         original = getattr(pairsim.sweep, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+            calls.append(_name)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(pairsim.sweep, name, counting)
     run_sweep(make_config(strict_truncation=True))
     # the check solves its doubled space with the real solve, not solve_steady
-    assert calls == {
+    assert Counter(calls) == {
         "solve_steady": 3,
         "solve_steady_real": 1,
         "compute_observables": 3 + 1,
@@ -414,6 +420,147 @@ def test_strict_truncation_marks_rows_converged():
     for row in result.rows:
         assert row.report.truncation_converged is True
         assert row.converged
+
+
+# ---------------------------------------------------------------- concurrent rows
+
+
+def set_cpus(monkeypatch, count: int) -> None:
+    """Make count CPUs look available to the process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def solve_threads(monkeypatch) -> list[int]:
+    """Record the thread of every solve_steady call of a sweep's rows."""
+    threads = []
+    original = pairsim.sweep.solve_steady
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pairsim.sweep, "solve_steady", recording)
+    return threads
+
+
+def test_concurrent_rows_equal_the_calling_thread_rows(monkeypatch, tmp_path):
+    # more workers than this machine may have cores, and a short switch
+    # interval, so that threads interleave within every row
+    set_cpus(monkeypatch, 8)
+    threads = solve_threads(monkeypatch)
+    config = make_config(axis_values=tuple(0.05 * k - 0.3 for k in range(13)))
+    strict = replace(config, strict_truncation=True)
+    unknowns = sector_index(HilbertSpace(3, 3)).size
+    assert _row_workers(strict, unknowns) == 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = run_sweep(strict)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(threads)) > 1 and threading.get_ident() not in threads
+    serial = run_sweep(config)
+    assert [row.axis_value for row in pooled.rows] == list(config.axis_values)
+    for a, b in zip(pooled.rows, serial.rows):
+        assert (a.axis_value, a.error, a.record) == (b.axis_value, b.error, b.record)
+        assert a.report.truncation_converged is True and b.report.truncation_converged is None
+        assert replace(a.report, truncation_converged=None) == b.report
+    cells = []
+    for result, name in ((pooled, "pooled.csv"), (serial, "serial.csv")):
+        emit_csv(result, str(tmp_path / name))
+        cells.append((tmp_path / name).read_text().splitlines()[1:])
+    assert cells[0] == cells[1]
+
+
+def test_concurrent_progress_runs_in_order_on_the_calling_thread(monkeypatch):
+    set_cpus(monkeypatch, 4)
+    config = make_config(axis_values=(-0.2, -0.1, 0.0, 0.1, 0.2), strict_truncation=True)
+    calls = []
+    run_sweep(config, lambda done, total: calls.append((done, total, threading.get_ident())))
+    assert calls == [(done, 5, threading.get_ident()) for done in range(1, 6)]
+
+
+def test_concurrent_failure_cancels_the_rows_not_started(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    config = make_config(
+        axis_values=tuple(0.02 * k for k in range(12)), truncation=(2, 2), strict_truncation=True
+    )
+    workers = _row_workers(config, sector_index(HilbertSpace(2, 2)).size)
+    assert workers == 2
+    k = 3  # the failing row, counted from 1
+    terms = SectorTerms.build(HilbertSpace(2, 2))
+    failing = terms.liouvillian(config.params_at(config.axis_values[k - 1]))
+    started = []
+    original = pairsim.sweep.solve_steady
+
+    def failing_at_row_k(liouvillian, terms):
+        started.append(liouvillian)
+        if (liouvillian != failing).nnz == 0:
+            raise RuntimeError("row k")
+        time.sleep(0.05)  # the other rows outlast the cancellation
+        return original(liouvillian, terms)
+
+    monkeypatch.setattr(pairsim.sweep, "solve_steady", failing_at_row_k)
+    with pytest.raises(RuntimeError, match="row k"):
+        run_sweep(config)
+    assert k <= len(started) <= k + workers < len(config.axis_values)
+
+
+def test_concurrent_rows_hold_blas_at_one_thread(monkeypatch):
+    controls = pairsim.sweep._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS found in this process")
+    set_cpus(monkeypatch, 2)
+    seen = []
+    original = pairsim.sweep.solve_steady
+
+    def recording(*args, **kwargs):
+        seen.append([get() for get, _ in controls])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pairsim.sweep, "solve_steady", recording)
+    counts = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        run_sweep(make_config(strict_truncation=True))
+        after = [get() for get, _ in controls]
+        run_sweep(make_config())
+    finally:
+        for (_, put), count in zip(controls, counts):
+            put(count)
+    ones, twos = [1] * len(controls), [2] * len(controls)
+    # the pooled rows, then the restored count, then the calling-thread rows
+    assert (seen[:3], after, seen[3:]) == ([ones] * 3, twos, [twos] * 3)
+
+
+def test_rows_without_the_check_run_on_the_calling_thread(monkeypatch):
+    set_cpus(monkeypatch, 64)
+    threads = solve_threads(monkeypatch)
+    config = make_config(axis_values=tuple(0.1 * k for k in range(8)))
+    assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size) == 1
+    run_sweep(config)
+    assert threads == [threading.get_ident()] * 8
+
+
+def test_worker_count_is_bounded_by_the_unknowns_ratio(monkeypatch):
+    set_cpus(monkeypatch, 64)
+    sizes = []
+
+    class Recording(pairsim.sweep.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(pairsim.sweep, "ThreadPoolExecutor", Recording)
+    config = make_config(axis_values=tuple(0.02 * k for k in range(10)), strict_truncation=True)
+    ratio = sector_index(HilbertSpace(6, 6)).size // sector_index(HilbertSpace(3, 3)).size
+    assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size) == ratio == 5
+    run_sweep(config)
+    assert sizes == [ratio]
+    # every shipped config has the ratio 6, below its number of rows
+    shipped = load_config(str(Path(pairsim.sweep.__file__).parent / "configs" / "fig2_weak.yaml"))
+    assert _row_workers(shipped, sector_index(HilbertSpace(5, 5)).size) == 6
 
 
 # ---------------------------------------------------------------- CLI
@@ -481,6 +628,28 @@ def test_cli_exit_codes(tmp_path):
     # 3: unwritable output path
     cfg = write_yaml(tmp_path / "ok.yaml", MINI_YAML)
     assert main(["sweep", cfg, "--output", str(tmp_path / "no" / "dir.csv")]) == 3
+
+
+def test_cli_rejects_a_json_output_path_before_solving(tmp_path, monkeypatch, capsys):
+    # the JSON mirror would overwrite the CSV at the same path
+    solves = solve_threads(monkeypatch)
+    cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML)
+    assert main(["sweep", cfg, "--output", str(tmp_path / "res.json")]) == 1
+    in_yaml = f"{MINI_YAML}output: {tmp_path / 'res.JSON'}\n"
+    in_yaml = write_yaml(tmp_path / "in_yaml.yaml", in_yaml)
+    assert main(["sweep", in_yaml]) == 1
+    assert solves == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["in_yaml.yaml", "mini.yaml"]
+    assert capsys.readouterr().err.count("its JSON mirror would overwrite it") == 2
+
+
+def test_cli_missing_output_directory_fails_before_solving(tmp_path, monkeypatch, capsys):
+    solves = solve_threads(monkeypatch)
+    cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["sweep", cfg, "--output", str(out)]) == 3
+    assert solves == []
+    assert f"io error: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
 
 
 def test_cli_strict_truncation_abort_exits_2(tmp_path):
@@ -559,8 +728,6 @@ def test_cli_check_battery_passes(capsys):
 
 
 def test_shipped_configs_parse_and_run_thinned(tmp_path):
-    from dataclasses import replace
-
     from pairsim.cli import _load_config_arg, _packaged_configs
 
     names = sorted(_packaged_configs())
