@@ -21,12 +21,11 @@ from . import __version__
 from .analytics import pair_subspace_spectrum
 from .errors import ConfigError, PairsimError
 from .model import SectorTerms, SystemParams, build_liouvillian, trace_functional
-from .observables import DEFAULT_FLOOR, ELEMENT_KEYS, SCALAR_KEYS, ObservableRecord
+from .observables import ELEMENT_KEYS, SCALAR_KEYS, ObservableRecord
 from .operators import HilbertSpace
 from .steady import null_space_steady, solve_steady
 from .sweep import (
     SweepConfig,
-    check_floor,
     emit_csv,
     emit_json,
     load_config,
@@ -54,7 +53,7 @@ def _packaged_configs() -> dict[str, object]:
 
 def _load_config_arg(arg: str) -> SweepConfig:
     """Accept either a filesystem path or the bare name of a shipped config."""
-    if os.path.exists(arg):
+    if os.path.isfile(arg):
         return load_config(arg)
     shipped = _packaged_configs()
     if arg in shipped:
@@ -110,10 +109,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_point(args) -> int:
-    check_floor(args.floor)
     params = SystemParams(**{f.name: getattr(args, f.name) for f in fields(SystemParams)})
     space = HilbertSpace(*args.truncation)
-    record, report = solve_point(params, SectorTerms.build(space), args.floor)
+    record, report = solve_point(params, SectorTerms.build(space))
     if args.json:
         doc = {"params": asdict(params), "truncation": list(args.truncation)}
         print(json.dumps({**doc, **point_json(record, report)}, indent=1))
@@ -271,7 +269,6 @@ def build_parser() -> _Parser:
     p_point.add_argument(
         "--truncation", nargs=2, type=int, default=(5, 5), metavar=("N_C", "N_M")
     )
-    p_point.add_argument("--floor", type=float, default=DEFAULT_FLOOR)
     p_point.add_argument("--json", action="store_true", help="print JSON instead of text")
     p_point.set_defaults(func=_cmd_point)
 

@@ -7,7 +7,7 @@ strings (a^dag a^dag a a, b^dag b^dag b b, a^dag b^dag b a) are diagonal in
 the Fock basis.
 
 Correlations are reported as None (not zero) when the corresponding
-occupation sits below `floor`: a g2 of an empty mode is 0/0, and emitting an
+occupation sits below G2_FLOOR: a g2 of an empty mode is 0/0, and emitting an
 explicit undefined keeps sweep output honest in the undriven limit.
 """
 
@@ -22,7 +22,7 @@ from .operators import HilbertSpace
 
 __all__ = [
     "ObservableRecord",
-    "DEFAULT_FLOOR",
+    "G2_FLOOR",
     "SCALAR_KEYS",
     "ELEMENT_KEYS",
     "mean_number",
@@ -34,7 +34,7 @@ __all__ = [
     "compute_observables",
 ]
 
-DEFAULT_FLOOR = 1e-12
+G2_FLOOR = 1e-12
 
 # The scalar fields of ObservableRecord, in field (and output column) order.
 SCALAR_KEYS = ("mean_n", "mean_m", "g2_n", "g2_m", "g2_nm", "log_neg")
@@ -86,20 +86,18 @@ def _mode_values(space: HilbertSpace, mode: str) -> np.ndarray:
     raise ValueError(f"mode must be 'cavity' or 'mech', got {mode!r}")
 
 
-def _g2_auto(values: np.ndarray, pops: np.ndarray, floor: float) -> float | None:
+def _g2_auto(values: np.ndarray, pops: np.ndarray) -> float | None:
     mean = float(values @ pops)
-    if mean < floor:
+    if mean < G2_FLOOR:
         return None
     numerator = float((values * (values - 1.0)) @ pops)
     return numerator / mean**2
 
 
-def _g2_cross(
-    nvals: np.ndarray, mvals: np.ndarray, pops: np.ndarray, floor: float
-) -> float | None:
+def _g2_cross(nvals: np.ndarray, mvals: np.ndarray, pops: np.ndarray) -> float | None:
     mean_n = float(nvals @ pops)
     mean_m = float(mvals @ pops)
-    if mean_n < floor or mean_m < floor:
+    if mean_n < G2_FLOOR or mean_m < G2_FLOOR:
         return None
     return float((nvals * mvals) @ pops) / (mean_n * mean_m)
 
@@ -109,18 +107,14 @@ def mean_number(rho: np.ndarray, space: HilbertSpace, mode: str) -> float:
     return float(_mode_values(space, mode) @ _populations(rho))
 
 
-def g2_auto(
-    rho: np.ndarray, space: HilbertSpace, mode: str, floor: float = DEFAULT_FLOOR
-) -> float | None:
+def g2_auto(rho: np.ndarray, space: HilbertSpace, mode: str) -> float | None:
     """Equal-time autocorrelation <o^dag o^dag o o> / <o^dag o>^2."""
-    return _g2_auto(_mode_values(space, mode), _populations(rho), floor)
+    return _g2_auto(_mode_values(space, mode), _populations(rho))
 
 
-def g2_cross(rho: np.ndarray, space: HilbertSpace, floor: float = DEFAULT_FLOOR) -> float | None:
+def g2_cross(rho: np.ndarray, space: HilbertSpace) -> float | None:
     """Equal-time photon-phonon cross correlation <a^dag b^dag b a> / (<n><m>)."""
-    return _g2_cross(
-        _mode_values(space, "cavity"), _mode_values(space, "mech"), _populations(rho), floor
-    )
+    return _g2_cross(_mode_values(space, "cavity"), _mode_values(space, "mech"), _populations(rho))
 
 
 def partial_trace_atom(rho: np.ndarray, space: HilbertSpace) -> np.ndarray:
@@ -177,9 +171,7 @@ def named_elements(rho: np.ndarray, space: HilbertSpace) -> dict[str, float]:
     return out
 
 
-def compute_observables(
-    rho: np.ndarray, space: HilbertSpace, floor: float = DEFAULT_FLOOR
-) -> ObservableRecord:
+def compute_observables(rho: np.ndarray, space: HilbertSpace) -> ObservableRecord:
     """Evaluate the full record reported by sweeps, reading the diagonal
     populations once."""
     reduced = partial_trace_atom(rho, space)
@@ -189,9 +181,9 @@ def compute_observables(
     return ObservableRecord(
         mean_n=float(nvals @ pops),
         mean_m=float(mvals @ pops),
-        g2_n=_g2_auto(nvals, pops, floor),
-        g2_m=_g2_auto(mvals, pops, floor),
-        g2_nm=_g2_cross(nvals, mvals, pops, floor),
+        g2_n=_g2_auto(nvals, pops),
+        g2_m=_g2_auto(mvals, pops),
+        g2_nm=_g2_cross(nvals, mvals, pops),
         log_neg=log_negativity(reduced, space),
         elements=named_elements(rho, space),
     )

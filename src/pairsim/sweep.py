@@ -15,11 +15,12 @@ A sweep that runs the truncation check solves its rows on a thread pool:
 each row is one SuperLU factorization, which runs without the interpreter
 lock, and the rows are independent.  The check's doubled factor sets the
 sweep's peak memory, and the worker count keeps the concurrent row factors
-below it (_row_workers).  The pool's rows call a one-thread BLAS
-(_one_blas_thread), since spinning BLAS threads would take the CPUs the
-other rows need.  A sweep without the check solves its rows on the calling
-thread, so a pool adds nothing to its peak memory.  Either way each row's
-arithmetic is that of a serial solve with the same BLAS threads.
+below it (_row_workers).  A sweep without the check solves its rows on the
+calling thread, so a pool adds nothing to its peak memory.  Either way the
+rows call a one-thread BLAS (_one_blas_thread): spinning BLAS threads would
+take the CPUs the other rows need, and one policy for every sweep makes each
+row's arithmetic that of a serial one-thread solve, whether or not the check
+runs.
 
 Output contract: a CSV whose first line is a comment carrying version and
 timestamp (the only nondeterministic line), then a header, then one row per
@@ -48,18 +49,13 @@ from .errors import ConfigError, PairsimError, TruncationError
 # build_liouvillian is not called here; it stays importable from this
 # module because bench/child.py traces calls through sweep's names.
 from .model import SectorTerms, SystemParams, build_liouvillian, sector_index  # noqa: F401
-from .observables import (
-    DEFAULT_FLOOR,
-    ELEMENT_KEYS,
-    SCALAR_KEYS,
-    ObservableRecord,
-    compute_observables,
-)
+from .observables import ELEMENT_KEYS, SCALAR_KEYS, ObservableRecord, compute_observables
 from .operators import HilbertSpace
 from .steady import SolveReport, solve_steady, solve_steady_real
 
 __all__ = [
     "AXES",
+    "TRUNCATION_TOL",
     "SweepConfig",
     "SweepRow",
     "SweepResult",
@@ -77,13 +73,11 @@ AXES = ("delta", "j_coupling", "gamma_m", "m_th")
 UNDEF_TOKEN = "undef"
 ERROR_TOKEN = "error"
 
+# The largest relative change of a scalar observable that the
+# truncation-doubling check accepts.
+TRUNCATION_TOL = 1e-6
 
-def check_floor(floor: float) -> None:
-    """Reject a correlation floor that is negative or not finite.  A NaN
-    floor fails every `mean < floor` test, so g2 of an empty mode would
-    divide 0 by 0 instead of coming out undefined."""
-    if not (math.isfinite(floor) and floor >= 0):
-        raise ConfigError(f"floor must be finite and nonnegative, got {floor}")
+_CSV_COLUMNS = ("axis", *SCALAR_KEYS, *ELEMENT_KEYS, "residual", "converged")
 
 
 @dataclass(frozen=True)
@@ -94,9 +88,6 @@ class SweepConfig:
     couple_delta_to_j: bool = False
     truncation: tuple[int, int] = (5, 5)
     strict_truncation: bool = True
-    truncation_tol: float = 1e-6
-    emit_elements: bool = True
-    floor: float = DEFAULT_FLOOR
     output_path: str | None = None
     name: str = "sweep"
 
@@ -115,7 +106,7 @@ class SweepConfig:
         if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in self.truncation):
             raise ConfigError(f"truncation must be whole numbers >= 2, got {self.truncation}")
         # a quoted "false" from YAML would be truthy
-        for name in ("couple_delta_to_j", "strict_truncation", "emit_elements"):
+        for name in ("couple_delta_to_j", "strict_truncation"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not isinstance(self.output_path, (str, type(None))):
@@ -128,13 +119,6 @@ class SweepConfig:
             )
         if self.couple_delta_to_j and self.axis == "delta":
             raise ConfigError("couple_delta_to_j cannot be combined with a delta sweep")
-        check_floor(self.floor)
-        # an infinite tolerance would pass every doubling comparison and a
-        # zero, negative or NaN one would fail them all
-        if not (math.isfinite(self.truncation_tol) and self.truncation_tol > 0):
-            raise ConfigError(
-                f"truncation_tol must be finite and positive, got {self.truncation_tol}"
-            )
         # a grid point the model rejects would otherwise become an error row
         for value in self.axis_values:
             try:
@@ -223,9 +207,6 @@ _TOP_LEVEL_KEYS = {
     "couple_delta_to_j",
     "truncation",
     "strict_truncation",
-    "truncation_tol",
-    "emit_elements",
-    "floor",
     "output",
 }
 
@@ -242,6 +223,8 @@ def load_config(path: str) -> SweepConfig:
             data = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     unknown = set(data) - _TOP_LEVEL_KEYS
@@ -270,17 +253,12 @@ def load_config(path: str) -> SweepConfig:
         couple_delta_to_j=data.get("couple_delta_to_j", False),
         truncation=tuple(truncation),
         strict_truncation=data.get("strict_truncation", True),
-        truncation_tol=_number(data.get("truncation_tol", 1e-6), "truncation_tol"),
-        emit_elements=data.get("emit_elements", True),
-        floor=_number(data.get("floor", DEFAULT_FLOOR), "floor"),
         output_path=data.get("output"),
         name=str(data.get("name", "sweep")),
     )
 
 
-def solve_point(
-    params: SystemParams, terms: SectorTerms, floor: float = DEFAULT_FLOOR
-) -> tuple[ObservableRecord, SolveReport]:
+def solve_point(params: SystemParams, terms: SectorTerms) -> tuple[ObservableRecord, SolveReport]:
     """Solve the steady state on terms.space and reduce it to its record.
 
     solve_steady and compute_observables are looked up in this module, so
@@ -288,7 +266,7 @@ def solve_point(
     solve; check_truncation looks up solve_steady_real here too.
     """
     rho, report = solve_steady(terms.liouvillian(params), terms)
-    return compute_observables(rho, terms.space, floor=floor), report
+    return compute_observables(rho, terms.space), report
 
 
 def _deviation(x: float | None, y: float | None) -> float:
@@ -303,16 +281,14 @@ def _deviation(x: float | None, y: float | None) -> float:
 def check_truncation(
     params: SystemParams,
     base: tuple[ObservableRecord, SolveReport],
-    tolerance: float = 1e-6,
-    floor: float = DEFAULT_FLOOR,
     details: dict | None = None,
 ) -> SolveReport:
     """Compare a solved point against the same point at doubled levels.
 
-    `base` is the record and report of solve_point at report.levels_used,
-    computed with the same `floor`; only the doubled space is solved here,
-    by solve_steady_real.  truncation_converged is True iff every scalar
-    observable agrees to `tolerance` relative.  Returns the base report with
+    `base` is the record and report of solve_point at report.levels_used;
+    only the doubled space is solved here, by solve_steady_real.
+    truncation_converged is True iff every scalar observable agrees to
+    TRUNCATION_TOL relative.  Returns the base report with
     that verdict.  A `details` dict receives the doubled levels, the doubled
     solve's diagnostics, the largest scalar deviation and the tolerance.
     """
@@ -322,7 +298,7 @@ def check_truncation(
         raise ValueError(f"base truncation must be at least (2, 2), got {(n_c, n_m)}")
     terms = SectorTerms.build(HilbertSpace(2 * n_c, 2 * n_m))
     rho, solved = solve_steady_real(terms.liouvillian(params), terms)
-    doubled = compute_observables(rho, terms.space, floor=floor)
+    doubled = compute_observables(rho, terms.space)
     deviation = max(_deviation(getattr(record, key), getattr(doubled, key)) for key in SCALAR_KEYS)
     if details is not None:
         details.update(
@@ -333,9 +309,9 @@ def check_truncation(
             refine_steps=solved.refine_steps,
             min_eigenvalue=solved.min_eigenvalue,
             max_deviation=deviation,
-            tolerance=tolerance,
+            tolerance=TRUNCATION_TOL,
         )
-    return replace(report, truncation_converged=deviation <= tolerance)
+    return replace(report, truncation_converged=deviation <= TRUNCATION_TOL)
 
 
 def _row_workers(config: SweepConfig, unknowns: int) -> int:
@@ -397,13 +373,15 @@ def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int],
 def _one_blas_thread():
     """Hold every loaded OpenBLAS at one thread, and restore its counts after.
 
-    Concurrent rows need this: OpenBLAS threads spin while they wait for
-    work, so rows whose LU calls a threaded BLAS run slower side by side
-    than one after the other.  On a 2-vCPU machine, with OpenBLAS's default
-    two threads, fig6's rows took about 5.5 s serially, 8 to 9 s on two
-    workers and about 3 s on two workers with one BLAS thread.  The count is
-    process-wide: other threads of the process get one BLAS thread meanwhile
-    too.
+    Every sweep's rows run under it.  Concurrent rows need it: OpenBLAS
+    threads spin while they wait for work, so rows whose LU calls a threaded
+    BLAS run slower side by side than one after the other.  On a 2-vCPU
+    machine, with OpenBLAS's default two threads, fig6's rows took about
+    5.5 s serially, 8 to 9 s on two workers and about 3 s on two workers
+    with one BLAS thread.  Rows on the calling thread take it too, so that
+    a row rounds the same whether or not its sweep runs the check.  The
+    count is process-wide: other threads of the process get one BLAS thread
+    meanwhile too.
     """
     controls = _openblas_thread_controls()
     counts = [get() for get, _ in controls]
@@ -419,7 +397,7 @@ def _one_blas_thread():
 def _solve_row(config: SweepConfig, terms: SectorTerms, value: float) -> SweepRow:
     """The row of one grid point; a PairsimError becomes its error row."""
     try:
-        record, report = solve_point(config.params_at(value), terms, config.floor)
+        record, report = solve_point(config.params_at(value), terms)
     except PairsimError as exc:
         return SweepRow(axis_value=value, record=None, report=None, error=str(exc))
     return SweepRow(axis_value=value, record=record, report=report)
@@ -438,10 +416,10 @@ def run_sweep(
     None.  The sector terms are built once, so each point costs one
     weighted fill of their fixed pattern and one LU.
 
-    With the check on, the rows are solved on _row_workers threads, with
-    every loaded OpenBLAS held at one thread meanwhile (_one_blas_thread);
-    without it, or with one worker, on the calling thread with the BLAS
-    threads as they are.  Rows come back in axis order either way, and
+    With the check on, the rows are solved on _row_workers threads; without
+    it, or with one worker, on the calling thread.  Either way every loaded
+    OpenBLAS is held at one thread while they run (_one_blas_thread) and
+    restored after.  Rows come back in axis order, and
     `progress(done, total)` is called from the calling thread after each
     one.  An exception other than a PairsimError, or an interrupt, cancels
     the rows not yet started and propagates once the running ones finish.
@@ -458,10 +436,10 @@ def run_sweep(
                 progress(len(rows), len(values))
 
     workers = _row_workers(config, terms.index.size)
-    if workers == 1:
-        collect(map(solve, values))
-    else:
-        with _one_blas_thread():
+    with _one_blas_thread():
+        if workers == 1:
+            collect(map(solve, values))
+        else:
             pool = ThreadPoolExecutor(workers)
             try:
                 collect(pool.map(solve, values))
@@ -478,8 +456,6 @@ def run_sweep(
         check = check_truncation(
             config.params_at(worst.axis_value),
             base=(worst.record, worst.report),
-            tolerance=config.truncation_tol,
-            floor=config.floor,
             details=truncation_check,
         )
         for row in solved:
@@ -488,7 +464,7 @@ def run_sweep(
             raise TruncationError(
                 f"observables not converged at truncation {config.truncation} "
                 f"(doubling changed them by up to {truncation_check['max_deviation']:.2e} "
-                f"relative, beyond {config.truncation_tol:g}) at "
+                f"relative, beyond {TRUNCATION_TOL:g}) at "
                 f"{config.axis} = {worst.axis_value:g}"
             )
 
@@ -507,11 +483,6 @@ def _config_dict(config: SweepConfig) -> dict:
     data["axis_values"] = list(data["axis_values"])
     data["truncation"] = list(data["truncation"])
     return data
-
-
-def _csv_columns(emit_elements: bool) -> list[str]:
-    elements = list(ELEMENT_KEYS) if emit_elements else []
-    return ["axis", *SCALAR_KEYS, *elements, "residual", "converged"]
 
 
 def point_json(record: ObservableRecord, report: SolveReport) -> dict:
@@ -533,23 +504,21 @@ def emit_csv(result: SweepResult, path: str) -> None:
     carry "error" in every observable column.  Apart from the leading
     timestamp comment, output is deterministic for a given config.
     """
-    cols = _csv_columns(result.config.emit_elements)
     lines = [
         f"# pairsim {result.metadata.get('version', __version__)} "
         f"generated {result.metadata.get('generated', '')}",
-        ",".join(cols),
+        ",".join(_CSV_COLUMNS),
     ]
     for row in result.rows:
         if row.record is None:
             cells = [format(row.axis_value, ".17e")]
-            cells += [ERROR_TOKEN] * (len(cols) - 2)
+            cells += [ERROR_TOKEN] * (len(_CSV_COLUMNS) - 2)
             cells.append("false")
         else:
             rec = row.record
             cells = [format(row.axis_value, ".17e")]
             cells += [_fmt(getattr(rec, key)) for key in SCALAR_KEYS]
-            if result.config.emit_elements:
-                cells += [_fmt(rec.elements[key]) for key in ELEMENT_KEYS]
+            cells += [_fmt(rec.elements[key]) for key in ELEMENT_KEYS]
             cells.append(_fmt(row.report.residual_norm))
             cells.append("true" if row.converged else "false")
         lines.append(",".join(cells))

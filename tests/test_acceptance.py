@@ -380,7 +380,7 @@ def test_criterion_10_structural_invariants(solved_canonicals):
     # truncation convergence, doubling (5, 5) to (10, 10)
     for name, params in CANONICAL.items():
         _, _, report, obs = solved_canonicals[name]
-        check = check_truncation(params, (obs, report), tolerance=1e-6)
+        check = check_truncation(params, (obs, report))
         assert check.truncation_converged, f"{name}: not converged at (5, 5)"
     print("criterion 10 PASS: trace preservation, state invariants, parity, "
           "exchange symmetry, scale covariance, and (5,5)->(10,10) convergence "

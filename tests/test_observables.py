@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from pairsim.errors import PairsimError
 from pairsim.observables import (
+    G2_FLOOR,
     compute_observables,
     g2_auto,
     g2_cross,
@@ -89,13 +90,17 @@ def test_cross_correlation_of_pair_mixture():
 
 
 def test_correlations_undefined_below_floor():
-    rho = (1 - 1e-14) * projector(ket(SPACE, 0, 0, 0)) + 1e-14 * projector(
-        ket(SPACE, 0, 1, 1)
-    )
+    def pair_weight(p):
+        return (1 - p) * projector(ket(SPACE, 0, 0, 0)) + p * projector(ket(SPACE, 0, 1, 1))
+
+    assert G2_FLOOR == 1e-12
+    rho = pair_weight(1e-14)
     assert g2_auto(rho, SPACE, "cavity") is None
     assert g2_cross(rho, SPACE) is None
-    # an explicit lower floor makes them defined again
-    assert g2_auto(rho, SPACE, "cavity", floor=1e-16) is not None
+    # an occupation above the fixed floor makes them defined
+    rho = pair_weight(1e-10)
+    assert g2_auto(rho, SPACE, "cavity") is not None
+    assert g2_cross(rho, SPACE) is not None
 
 
 def test_mean_number_rejects_bad_mode_and_complex_diagonal():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -12,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
 import pairsim.sweep
@@ -21,6 +23,7 @@ from pairsim.model import SectorTerms, SystemParams, sector_index
 from pairsim.operators import HilbertSpace
 from pairsim.steady import EIG_FLOOR, MAX_REFINE, RESIDUAL_TOL, solve_steady_real
 from pairsim.sweep import (
+    TRUNCATION_TOL,
     SweepConfig,
     _expand_values,
     _row_workers,
@@ -101,8 +104,6 @@ def test_config_validation():
         make_config(truncation=(1, 5))
     with pytest.raises(ConfigError):
         make_config(axis="delta", couple_delta_to_j=True)
-    with pytest.raises(ConfigError):
-        make_config(floor=-1e-9)
 
 
 def test_params_at_applies_axis_and_coupling():
@@ -193,8 +194,34 @@ def test_load_config_rejects_tolerances_that_defeat_the_checks(tmp_path, line):
         tmp_path / "bad.yaml",
         f"axis: delta\nvalues: [0.0, 0.5]\nparams: {{omega: 1.0, gamma_c: 1.0}}\n{line}\n",
     )
-    with pytest.raises(ConfigError, match=line.split(":")[0]):
+    key = line.split(":")[0]
+    # the g2 floor, the doubling tolerance and the CSV columns are fixed, so
+    # these keys fail as unknown, like any typo
+    if key in ("truncation_tol", "floor", "emit_elements"):
+        key = rf"unknown keys \['{key}'\]"
+    with pytest.raises(ConfigError, match=key):
         load_config(path)
+
+
+def test_load_config_rejects_text_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.yaml"
+    path.write_bytes(b"\xff\xfe" + "axis: delta\nvalues: [0.0]\n".encode("utf-16-le"))
+    with pytest.raises(ConfigError, match="utf16.yaml: not UTF-8"):
+        load_config(str(path))
+    assert main(["sweep", str(path)]) == 1
+    assert f"config error: {path}: not UTF-8" in capsys.readouterr().err
+
+
+def test_readme_example_config_loads(tmp_path):
+    # the documented config names every accepted key, so it cannot drift
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    data = yaml.safe_load(blocks[0])
+    assert set(data) == pairsim.sweep._TOP_LEVEL_KEYS
+    data["output"] = str(tmp_path / data["output"])
+    config = load_config(write_yaml(tmp_path / "example.yaml", yaml.safe_dump(data)))
+    assert config.output_path == data["output"]
 
 
 # ---------------------------------------------------------------- running
@@ -321,17 +348,6 @@ def test_csv_is_deterministic_apart_from_timestamp(tmp_path):
     assert lines_a[1:] == lines_b[1:]
 
 
-def test_element_columns_are_optional(tmp_path):
-    result = run_sweep(make_config(emit_elements=False))
-    path = tmp_path / "thin.csv"
-    emit_csv(result, str(path))
-    cols, rows = read_csv(str(path))
-    assert "rho11" not in cols
-    assert "abs_rho25" not in cols
-    assert cols == ["axis", "mean_n", "mean_m", "g2_n", "g2_m", "g2_nm",
-                    "log_neg", "residual", "converged"]
-
-
 def test_strict_truncation_aborts_with_context():
     config = SweepConfig(
         axis="delta",
@@ -407,7 +423,7 @@ def test_sweep_metadata_records_the_truncation_check():
     assert check["axis_value"] in config.axis_values
     assert check["residual_norm"] < RESIDUAL_TOL
     assert check["min_eigenvalue"] >= EIG_FLOOR
-    assert 0 < check["max_deviation"] <= check["tolerance"] == config.truncation_tol
+    assert 0 < check["max_deviation"] <= check["tolerance"] == TRUNCATION_TOL
     # the count is that of the real factorization the check made
     terms = SectorTerms.build(HilbertSpace(6, 6))
     _, real = solve_steady_real(terms.liouvillian(config.params_at(check["axis_value"])), terms)
@@ -524,14 +540,16 @@ def test_concurrent_rows_hold_blas_at_one_thread(monkeypatch):
         for _, put in controls:
             put(2)
         run_sweep(make_config(strict_truncation=True))
-        after = [get() for get, _ in controls]
+        after_pool = [get() for get, _ in controls]
         run_sweep(make_config())
+        after_serial = [get() for get, _ in controls]
     finally:
         for (_, put), count in zip(controls, counts):
             put(count)
     ones, twos = [1] * len(controls), [2] * len(controls)
-    # the pooled rows, then the restored count, then the calling-thread rows
-    assert (seen[:3], after, seen[3:]) == ([ones] * 3, twos, [twos] * 3)
+    # the pooled rows and the calling-thread rows alike see one thread, and
+    # the count is restored after each sweep
+    assert (seen, after_pool, after_serial) == ([ones] * 6, twos, twos)
 
 
 def test_rows_without_the_check_run_on_the_calling_thread(monkeypatch):
@@ -708,8 +726,8 @@ def test_cli_point_failures_exit_codes():
     # 2: a non-finite solution is a solver failure, not a crash
     assert main(["point", "--omega", "1e300", "--j-coupling", "1", "--gamma-c", "1",
                  "--gamma-m", "1", "--truncation", "2", "2"]) == 2
-    # 1: a floor that would let g2 divide 0 by 0
-    assert main(["point", "--gamma-c", "1", "--gamma-m", "1", "--floor", "nan"]) == 1
+    # 1: the g2 floor is fixed, so --floor is an unknown argument
+    assert main(["point", "--gamma-c", "1", "--gamma-m", "1", "--floor", "1e-16"]) == 1
 
 
 def test_cli_point_text_reports_undef(capsys):
@@ -725,6 +743,14 @@ def test_cli_check_battery_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_a_directory_does_not_shadow_a_shipped_config(tmp_path, monkeypatch):
+    from pairsim.cli import _load_config_arg
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig2_weak").mkdir()
+    assert _load_config_arg("fig2_weak").name == "fig2_weak"
 
 
 def test_shipped_configs_parse_and_run_thinned(tmp_path):
