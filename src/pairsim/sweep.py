@@ -17,10 +17,11 @@ lock, and the rows are independent.  The check's doubled factor sets the
 sweep's peak memory, and the worker count keeps the concurrent row factors
 below it (_row_workers).  A sweep without the check solves its rows on the
 calling thread, so a pool adds nothing to its peak memory.  Either way the
-rows call a one-thread BLAS (_one_blas_thread): spinning BLAS threads would
-take the CPUs the other rows need, and one policy for every sweep makes each
-row's arithmetic that of a serial one-thread solve, whether or not the check
-runs.
+rows and the check call a one-thread BLAS (_one_blas_thread): spinning BLAS
+threads would take the CPUs the other rows need, and one policy for every
+sweep makes each row's arithmetic that of a serial one-thread solve, whether
+or not the check runs, and the check's record independent of the
+environment's thread count.
 
 Output contract: a CSV whose first line is a comment carrying version and
 timestamp (the only nondeterministic line), then a header, then one row per
@@ -373,15 +374,16 @@ def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int],
 def _one_blas_thread():
     """Hold every loaded OpenBLAS at one thread, and restore its counts after.
 
-    Every sweep's rows run under it.  Concurrent rows need it: OpenBLAS
-    threads spin while they wait for work, so rows whose LU calls a threaded
-    BLAS run slower side by side than one after the other.  On a 2-vCPU
-    machine, with OpenBLAS's default two threads, fig6's rows took about
-    5.5 s serially, 8 to 9 s on two workers and about 3 s on two workers
-    with one BLAS thread.  Rows on the calling thread take it too, so that
-    a row rounds the same whether or not its sweep runs the check.  The
-    count is process-wide: other threads of the process get one BLAS thread
-    meanwhile too.
+    Every sweep's rows and truncation check run under it.  Concurrent rows
+    need it: OpenBLAS threads spin while they wait for work, so rows whose
+    LU calls a threaded BLAS run slower side by side than one after the
+    other.  On a 2-vCPU machine, with OpenBLAS's default two threads, fig6's
+    rows took about 5.5 s serially, 8 to 9 s on two workers and about 3 s on
+    two workers with one BLAS thread.  Rows on the calling thread take it
+    too, so that a row rounds the same whether or not its sweep runs the
+    check.  The check takes it too, so that its record does not depend on
+    the environment's thread count.  The count is process-wide: other
+    threads of the process get one BLAS thread meanwhile too.
     """
     controls = _openblas_thread_controls()
     counts = [get() for get, _ in controls]
@@ -418,8 +420,8 @@ def run_sweep(
 
     With the check on, the rows are solved on _row_workers threads; without
     it, or with one worker, on the calling thread.  Either way every loaded
-    OpenBLAS is held at one thread while they run (_one_blas_thread) and
-    restored after.  Rows come back in axis order, and
+    OpenBLAS is held at one thread while they and the check run
+    (_one_blas_thread), and restored after.  Rows come back in axis order, and
     `progress(done, total)` is called from the calling thread after each
     one.  An exception other than a PairsimError, or an interrupt, cancels
     the rows not yet started and propagates once the running ones finish.
@@ -436,6 +438,7 @@ def run_sweep(
                 progress(len(rows), len(values))
 
     workers = _row_workers(config, terms.index.size)
+    truncation_check = None
     with _one_blas_thread():
         if workers == 1:
             collect(map(solve, values))
@@ -448,25 +451,24 @@ def run_sweep(
                 # cancel, an exception would wait for all of them to be solved
                 pool.shutdown(cancel_futures=True)
 
-    solved = [row for row in rows if row.record is not None]
-    truncation_check = None
-    if config.strict_truncation and solved:
-        worst = max(solved, key=lambda row: max(row.record.mean_n, row.record.mean_m))
-        truncation_check = {"axis_value": worst.axis_value}
-        check = check_truncation(
-            config.params_at(worst.axis_value),
-            base=(worst.record, worst.report),
-            details=truncation_check,
-        )
-        for row in solved:
-            row.report.truncation_converged = check.truncation_converged
-        if not check.truncation_converged:
-            raise TruncationError(
-                f"observables not converged at truncation {config.truncation} "
-                f"(doubling changed them by up to {truncation_check['max_deviation']:.2e} "
-                f"relative, beyond {TRUNCATION_TOL:g}) at "
-                f"{config.axis} = {worst.axis_value:g}"
+        solved = [row for row in rows if row.record is not None]
+        if config.strict_truncation and solved:
+            worst = max(solved, key=lambda row: max(row.record.mean_n, row.record.mean_m))
+            truncation_check = {"axis_value": worst.axis_value}
+            check = check_truncation(
+                config.params_at(worst.axis_value),
+                base=(worst.record, worst.report),
+                details=truncation_check,
             )
+            for row in solved:
+                row.report.truncation_converged = check.truncation_converged
+            if not check.truncation_converged:
+                raise TruncationError(
+                    f"observables not converged at truncation {config.truncation} "
+                    f"(doubling changed them by up to {truncation_check['max_deviation']:.2e} "
+                    f"relative, beyond {TRUNCATION_TOL:g}) at "
+                    f"{config.axis} = {worst.axis_value:g}"
+                )
 
     metadata = {
         "tool": "pairsim",

@@ -1,6 +1,7 @@
 """Steady-state solver tests: exact fixed points, oracle agreement,
 truncation checking and failure modes."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -80,6 +81,36 @@ def per_point_liouvillian(params: SystemParams, space: HilbertSpace):
     return pairsim.model._combine(params, blocks, index.size)
 
 
+def sliced_sector_terms(space: HilbertSpace) -> SectorTerms:
+    """Oracle for SectorTerms.build: every full-space generator term formed
+    and then sliced to the sector, and the pattern, positions and values
+    taken from the slices; partner and blocks by direct lookup."""
+    index = sector_index(space)
+    size = index.size
+    keys, values = [], []
+    for _, term in pairsim.model._generator_terms(space):
+        block = term[:, index][index]
+        block.sum_duplicates()
+        rows = np.repeat(np.arange(0, size * size, size), np.diff(block.indptr))
+        keys.append(rows + block.indices)
+        values.append(block.data)
+    pattern = np.unique(np.concatenate(keys))
+    ket, bra = index % space.dim, index // space.dim
+    position = np.full(space.dim**2, -1)
+    position[index] = np.arange(size)
+    q = space.photon_values() - space.phonon_values()
+    return SectorTerms(
+        space,
+        index,
+        partner=position[bra + ket * space.dim],
+        blocks=tuple(np.flatnonzero(q == value) for value in np.unique(q)),
+        indptr=np.searchsorted(pattern, np.arange(0, size * size + 1, size)).astype(np.int32),
+        indices=(pattern % size).astype(np.int32),
+        positions=tuple(np.searchsorted(pattern, k).astype(np.int32) for k in keys),
+        values=tuple(values),
+    )
+
+
 def per_point_solve(lv, space: HilbertSpace):
     """Oracle for solve_steady's assembly: a trace-row matrix stacked on
     rows 1.. of L, then the same LU, refinement and Hermitization.
@@ -123,7 +154,29 @@ ZERO_PATTERNS = [
 ]
 
 
-@pytest.mark.parametrize("levels", [(2, 3), (5, 5)])
+SECTOR_FIELDS = ("index", "partner", "blocks", "indptr", "indices", "positions", "values")
+
+
+@pytest.mark.parametrize("levels", [(2, 3), (5, 5), (6, 14)])
+def test_sector_terms_equal_the_sliced_full_terms_bit_for_bit(levels):
+    space = HilbertSpace(*levels)
+    assert_same_arrays(SectorTerms.build(space), sliced_sector_terms(space), SECTOR_FIELDS)
+
+
+def test_sector_terms_build_never_forms_full_space_terms():
+    # slicing the full-space terms of (12, 24) reached 86 MiB of traced
+    # peak; built from the sector columns of the products, about 10 MiB
+    space = HilbertSpace(12, 24)
+    tracemalloc.start()
+    try:
+        SectorTerms.build(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("levels", [(2, 3), (5, 5), (6, 14)])
 def test_pattern_fill_reproduces_the_per_point_sum_bit_for_bit(levels, monkeypatch):
     space = HilbertSpace(*levels)
     terms = SectorTerms.build(space)
@@ -140,8 +193,7 @@ def test_pattern_fill_reproduces_the_per_point_sum_bit_for_bit(levels, monkeypat
         assert_same_arrays(factored.pop(), want_modified, ("data", "indices", "indptr"))
         assert rho.tobytes() == want_rho.tobytes()
     # the fill and the LU assembly leave the shared template as built
-    fresh = SectorTerms.build(space)
-    assert_same_arrays(terms, fresh, ("index", "indptr", "indices", "positions", "values"))
+    assert_same_arrays(terms, SectorTerms.build(space), SECTOR_FIELDS)
 
 
 def observable_values(rho, space: HilbertSpace) -> list[float]:
@@ -379,16 +431,24 @@ def test_generator_without_the_symmetry_is_rejected(monkeypatch):
     # a coherent photon drive changes n - m by one, so the steady state has
     # off-sector weight that the sector solve cannot represent; building
     # the sector terms must refuse it instead of truncating it
-    original = pairsim.model._generator_terms
+    original = pairsim.model._generator_products
 
     def with_photon_drive(space):
         yield from original(space)
         a = photon_lowering(space)
-        yield "the photon drive", hamiltonian_superop(a + a.conj().T)
+        drive = a + a.conj().T
+        eye = sp.identity(space.dim, dtype=complex, format="csr")
+        yield "the photon drive", [(-1j, drive, eye), (1j, eye, drive)]
 
-    monkeypatch.setattr(pairsim.model, "_generator_terms", with_photon_drive)
+    monkeypatch.setattr(pairsim.model, "_generator_products", with_photon_drive)
     with pytest.raises(ValueError, match="the photon drive maps 544 entries"):
         SectorTerms.build(HilbertSpace(3, 3))
+    # the count is that of the full-space term's nonzero out-of-sector entries
+    space = HilbertSpace(3, 3)
+    index = sector_index(space)
+    a = photon_lowering(space)
+    columns = hamiltonian_superop(a + a.conj().T)[:, index]
+    assert columns.count_nonzero() - columns[index].count_nonzero() == 544
 
 
 def test_truncation_check_reuses_the_base_solution(monkeypatch):

@@ -527,14 +527,14 @@ def test_concurrent_rows_hold_blas_at_one_thread(monkeypatch):
     if not controls:
         pytest.skip("no OpenBLAS found in this process")
     set_cpus(monkeypatch, 2)
-    seen = []
-    original = pairsim.sweep.solve_steady
+    seen, checked = [], []
+    for name, log in (("solve_steady", seen), ("solve_steady_real", checked)):
 
-    def recording(*args, **kwargs):
-        seen.append([get() for get, _ in controls])
-        return original(*args, **kwargs)
+        def recording(*args, _original=getattr(pairsim.sweep, name), _log=log, **kwargs):
+            _log.append([get() for get, _ in controls])
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(pairsim.sweep, "solve_steady", recording)
+        monkeypatch.setattr(pairsim.sweep, name, recording)
     counts = [get() for get, _ in controls]
     try:
         for _, put in controls:
@@ -547,9 +547,9 @@ def test_concurrent_rows_hold_blas_at_one_thread(monkeypatch):
         for (_, put), count in zip(controls, counts):
             put(count)
     ones, twos = [1] * len(controls), [2] * len(controls)
-    # the pooled rows and the calling-thread rows alike see one thread, and
-    # the count is restored after each sweep
-    assert (seen, after_pool, after_serial) == ([ones] * 6, twos, twos)
+    # the pooled rows, the calling-thread rows and the truncation check alike
+    # see one thread, and the count is restored after each sweep
+    assert (seen, checked, after_pool, after_serial) == ([ones] * 6, [ones], twos, twos)
 
 
 def test_rows_without_the_check_run_on_the_calling_thread(monkeypatch):
