@@ -12,12 +12,18 @@ sparse LU.
 
 solve_steady_real solves the same sector in real arithmetic.  L preserves
 Hermiticity, so rho[j, i] is the conjugate of rho[i, j], and the sector,
-closed under transposition, has as many real unknowns as complex ones.
-Real SuperLU needs about half the factor memory and LU time.  The
-truncation check solves its doubled space, the largest factorization of a
-sweep, this way.  The rows keep the complex solve: the real one rounds
-differently, by up to a few 1e-12 relative, which moves values that the
-benchmark's references pin at 1e-12, while the check only compares at 1e-6.
+closed under transposition, has as many real unknowns as complex ones.  The
+truncation check solves its doubled space, the largest system of a sweep,
+this way, and not by a complete LU: an incomplete LU preconditions GMRES,
+and refinement with residuals summed in extended precision brings the
+answer to what a complete LU refined the same way gives (_preconditioned).
+At fig6's (12, 16) check the incomplete factor holds 297k entries against
+the complete one's 6.55M, and the solve takes about a third of the time.
+If the incomplete factor is singular or GMRES stalls, the complete LU
+solves the system instead.  The rows keep the complex solve and its
+complete LU: another solver rounds differently, by up to a few 1e-12
+relative, which moves values that the benchmark's references pin at
+1e-12, while the check only compares at 1e-6.
 
 Two independent oracles stay full-space, since their job is not to assume
 the symmetry: a dense null-space computation (null_space_steady) and a
@@ -28,6 +34,7 @@ Tests compare all three.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -52,7 +59,15 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
 RESIDUAL_TOL = 1e-10
-MAX_REFINE = 3  # refinement steps after the direct solve, at most
+MAX_REFINE = 3  # refinement steps after the first solve, at most
+# The truncation check's preconditioned GMRES (_preconditioned): spilu's
+# drop tolerance and fill limit, the relative residual each GMRES solve must
+# reach, and the iterations it may take, GMRES_RESTART per cycle.
+ILU_DROP_TOL = 1e-3
+ILU_FILL_FACTOR = 10
+GMRES_RTOL = 1e-14
+GMRES_RESTART = 50
+GMRES_CYCLES = 2
 
 
 @dataclass
@@ -61,12 +76,19 @@ class SolveReport:
 
     truncation_converged is None when no truncation check was run, and a
     boolean once sweep.check_truncation has compared against doubled levels.
-    unknowns is the size of the n - m sector that was factored and lu_nnz
+    unknowns is the size of the n - m sector that was solved and lu_nnz
     the entries SuperLU stores for its LU factors, supernodal padding
     included: 60897 at a (5, 5) point whose L and U hold 53286 nonzeros.
     refine_steps counts the iterative-refinement steps taken after the
-    direct solve (0 to MAX_REFINE), and min_eigenvalue is the smallest
+    first solve (0 to MAX_REFINE), and min_eigenvalue is the smallest
     eigenvalue of the Hermitized state (at least EIG_FLOOR).
+
+    For solve_steady_real, lu_nnz counts the entries of the incomplete LU
+    that preconditions GMRES (297k at (12, 16), where the complete factor
+    holds 6.55M) and refine_steps the steps whose residual is summed in
+    np.longdouble, plain float64 where np.longdouble is float64 (arm64
+    macOS, Windows).  When it falls back to the complete LU, both are the
+    complete LU's, as for solve_steady.
     """
 
     residual_norm: float
@@ -133,8 +155,89 @@ def _sector_operator(liouvillian: sp.spmatrix, terms: SectorTerms) -> sp.csr_mat
     return lv
 
 
+def _factored(
+    modified: sp.csc_matrix, rhs: np.ndarray, residual: Callable[[np.ndarray], float]
+) -> tuple[np.ndarray, int, int]:
+    """Solve modified y = rhs by one complete sparse LU; return y, the
+    factor's stored entries and the float64 refinement steps taken.
+
+    Refinement runs while residual(y) is above 0.1 RESIDUAL_TOL, at most
+    MAX_REFINE times; it rarely triggers (direct solves land near 1e-14)
+    but costs little and protects ill-conditioned corners.  A singular
+    factorization signals a degenerate steady-state manifold.
+    """
+    try:
+        lu = spla.splu(modified)
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise DegenerateSteadyStateError(
+            f"trace-replaced Liouvillian is singular ({exc}); "
+            "the steady state is not unique"
+        ) from exc
+    y = lu.solve(rhs)
+    steps = 0
+    while steps < MAX_REFINE and residual(y) > 0.1 * RESIDUAL_TOL:
+        y = y + lu.solve(rhs - modified @ y)
+        steps += 1
+    return y, int(lu.nnz), steps
+
+
+def _preconditioned(
+    modified: sp.csc_matrix, rhs: np.ndarray, residual: Callable[[np.ndarray], float]
+) -> tuple[np.ndarray, int, int]:
+    """Solve modified y = rhs by GMRES with an incomplete-LU preconditioner,
+    refined with residuals summed in np.longdouble; return y, the
+    incomplete factor's stored entries and the refinement steps taken.
+
+    GMRES alone stops at a relative residual of GMRES_RTOL, which leaves
+    the solution's own error up to the condition number times larger.
+    Each refinement step sums rhs - modified y in extended precision and
+    adds the correction that the same preconditioned GMRES solves for;
+    steps stop once a correction no longer moves y at working precision,
+    or after MAX_REFINE (Carson and Higham, SIAM J. Sci. Comput. 40, A817
+    (2018)).  Where np.longdouble is float64 (arm64 macOS, Windows), the
+    steps are plain float64 refinement.
+
+    If the incomplete factorization is singular, or any GMRES solve misses
+    its tolerance within GMRES_RESTART * GMRES_CYCLES iterations, the
+    complete LU of _factored solves the system instead.
+    """
+    try:
+        ilu = spla.spilu(modified, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR)
+    except RuntimeError:  # "Factor is exactly singular"
+        return _factored(modified, rhs, residual)
+    precond = spla.LinearOperator(modified.shape, ilu.solve, dtype=modified.dtype)
+
+    def gmres(b: np.ndarray) -> np.ndarray | None:
+        x, info = spla.gmres(
+            modified, b, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
+            maxiter=GMRES_CYCLES, M=precond,
+        )
+        return x if info == 0 else None
+
+    wide = modified.astype(np.longdouble)  # the residuals are summed in it
+    y, steps = gmres(rhs), 0
+    while y is not None and steps < MAX_REFINE:
+        correction = gmres((rhs - wide @ y).astype(rhs.dtype))
+        if correction is None:
+            y = None
+            break
+        y = y + correction
+        steps += 1
+        if np.abs(correction).max() <= np.finfo(y.dtype).eps * np.abs(y).max():
+            break
+    if y is None:
+        del ilu, precond, wide
+        return _factored(modified, rhs, residual)
+    return y, int(ilu.nnz), steps
+
+
 def _solved(
-    lv: sp.csr_matrix, system: sp.csr_matrix, terms: SectorTerms, expand, where: str
+    lv: sp.csr_matrix,
+    system: sp.csr_matrix,
+    terms: SectorTerms,
+    expand: sp.csr_matrix | None,
+    where: str,
+    solve: Callable[..., tuple[np.ndarray, int, int]],
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve `system` y = 0 for unit trace and return the validated state
     x = expand @ y (x = y without a map) on terms.space, with its report.
@@ -143,9 +246,9 @@ def _solved(
     functional: 1 at the diagonal entries rho[i, i] (k = i (dim + 1)),
     which are unknowns of the complex and of the real system alike.  The
     result is assembled from system's CSR arrays, converted to CSC once and
-    factored by one sparse LU.  The residual is that of the sector operator
-    `lv` on x.  A singular factorization signals a degenerate steady-state
-    manifold.
+    handed to `solve` (_factored or _preconditioned) with the right-hand
+    side and the residual of the sector operator `lv` on x, which is also
+    the residual reported.
     """
     space, dim = terms.space, terms.space.dim
     trace_cols = np.flatnonzero(terms.index % (dim + 1) == 0).astype(system.indices.dtype)
@@ -160,35 +263,23 @@ def _solved(
     ).tocsc()
     rhs = np.zeros(system.shape[0], dtype=system.dtype)
     rhs[0] = 1.0
-    try:
-        lu = spla.splu(modified)
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise DegenerateSteadyStateError(
-            f"trace-replaced Liouvillian is singular ({exc}); "
-            "the steady state is not unique"
-        ) from exc
 
     def sector(y):
         return y if expand is None else expand @ y
 
-    y = lu.solve(rhs)
-    residual = float(np.linalg.norm(lv @ sector(y)))
-    # Iterative refinement rarely triggers (direct solves land near 1e-14)
-    # but costs little and protects ill-conditioned corners.
-    steps = 0
-    while steps < MAX_REFINE and residual > 0.1 * RESIDUAL_TOL:
-        y = y + lu.solve(rhs - modified @ y)
-        residual = float(np.linalg.norm(lv @ sector(y)))
-        steps += 1
-    lu_nnz = int(lu.nnz)
-    # release the factor before validation allocates, so that its pages can
-    # be reused instead of adding to the peak
-    del lu, modified
+    def residual(y):
+        return float(np.linalg.norm(lv @ sector(y)))
+
+    # the factor is released on return, before validation allocates, so
+    # that its pages can be reused instead of adding to the peak
+    y, lu_nnz, steps = solve(modified, rhs, residual)
+    del modified
     full = np.zeros(dim * dim, dtype=complex)
     full[terms.index] = sector(y)
-    rho, min_eig = _validated(unvec(full, dim), residual, where, terms.blocks)
+    norm = residual(y)
+    rho, min_eig = _validated(unvec(full, dim), norm, where, terms.blocks)
     return rho, SolveReport(
-        residual_norm=residual,
+        residual_norm=norm,
         truncation_converged=None,
         levels_used=(space.n_c, space.n_m),
         unknowns=int(terms.index.size),
@@ -209,7 +300,7 @@ def solve_steady(
     unmodified L; a degenerate steady state raises (see _solved).
     """
     lv = _sector_operator(liouvillian, terms)
-    return _solved(lv, lv, terms, None, "solve_steady")
+    return _solved(lv, lv, terms, None, "solve_steady", _factored)
 
 
 def _hermitian_map(partner: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -254,7 +345,7 @@ def solve_steady_real(
     parts = np.where(np.repeat(lower, np.diff(rows.indptr)), rows.data.imag, rows.data.real)
     real = sp.csr_matrix((parts, rows.indices, rows.indptr), shape=lv.shape)
     del rows, parts  # free the complex products before the factorization
-    return _solved(lv, real, terms, expand, "solve_steady_real")
+    return _solved(lv, real, terms, expand, "solve_steady_real", _preconditioned)
 
 
 def null_space_steady(

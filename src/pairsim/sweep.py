@@ -7,15 +7,17 @@ error marker; they are never interpolated over or silently dropped.
 
 solve_point is the one per-point pipeline (sector solve, then reduction to
 an ObservableRecord); sweeps and the CLI go through it.  The truncation
-check solves its doubled space with the real-arithmetic solve_steady_real,
-which needs half the factor memory of the complex solve; the rows keep the
-complex solve_steady, whose values the references pin.
+check solves its doubled space with solve_steady_real, in real arithmetic
+by GMRES preconditioned with an incomplete LU, which stores a small
+fraction of a complete factor's entries; the rows keep the complex
+solve_steady and its complete LU, whose values the references pin.
 
 A sweep that runs the truncation check solves its rows on a thread pool:
 each row is one SuperLU factorization, which runs without the interpreter
-lock, and the rows are independent.  The check's doubled factor sets the
-sweep's peak memory, and the worker count keeps the concurrent row factors
-below it (_row_workers).  A sweep without the check solves its rows on the
+lock, and the rows are independent.  The worker count is bounded
+(_row_workers); with one BLAS thread on 2 CPUs, a whole fig6 sweep peaks at
+88 MiB RSS, fig2_weak at 75 MiB and fig5_weak at 105 MiB, of which the
+import takes 62 MiB.  A sweep without the check solves its rows on the
 calling thread, so a pool adds nothing to its peak memory.  Either way the
 rows and the check call a one-thread BLAS (_one_blas_thread): spinning BLAS
 threads would take the CPUs the other rows need, and one policy for every
@@ -320,10 +322,12 @@ def _row_workers(config: SweepConfig, unknowns: int) -> int:
 
     1 without the truncation check: the rows then run on the calling thread.
     With it, min(CPUs available to the process, rows, doubled-sector
-    unknowns // row-sector unknowns).  The last bound keeps the concurrent
-    row factors below the check's doubled factor, which sets the sweep's
-    peak memory: the ratio is 6 for every shipped config, and the doubled
-    LU holds 11 to 13 times the entries of a row's.
+    unknowns // row-sector unknowns).  The ratio is 6 for every shipped
+    config.  It was chosen when the check's complete LU, 11 to 13 times a
+    row's factor, set the sweep's peak memory.  The check's incomplete
+    factor now stores about as many entries as one row's factor, in half
+    the bytes: the check alone peaks at 84 MiB RSS on fig6 (144 MiB with
+    the complete LU), and the whole sweep, rows on 2 CPUs, at 88 MiB.
     """
     if not config.strict_truncation:
         return 1

@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import pairsim.model
+import pairsim.steady
 import pairsim.sweep
 from pairsim.errors import ConvergenceError, DegenerateSteadyStateError
 from pairsim.model import (
@@ -23,7 +24,7 @@ from pairsim.model import (
     unvec,
     vec,
 )
-from pairsim.observables import compute_observables
+from pairsim.observables import SCALAR_KEYS, compute_observables
 from pairsim.operators import HilbertSpace, photon_lowering
 from pairsim.steady import (
     MAX_REFINE,
@@ -36,7 +37,7 @@ from pairsim.steady import (
     suggest_step,
     vacuum_state,
 )
-from pairsim.sweep import check_truncation, solve_point
+from pairsim.sweep import _deviation, check_truncation, solve_point
 
 WEAK_POINT = SystemParams(
     delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0, m_th=0.0
@@ -522,13 +523,85 @@ def test_real_system_keeps_the_block_pattern(levels, stored, monkeypatch):
     # included: pruning the zeros hides the 2 x 2 blocks from COLAMD
     terms = SectorTerms.build(HilbertSpace(*levels))
     factored = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda a: factored.append(a) or splu(a))
+    spilu = spla.spilu
+    monkeypatch.setattr(spla, "spilu", lambda a, **kw: factored.append(a) or spilu(a, **kw))
     solve_steady_real(terms.liouvillian(WEAK_POINT), terms)
     (real,) = factored
     assert real.dtype == np.float64
     assert real.nnz == stored
     assert np.count_nonzero(real.data) < stored
+
+
+def direct_refined(modified, rhs, residual):
+    """Oracle for the real solve: the complete LU of the trace-replaced real
+    system and MAX_REFINE steps of refinement with residuals summed in
+    np.longdouble, whatever the residual."""
+    lu = spla.splu(modified)
+    wide = modified.astype(np.longdouble)
+    y = lu.solve(rhs)
+    for _ in range(MAX_REFINE):
+        y = y + lu.solve((rhs - wide @ y).astype(rhs.dtype))
+    return y, int(lu.nnz), MAX_REFINE
+
+
+FIG5_WEAK_LOW = SystemParams(
+    delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=0.01
+)
+
+
+@pytest.mark.parametrize(
+    "params, space",
+    [
+        (WEAK_POINT, HilbertSpace(2, 3)),
+        (WEAK_POINT, HilbertSpace(5, 5)),
+        # fig5_weak's low-damping end at its truncation
+        (FIG5_WEAK_LOW, HilbertSpace(6, 12)),
+    ],
+)
+def test_real_solve_matches_a_refined_direct_solve(params, space, monkeypatch):
+    terms = SectorTerms.build(space)
+    lv = terms.liouvillian(params)
+    rho, report = solve_steady_real(lv, terms)
+    monkeypatch.setattr(pairsim.steady, "_preconditioned", direct_refined)
+    want, oracle = solve_steady_real(lv, terms)
+    assert report.lu_nnz < oracle.lu_nnz  # the preconditioner's, not the complete LU's
+    got, ref = compute_observables(rho, space), compute_observables(want, space)
+    for key in SCALAR_KEYS:
+        assert _deviation(getattr(got, key), getattr(ref, key)) <= 1e-13, key
+
+
+def singular_preconditioner(monkeypatch):
+    def singular(a, **kw):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "spilu", singular)
+
+
+def unconverged_gmres(monkeypatch):
+    gmres = spla.gmres
+    monkeypatch.setattr(spla, "gmres", lambda *a, **kw: (gmres(*a, **kw)[0], 1))
+
+
+@pytest.mark.parametrize("failure", [singular_preconditioner, unconverged_gmres])
+def test_truncation_check_falls_back_to_the_complete_lu(failure, monkeypatch):
+    base = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(3, 3)))
+    want = check_truncation(WEAK_POINT, base)
+    failure(monkeypatch)
+    factors = []
+    splu = spla.splu
+
+    def recorded(a):
+        lu = splu(a)
+        factors.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    details = {}
+    assert check_truncation(WEAK_POINT, base, details) == want
+    assert want.truncation_converged is True
+    # one complete LU, whose entries the check records
+    assert factors == [details["lu_nnz"]]
+    assert details["residual_norm"] < RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("levels", [(5, 5), (6, 14)])

@@ -438,6 +438,17 @@ def test_strict_truncation_marks_rows_converged():
         assert row.converged
 
 
+def test_truncation_check_stores_an_incomplete_factor():
+    # fig2_weak at delta = 0, checked at (10, 10): the complete LU of the
+    # doubled system holds 1,419,742 entries, the preconditioner 138,290
+    config = make_config(axis_values=(0.0,), truncation=(5, 5), strict_truncation=True)
+    check = run_sweep(config).metadata["truncation_check"]
+    assert check["lu_nnz"] < 300_000
+    assert check["max_deviation"] <= TRUNCATION_TOL
+    # with one BLAS thread the record repeats exactly
+    assert run_sweep(config).metadata["truncation_check"] == check
+
+
 # ---------------------------------------------------------------- concurrent rows
 
 
