@@ -3,27 +3,18 @@ photon-phonon pairs into two damped modes.
 
 The library is organized bottom-up: operators (truncated algebra), model
 (Hamiltonian and Liouvillian), steady (solvers and oracles), observables
-(correlations, named elements, entanglement), analytics (closed-form
-cross-checks), sweep (config-driven parameter scans), cli (command line).
+(correlations, named elements, entanglement), analytics (the analytic
+pair-subspace spectrum), sweep (config-driven parameter scans), cli
+(command line, with the `pairsim check` smoke test).
 """
 
 __version__ = "0.1.0"
 
-from .analytics import (
-    SpectrumReport,
-    WeakExcitationEstimate,
-    equal_damping_residual,
-    in_weak_excitation_regime,
-    manifold_leakage,
-    pair_subspace_spectrum,
-    resonance_locator,
-    weak_excitation_estimate,
-)
+from .analytics import SpectrumReport, pair_subspace_spectrum
 from .errors import (
     ConfigError,
     ConvergenceError,
     DegenerateSteadyStateError,
-    InvalidSweepError,
     PairsimError,
     TruncationError,
 )
@@ -36,10 +27,7 @@ from .model import (
 from .observables import (
     ObservableRecord,
     compute_observables,
-    g2_auto,
-    g2_cross,
     log_negativity,
-    mean_number,
     named_elements,
     partial_trace_atom,
 )
@@ -59,7 +47,6 @@ from .sweep import (
     emit_csv,
     emit_json,
     load_config,
-    read_csv,
     run_sweep,
     solve_point,
 )
@@ -78,20 +65,11 @@ __all__ = [
     "suggest_step",
     "ObservableRecord",
     "compute_observables",
-    "mean_number",
-    "g2_auto",
-    "g2_cross",
     "partial_trace_atom",
     "log_negativity",
     "named_elements",
-    "WeakExcitationEstimate",
-    "weak_excitation_estimate",
     "SpectrumReport",
     "pair_subspace_spectrum",
-    "resonance_locator",
-    "equal_damping_residual",
-    "manifold_leakage",
-    "in_weak_excitation_regime",
     "SweepConfig",
     "SweepResult",
     "SweepRow",
@@ -101,11 +79,9 @@ __all__ = [
     "run_sweep",
     "emit_csv",
     "emit_json",
-    "read_csv",
     "PairsimError",
     "ConfigError",
     "ConvergenceError",
     "DegenerateSteadyStateError",
     "TruncationError",
-    "InvalidSweepError",
 ]

@@ -12,8 +12,9 @@ import errno
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .operators import HilbertSpace
 from .steady import null_space_steady, solve_steady
 from .sweep import (
     SweepConfig,
+    _one_blas_thread,
     emit_csv,
     emit_json,
     load_config,
@@ -110,8 +112,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_point(args) -> int:
     params = SystemParams(**{f.name: getattr(args, f.name) for f in fields(SystemParams)})
-    space = HilbertSpace(*args.truncation)
-    record, report = solve_point(params, SectorTerms.build(space))
+    terms = SectorTerms.build(HilbertSpace(*args.truncation))
+    # one BLAS thread, as a sweep's rows have, so the report equals a row's
+    with _one_blas_thread():
+        record, report = solve_point(params, terms)
     if args.json:
         doc = {"params": asdict(params), "truncation": list(args.truncation)}
         print(json.dumps({**doc, **point_json(record, report)}, indent=1))
@@ -128,107 +132,130 @@ def _cmd_point(args) -> int:
     return 0
 
 
-def _check_battery() -> list[tuple[str, bool, str]]:
-    """Fast invariant checks, each a scaled-down version of an acceptance
-    test; the full suite lives under tests/."""
-    results = []
+def _record(params: SystemParams, space: HilbertSpace) -> ObservableRecord:
+    return solve_point(params, SectorTerms.build(space))[0]
 
-    def run(name, fn):
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
 
-    def solve(params: SystemParams, n_c: int, n_m: int) -> ObservableRecord:
-        return solve_point(params, SectorTerms.build(HilbertSpace(n_c, n_m)))[0]
+def _fields(case: CheckCase, space: HilbertSpace) -> tuple:
+    rec = _record(case.params, space)
+    return tuple(rec.elements[k] if k in rec.elements else getattr(rec, k) for k in case.quantities)
 
-    def spectrum():
-        space = HilbertSpace(2, 2)
-        rep = pair_subspace_spectrum(
-            SystemParams(delta=5.0, j_coupling=2.0, gamma_c=1.0, gamma_m=1.0), space
-        )
-        dev = max(abs(rep.pair_doublet[0] - 3.0), abs(rep.pair_doublet[1] - 7.0))
-        return dev < 1e-10, f"doublet {rep.pair_doublet}, expected (3, 7)"
 
-    def vacuum():
-        rec = solve(SystemParams(j_coupling=0.3, gamma_c=2.0, gamma_m=3.0), 3, 3)
-        ok = (
-            rec.mean_n < 1e-12
-            and rec.mean_m < 1e-12
-            and rec.g2_n is None
-            and rec.log_neg < 1e-10
-        )
-        return ok, f"mean_n={rec.mean_n:.2e}, mean_m={rec.mean_m:.2e}"
+@dataclass(frozen=True)
+class CheckCase:
+    """One case of `pairsim check`.  read(case, space) gives the values of
+    `quantities` at `params` and `truncation`; by default (_fields), the
+    record's scalars or elements of those names.  Each value must lie within
+    its tolerance (one for all, or one each) of the expected value, or be
+    undefined where None is expected."""
 
-    def thermal():
-        # the second factorial moment converges like level^2 * (1/3)^level,
-        # so the phonon space must be much taller than the mean suggests
-        rec = solve(SystemParams(gamma_c=1.0, gamma_m=1.0, m_th=0.5), 2, 24)
-        dev = max(abs(rec.mean_m - 0.5), abs(rec.g2_m - 2.0))
-        return dev < 1e-6, f"mean_m={rec.mean_m:.8f}, g2_m={rec.g2_m:.8f}"
+    params: SystemParams
+    truncation: tuple[int, int]
+    quantities: tuple[str, ...]
+    expected: tuple
+    tolerance: float | tuple[float, ...]
+    read: Callable[[CheckCase, HilbertSpace], tuple] = _fields
 
-    def driven_atom():
-        r22 = solve(SystemParams(omega=1.0, gamma_c=1.0, gamma_m=1.0), 2, 2).elements["rho22"]
-        return abs(r22 - 4.0 / 9.0) < 1e-8, f"rho22={r22:.10f}, expected 4/9"
 
-    def trace_null():
-        params = SystemParams(
-            delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0
-        )
-        space = HilbertSpace(5, 5)
-        lv = build_liouvillian(params, space)
-        dev = float(np.abs(trace_functional(space.dim) @ lv).max())
-        return dev < 1e-12, f"max |trace . L| = {dev:.2e}"
+def _doublet(case: CheckCase, space: HilbertSpace) -> tuple:
+    return pair_subspace_spectrum(case.params, space).pair_doublet
 
-    def exchange():
-        params = SystemParams(
-            delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0
-        )
-        rec = solve(params, 5, 5)
-        dev = max(abs(rec.mean_n - rec.mean_m), abs(rec.g2_n - rec.g2_m))
-        return dev < 1e-8, f"max photon/phonon asymmetry {dev:.2e}"
 
-    def parity():
-        plus, minus = (
-            solve(SystemParams(delta=d, j_coupling=1.0, omega=1.0, gamma_c=10.0, gamma_m=10.0), 4, 4)
-            for d in (1.0, -1.0)
-        )
-        dev = max(abs(getattr(plus, k) - getattr(minus, k)) for k in ("mean_n", "g2_n", "log_neg"))
-        return dev < 1e-8, f"max |obs(+delta) - obs(-delta)| = {dev:.2e}"
+def _asymmetry(case: CheckCase, space: HilbertSpace) -> tuple:
+    rec = _record(case.params, space)
+    return rec.mean_n - rec.mean_m, rec.g2_n - rec.g2_m
 
-    def dense_oracle():
-        params = SystemParams(
-            delta=1.0, j_coupling=1.0, omega=1.0, gamma_c=10.0, gamma_m=10.0
-        )
-        terms = SectorTerms.build(HilbertSpace(2, 2))
-        rho_sparse, _ = solve_steady(terms.liouvillian(params), terms)
-        rho_dense = null_space_steady(build_liouvillian(params, terms.space), terms.space)
-        dev = float(np.abs(rho_sparse - rho_dense).max())
-        return dev < 1e-9, f"max elementwise gap sparse vs dense {dev:.2e}"
 
-    run("pair-subspace spectrum", spectrum)
-    run("vacuum fixed point", vacuum)
-    run("thermal detailed balance", thermal)
-    run("driven-atom population", driven_atom)
-    run("trace preservation", trace_null)
-    run("photon-phonon exchange symmetry", exchange)
-    run("detuning parity", parity)
-    run("sparse vs dense solver", dense_oracle)
-    return results
+def _parity(case: CheckCase, space: HilbertSpace) -> tuple:
+    plus = _record(case.params, space)
+    minus = _record(case.params.with_value("delta", -case.params.delta), space)
+    return tuple(getattr(plus, k) - getattr(minus, k) for k in ("mean_n", "g2_n", "log_neg"))
+
+
+def _trace_of_l(case: CheckCase, space: HilbertSpace) -> tuple:
+    lv = build_liouvillian(case.params, space)
+    return (float(np.abs(trace_functional(space.dim) @ lv).max()),)
+
+
+def _sparse_vs_dense(case: CheckCase, space: HilbertSpace) -> tuple:
+    terms = SectorTerms.build(space)
+    rho, _ = solve_steady(terms.liouvillian(case.params), terms)
+    dense = null_space_steady(build_liouvillian(case.params, space), space)
+    return (float(np.abs(rho - dense).max()),)
+
+
+_WEAK = SystemParams(delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0)
+_RESONANT = SystemParams(delta=1.0, j_coupling=1.0, omega=1.0, gamma_c=10.0, gamma_m=10.0)
+
+# Scaled-down acceptance criteria; tests/test_acceptance.py has the full
+# ones, and its criterion 2 runs the thermal and driven-atom cases.
+CHECK_CASES = {
+    "pair-subspace spectrum": CheckCase(
+        SystemParams(delta=5.0, j_coupling=2.0, gamma_c=1.0, gamma_m=1.0), (2, 2),
+        ("E-", "E+"), (3.0, 7.0), 1e-10, _doublet,
+    ),
+    "vacuum fixed point": CheckCase(
+        SystemParams(j_coupling=0.3, gamma_c=2.0, gamma_m=3.0), (3, 3),
+        ("mean_n", "mean_m", "g2_n", "log_neg"), (0.0, 0.0, None, 0.0),
+        (1e-12, 1e-12, 0.0, 1e-10),
+    ),
+    # the second factorial moment converges like level^2 * (1/3)^level,
+    # so the phonon space must be much taller than the mean suggests
+    "thermal detailed balance": CheckCase(
+        SystemParams(gamma_c=1.0, gamma_m=1.0, m_th=0.5), (2, 24),
+        ("mean_m", "g2_m"), (0.5, 2.0), 1e-6,
+    ),
+    "driven-atom population": CheckCase(
+        SystemParams(omega=1.0, gamma_c=1.0, gamma_m=1.0), (2, 2), ("rho22",), (4.0 / 9.0,), 1e-8,
+    ),
+    "trace preservation": CheckCase(
+        _WEAK, (5, 5), ("max |trace . L|",), (0.0,), 1e-12, _trace_of_l,
+    ),
+    "photon-phonon exchange symmetry": CheckCase(
+        _WEAK, (5, 5), ("mean_n - mean_m", "g2_n - g2_m"), (0.0, 0.0), 1e-8, _asymmetry,
+    ),
+    "detuning parity": CheckCase(
+        _RESONANT, (4, 4),
+        ("mean_n(d) - mean_n(-d)", "g2_n(d) - g2_n(-d)", "log_neg(d) - log_neg(-d)"),
+        (0.0, 0.0, 0.0), 1e-8, _parity,
+    ),
+    "sparse vs dense solver": CheckCase(
+        _RESONANT, (2, 2), ("max |rho_sparse - rho_dense|",), (0.0,), 1e-9, _sparse_vs_dense,
+    ),
+}
+
+
+def run_check(case: CheckCase) -> tuple[bool, str]:
+    """Whether every value of `case` lies within its tolerance, and a line
+    that shows them."""
+    values = case.read(case, HilbertSpace(*case.truncation))
+    tols = case.tolerance if isinstance(case.tolerance, tuple) else (case.tolerance,) * len(values)
+    ok = all(
+        value is None if expected is None else value is not None and abs(value - expected) < tol
+        for value, expected, tol in zip(values, case.expected, tols)
+    )
+
+    def show(value) -> str:
+        return "undef" if value is None else format(value, ".10g")
+
+    shown = ", ".join(f"{name} = {show(v)}" for name, v in zip(case.quantities, values))
+    expected = ", ".join(map(show, case.expected))
+    return ok, f"{shown} (expected {expected}; tolerance {case.tolerance})"
 
 
 def _cmd_check(args) -> int:
     del args
-    results = _check_battery()
-    width = max(len(name) for name, _, _ in results)
-    all_ok = True
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        all_ok &= ok
-        print(f"{status}  {name:<{width}}  {detail}")
-    print(f"{sum(ok for _, ok, _ in results)}/{len(results)} checks passed")
-    return 0 if all_ok else 2
+    width = max(map(len, CHECK_CASES))
+    passed = 0
+    for name, case in CHECK_CASES.items():
+        try:
+            ok, detail = run_check(case)
+        except Exception as exc:  # a crashed check is a failed check
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        passed += ok
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}")
+    print(f"{passed}/{len(CHECK_CASES)} checks passed")
+    return 0 if passed == len(CHECK_CASES) else 2
 
 
 def build_parser() -> _Parser:

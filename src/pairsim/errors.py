@@ -21,8 +21,3 @@ class DegenerateSteadyStateError(PairsimError):
 class TruncationError(PairsimError):
     """Observables changed beyond tolerance when the Fock truncation was
     doubled, so results at the requested truncation are not trustworthy."""
-
-
-class InvalidSweepError(PairsimError):
-    """A sweep result does not satisfy the preconditions of an analysis
-    routine (wrong axis, asymmetric grid, too few points)."""

@@ -25,9 +25,6 @@ __all__ = [
     "G2_FLOOR",
     "SCALAR_KEYS",
     "ELEMENT_KEYS",
-    "mean_number",
-    "g2_auto",
-    "g2_cross",
     "partial_trace_atom",
     "log_negativity",
     "named_elements",
@@ -78,15 +75,9 @@ def _populations(rho: np.ndarray) -> np.ndarray:
     return diag.real
 
 
-def _mode_values(space: HilbertSpace, mode: str) -> np.ndarray:
-    if mode == "cavity":
-        return space.photon_values().astype(float)
-    if mode == "mech":
-        return space.phonon_values().astype(float)
-    raise ValueError(f"mode must be 'cavity' or 'mech', got {mode!r}")
-
-
 def _g2_auto(values: np.ndarray, pops: np.ndarray) -> float | None:
+    """<o^dag o^dag o o> / <o^dag o>^2 of the mode whose Fock level in each
+    basis state is `values`."""
     mean = float(values @ pops)
     if mean < G2_FLOOR:
         return None
@@ -95,26 +86,12 @@ def _g2_auto(values: np.ndarray, pops: np.ndarray) -> float | None:
 
 
 def _g2_cross(nvals: np.ndarray, mvals: np.ndarray, pops: np.ndarray) -> float | None:
+    """Photon-phonon cross correlation <a^dag b^dag b a> / (<n><m>)."""
     mean_n = float(nvals @ pops)
     mean_m = float(mvals @ pops)
     if mean_n < G2_FLOOR or mean_m < G2_FLOOR:
         return None
     return float((nvals * mvals) @ pops) / (mean_n * mean_m)
-
-
-def mean_number(rho: np.ndarray, space: HilbertSpace, mode: str) -> float:
-    """Mean occupation of the photon ("cavity") or phonon ("mech") mode."""
-    return float(_mode_values(space, mode) @ _populations(rho))
-
-
-def g2_auto(rho: np.ndarray, space: HilbertSpace, mode: str) -> float | None:
-    """Equal-time autocorrelation <o^dag o^dag o o> / <o^dag o>^2."""
-    return _g2_auto(_mode_values(space, mode), _populations(rho))
-
-
-def g2_cross(rho: np.ndarray, space: HilbertSpace) -> float | None:
-    """Equal-time photon-phonon cross correlation <a^dag b^dag b a> / (<n><m>)."""
-    return _g2_cross(_mode_values(space, "cavity"), _mode_values(space, "mech"), _populations(rho))
 
 
 def partial_trace_atom(rho: np.ndarray, space: HilbertSpace) -> np.ndarray:
@@ -176,8 +153,8 @@ def compute_observables(rho: np.ndarray, space: HilbertSpace) -> ObservableRecor
     populations once."""
     reduced = partial_trace_atom(rho, space)
     pops = _populations(rho)
-    nvals = _mode_values(space, "cavity")
-    mvals = _mode_values(space, "mech")
+    nvals = space.photon_values().astype(float)
+    mvals = space.phonon_values().astype(float)
     return ObservableRecord(
         mean_n=float(nvals @ pops),
         mean_m=float(mvals @ pops),

@@ -19,18 +19,11 @@ from .errors import ConfigError
 __all__ = [
     "HilbertSpace",
     "annihilation",
-    "creation",
-    "number_op",
-    "top_projector",
     "sigma_minus",
-    "sigma_plus",
-    "sigma_x",
     "embed",
     "atom_lowering",
     "photon_lowering",
     "phonon_lowering",
-    "photon_number",
-    "phonon_number",
 ]
 
 
@@ -99,32 +92,9 @@ def annihilation(levels: int) -> sp.csr_matrix:
     )
 
 
-def creation(levels: int) -> sp.csr_matrix:
-    return annihilation(levels).conj().T.tocsr()
-
-
-def number_op(levels: int) -> sp.csr_matrix:
-    return sp.diags(np.arange(levels + 1, dtype=float), 0, format="csr", dtype=complex)
-
-
-def top_projector(levels: int) -> sp.csr_matrix:
-    """Projector |levels><levels| onto the highest retained Fock state."""
-    proj = sp.lil_matrix((levels + 1, levels + 1), dtype=complex)
-    proj[levels, levels] = 1.0
-    return proj.tocsr()
-
-
 def sigma_minus() -> sp.csr_matrix:
     """Atomic lowering operator |g><e| in the (g, e) ordering."""
     return sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
-def sigma_plus() -> sp.csr_matrix:
-    return sigma_minus().conj().T.tocsr()
-
-
-def sigma_x() -> sp.csr_matrix:
-    return (sigma_minus() + sigma_plus()).tocsr()
 
 
 def embed(space: HilbertSpace, atom_op=None, photon_op=None, phonon_op=None) -> sp.csr_matrix:
@@ -167,11 +137,3 @@ def photon_lowering(space: HilbertSpace) -> sp.csr_matrix:
 
 def phonon_lowering(space: HilbertSpace) -> sp.csr_matrix:
     return embed(space, phonon_op=annihilation(space.n_m))
-
-
-def photon_number(space: HilbertSpace) -> sp.csr_matrix:
-    return embed(space, photon_op=number_op(space.n_c))
-
-
-def phonon_number(space: HilbertSpace) -> sp.csr_matrix:
-    return embed(space, phonon_op=number_op(space.n_m))

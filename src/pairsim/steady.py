@@ -21,9 +21,11 @@ At fig6's (12, 16) check the incomplete factor holds 297k entries against
 the complete one's 6.55M, and the solve takes about a third of the time.
 If the incomplete factor is singular or GMRES stalls, the complete LU
 solves the system instead.  The rows keep the complex solve and its
-complete LU: another solver rounds differently, by up to a few 1e-12
-relative, which moves values that the benchmark's references pin at
-1e-12, while the check only compares at 1e-6.
+complete LU, whose values the benchmark's references pin at 1e-12.  That
+unrefined solve is the less accurate of the two: at fig5_weak on (6, 12),
+solve_steady and solve_steady_real differ in g2_n by 2.5e-7 relative at
+gamma_m = 100 and by 4.0e-10 at gamma_m = 0.01, so changing the rows'
+solver moves their values, while the check only compares at 1e-6.
 
 Two independent oracles stay full-space, since their job is not to assume
 the symmetry: a dense null-space computation (null_space_steady) and a

@@ -68,7 +68,6 @@ __all__ = [
     "run_sweep",
     "emit_csv",
     "emit_json",
-    "read_csv",
 ]
 
 AXES = ("delta", "j_coupling", "gamma_m", "m_th")
@@ -323,11 +322,11 @@ def _row_workers(config: SweepConfig, unknowns: int) -> int:
     1 without the truncation check: the rows then run on the calling thread.
     With it, min(CPUs available to the process, rows, doubled-sector
     unknowns // row-sector unknowns).  The ratio is 6 for every shipped
-    config.  It was chosen when the check's complete LU, 11 to 13 times a
-    row's factor, set the sweep's peak memory.  The check's incomplete
-    factor now stores about as many entries as one row's factor, in half
-    the bytes: the check alone peaks at 84 MiB RSS on fig6 (144 MiB with
-    the complete LU), and the whole sweep, rows on 2 CPUs, at 88 MiB.
+    config, and it bounds memory: each worker holds one row's factor and
+    solve at a time, so the peak grows with the workers.  With 12 CPUs
+    reported, 12 workers instead of 6 raised a whole sweep's peak RSS from
+    101-104 to 130-135 MiB on fig6 and from 127-133 to 179-191 MiB on
+    fig5_weak (5 fresh processes each, one BLAS thread).
     """
     if not config.strict_truncation:
         return 1
@@ -547,34 +546,3 @@ def emit_json(result: SweepResult, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-def read_csv(path: str) -> tuple[list[str], list[dict]]:
-    """Parse a CSV produced by emit_csv back into typed rows.
-
-    Returns (column names, rows) where each row maps column name to float,
-    None (for "undef"), the string "error", or bool for the converged flag.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    lines = [line for line in lines if not line.startswith("#")]
-    if not lines:
-        raise ConfigError(f"{path}: no header line found")
-    cols = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(cols):
-            raise ConfigError(f"{path}: row has {len(cells)} cells, expected {len(cols)}")
-        row: dict = {}
-        for name, cell in zip(cols, cells):
-            if name == "converged":
-                row[name] = cell == "true"
-            elif cell == UNDEF_TOKEN:
-                row[name] = None
-            elif cell == ERROR_TOKEN:
-                row[name] = ERROR_TOKEN
-            else:
-                row[name] = float(cell)
-        rows.append(row)
-    return cols, rows

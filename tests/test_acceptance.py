@@ -15,12 +15,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from pairsim.analytics import (
-    equal_damping_residual,
-    in_weak_excitation_regime,
-    pair_subspace_spectrum,
-    resonance_locator,
-)
+from helpers import equal_damping_residual, in_weak_excitation_regime, resonance_locator
+from pairsim.analytics import pair_subspace_spectrum
+from pairsim.cli import CHECK_CASES, run_check
 from pairsim.model import SectorTerms, SystemParams, build_liouvillian, trace_functional
 from pairsim.observables import compute_observables
 from pairsim.operators import HilbertSpace
@@ -138,30 +135,26 @@ def test_criterion_02_exact_limit_fixed_points():
     assert obs.mean_n == 0.0 and obs.mean_m == 0.0 and obs.log_neg == 0.0
     assert obs.g2_n is None and obs.g2_m is None and obs.g2_nm is None
 
-    # (b) bare thermal phonon: <m> = 0.5 and g2_m = 2 to 1e-6 (the phonon
-    # space must reach high enough that the truncated geometric tail cannot
-    # bias the second factorial moment)
-    space = HilbertSpace(2, 24)
-    params = SystemParams(
-        delta=0.0, j_coupling=0.0, omega=0.0, gamma_c=1.0, gamma_m=1.0, m_th=0.5
-    )
-    obs = observe(params, space)
-    assert abs(obs.mean_m - 0.5) < 1e-6
-    assert abs(obs.g2_m - 2.0) < 1e-6
+    # (b) bare thermal phonon at (2, 24): <m> = 0.5 and g2_m = 2 to 1e-6
+    # (the phonon space must reach high enough that the truncated geometric
+    # tail cannot bias the second factorial moment); `pairsim check` runs
+    # the same case
+    ok, detail = run_check(CHECK_CASES["thermal detailed balance"])
+    assert ok, detail
 
-    # (c) resonantly driven atom, dense null-space oracle first
-    space = HilbertSpace(2, 2)
-    params = SystemParams(
-        delta=0.0, j_coupling=0.0, omega=1.0, kappa=1.0, gamma_c=1.0, gamma_m=1.0,
-        m_th=0.0,
-    )
-    lv = build_liouvillian(params, space)
+    # (c) resonantly driven atom (omega = kappa = 1 at (2, 2)), dense
+    # null-space oracle first; the sparse solve's 4/9 is `pairsim check`'s
+    # driven-atom case
+    case = CHECK_CASES["driven-atom population"]
+    space = HilbertSpace(*case.truncation)
+    lv = build_liouvillian(case.params, space)
     i_e = space.index(1, 0, 0)
     rho_oracle = null_space_steady(lv, space)
     assert abs(rho_oracle[i_e, i_e].real - 4.0 / 9.0) < 1e-8
+    ok, detail = run_check(case)
+    assert ok, detail
     terms = SectorTerms.build(space)
-    rho_sparse, _ = solve_steady(terms.liouvillian(params), terms)
-    assert abs(rho_sparse[i_e, i_e].real - 4.0 / 9.0) < 1e-8
+    rho_sparse, _ = solve_steady(terms.liouvillian(case.params), terms)
     assert float(np.abs(rho_sparse - rho_oracle).max()) < 1e-10
     print("criterion  2 PASS: vacuum, thermal (<m>=0.5, g2_m=2), and driven-atom 4/9 limits")
 

@@ -1,19 +1,18 @@
-"""Tests for the closed-form estimates, the pair-sector spectrum, and the
-sweep post-processing helpers."""
+"""Tests for the pair-sector spectrum and for the reference helpers in
+helpers.py: the closed-form estimates and the sweep post-processing."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairsim.analytics import (
+from helpers import (
     equal_damping_residual,
     in_weak_excitation_regime,
     manifold_leakage,
-    pair_subspace_spectrum,
     resonance_locator,
     weak_excitation_estimate,
 )
-from pairsim.errors import InvalidSweepError
+from pairsim.analytics import pair_subspace_spectrum
 from pairsim.model import SectorTerms, SystemParams, build_hamiltonian
 from pairsim.observables import ObservableRecord
 from pairsim.operators import HilbertSpace
@@ -149,13 +148,13 @@ def test_resonance_locator_zero_centered_peak():
 
 def test_resonance_locator_input_validation():
     good = np.linspace(-1, 1, 11)
-    with pytest.raises(InvalidSweepError):
+    with pytest.raises(ValueError):
         resonance_locator(good[:4], good[:4])
-    with pytest.raises(InvalidSweepError):
+    with pytest.raises(ValueError):
         resonance_locator(good[::-1], np.ones(11))
-    with pytest.raises(InvalidSweepError):
+    with pytest.raises(ValueError):
         resonance_locator(np.linspace(-1, 2, 11), np.ones(11))
-    with pytest.raises(InvalidSweepError, match="edge"):
+    with pytest.raises(ValueError, match="edge"):
         resonance_locator(good, good**2)
 
 

@@ -8,10 +8,7 @@ from pairsim.errors import PairsimError
 from pairsim.observables import (
     G2_FLOOR,
     compute_observables,
-    g2_auto,
-    g2_cross,
     log_negativity,
-    mean_number,
     named_elements,
     partial_trace_atom,
 )
@@ -64,14 +61,15 @@ def test_single_photon_fock_state():
 def test_g2_of_hand_computed_mixture():
     # phonon populations (0.7, 0.2, 0.1): <m> = 0.4, <m(m-1)> = 0.2
     rho = diagonal_state(SPACE, [1.0, 0.0, 0.0], [0.7, 0.2, 0.1])
-    assert mean_number(rho, SPACE, "mech") == pytest.approx(0.4)
-    assert g2_auto(rho, SPACE, "mech") == pytest.approx(0.2 / 0.16)
+    obs = compute_observables(rho, SPACE)
+    assert obs.mean_m == pytest.approx(0.4)
+    assert obs.g2_m == pytest.approx(0.2 / 0.16)
 
 
 def test_cross_correlation_factorizes_for_product_states():
     rho = diagonal_state(SPACE, [0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
-    assert g2_cross(rho, SPACE) == pytest.approx(1.0, abs=1e-14)
     obs = compute_observables(rho, SPACE)
+    assert obs.g2_nm == pytest.approx(1.0, abs=1e-14)
     assert obs.mean_n == pytest.approx(0.7)
     assert obs.mean_m == pytest.approx(0.5)
 
@@ -94,23 +92,20 @@ def test_correlations_undefined_below_floor():
         return (1 - p) * projector(ket(SPACE, 0, 0, 0)) + p * projector(ket(SPACE, 0, 1, 1))
 
     assert G2_FLOOR == 1e-12
-    rho = pair_weight(1e-14)
-    assert g2_auto(rho, SPACE, "cavity") is None
-    assert g2_cross(rho, SPACE) is None
+    obs = compute_observables(pair_weight(1e-14), SPACE)
+    assert obs.g2_n is None
+    assert obs.g2_nm is None
     # an occupation above the fixed floor makes them defined
-    rho = pair_weight(1e-10)
-    assert g2_auto(rho, SPACE, "cavity") is not None
-    assert g2_cross(rho, SPACE) is not None
+    obs = compute_observables(pair_weight(1e-10), SPACE)
+    assert obs.g2_n is not None
+    assert obs.g2_nm is not None
 
 
-def test_mean_number_rejects_bad_mode_and_complex_diagonal():
+def test_observables_reject_a_complex_diagonal():
     rho = projector(ket(SPACE, 0, 0, 0))
-    with pytest.raises(ValueError):
-        mean_number(rho, SPACE, "optical")
-    rho_bad = rho.astype(complex).copy()
-    rho_bad[1, 1] = 1e-3j
-    with pytest.raises(PairsimError):
-        mean_number(rho_bad, SPACE, "cavity")
+    rho[1, 1] = 1e-3j
+    with pytest.raises(PairsimError, match="imaginary residue"):
+        compute_observables(rho, SPACE)
 
 
 def test_partial_trace_recovers_mode_factor():

@@ -1,8 +1,10 @@
 """Sweep configuration, execution, serialization, and CLI tests."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -14,10 +16,12 @@ from pathlib import Path
 
 import pytest
 import yaml
+from helpers import read_csv
 from numpy.testing import assert_allclose
 
+import pairsim
 import pairsim.sweep
-from pairsim.cli import main
+from pairsim.cli import CHECK_CASES, main, run_check
 from pairsim.errors import ConfigError, TruncationError
 from pairsim.model import SectorTerms, SystemParams, sector_index
 from pairsim.operators import HilbertSpace
@@ -30,7 +34,6 @@ from pairsim.sweep import (
     emit_csv,
     emit_json,
     load_config,
-    read_csv,
     run_sweep,
     solve_point,
 )
@@ -587,9 +590,14 @@ def test_worker_count_is_bounded_by_the_unknowns_ratio(monkeypatch):
     assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size) == ratio == 5
     run_sweep(config)
     assert sizes == [ratio]
-    # every shipped config has the ratio 6, below its number of rows
-    shipped = load_config(str(Path(pairsim.sweep.__file__).parent / "configs" / "fig2_weak.yaml"))
-    assert _row_workers(shipped, sector_index(HilbertSpace(5, 5)).size) == 6
+    # the ratio caps the pool at 6 for every shipped config that runs the
+    # check, below its number of rows: more workers hold more row factors
+    # at once, and 12 raised fig6's peak memory by about 30 MiB
+    for path in sorted((Path(pairsim.sweep.__file__).parent / "configs").glob("*.yaml")):
+        shipped = load_config(str(path))
+        if shipped.strict_truncation:
+            unknowns = sector_index(HilbertSpace(*shipped.truncation)).size
+            assert _row_workers(shipped, unknowns) == 6 < len(shipped.axis_values), path.name
 
 
 # ---------------------------------------------------------------- CLI
@@ -718,6 +726,37 @@ def test_cli_point_json_reports_solve_size(capsys):
     assert report["lu_nnz"] > report["unknowns"]
 
 
+def test_point_report_equals_a_sweep_row_with_a_threaded_blas(tmp_path):
+    # the environment asks OpenBLAS for two threads; point solves with one,
+    # as a sweep's rows do, so its report equals the row's bit for bit
+    if not pairsim.sweep._openblas_thread_controls():
+        pytest.skip("no OpenBLAS found in this process")
+    src = Path(pairsim.sweep.__file__).parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(src)}
+
+    def cli(*args: str) -> str:
+        done = subprocess.run(
+            [sys.executable, "-m", "pairsim.cli", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    point = json.loads(cli(
+        "point", "--delta", "100", "--j-coupling", "100", "--omega", "1", "--gamma-c", "10",
+        "--gamma-m", "10", "--truncation", "6", "8", "--json",
+    ))
+    cfg = write_yaml(
+        tmp_path / "one.yaml",
+        "axis: gamma_m\nvalues: [10.0]\ntruncation: [6, 8]\nstrict_truncation: false\n"
+        "params: {delta: 100.0, j_coupling: 100.0, omega: 1.0, gamma_c: 10.0}\n",
+    )
+    cli("sweep", cfg, "--output", str(tmp_path / "one.csv"))
+    row = json.loads((tmp_path / "one.json").read_text())["rows"][0]
+    assert point["report"] == row["report"]
+    assert point["observables"] == row["observables"]
+
+
 def test_reports_carry_refinement_steps_and_smallest_eigenvalue(tmp_path, capsys):
     path = tmp_path / "sweep.json"
     emit_json(run_sweep(make_config()), str(path))
@@ -756,6 +795,23 @@ def test_cli_check_battery_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_check_cases_fail_outside_their_tolerance(monkeypatch, capsys):
+    driven = CHECK_CASES["driven-atom population"]
+    assert run_check(driven)[0]
+    assert not run_check(replace(driven, expected=(4.0 / 9.0 + 2e-8,)))[0]
+    # a defined value where an undefined correlation is expected, and back
+    vacuum = CHECK_CASES["vacuum fixed point"]
+    assert not run_check(replace(vacuum, quantities=("mean_n", "mean_m", "rho11", "log_neg")))[0]
+    assert not run_check(replace(vacuum, expected=(0.0, 0.0, 0.0, 0.0)))[0]
+    monkeypatch.setitem(CHECK_CASES, "driven-atom population", replace(driven, expected=(0.5,)))
+    monkeypatch.setitem(CHECK_CASES, "trace preservation", replace(driven, truncation=(0, 2)))
+    assert main(["check"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  driven-atom population" in out
+    assert "raised ConfigError" in out
+    assert "6/8 checks passed" in out
+
+
 def test_a_directory_does_not_shadow_a_shipped_config(tmp_path, monkeypatch):
     from pairsim.cli import _load_config_arg
 
@@ -786,3 +842,16 @@ def test_shipped_configs_parse_and_run_thinned(tmp_path):
         for row in result.rows:
             assert row.error is None, f"{name} @ {row.axis_value}: {row.error}"
             assert row.report.residual_norm < 1e-10
+
+
+# ---------------------------------------------------------------- exports
+
+
+def test_every_exported_name_resolves():
+    modules = [pairsim] + [
+        importlib.import_module(f"pairsim.{info.name}")
+        for info in pkgutil.iter_modules(pairsim.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
