@@ -79,6 +79,9 @@ def _cmd_sweep(args) -> int:
     # found before the sweep rather than when its results are written
     if not os.path.isdir(os.path.dirname(csv_path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), csv_path)
+    for path in (csv_path, json_path):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
     total = len(config.axis_values)
     print(
@@ -179,7 +182,7 @@ def _trace_of_l(case: CheckCase, space: HilbertSpace) -> tuple:
 
 def _sparse_vs_dense(case: CheckCase, space: HilbertSpace) -> tuple:
     terms = SectorTerms.build(space)
-    rho, _ = solve_steady(terms.liouvillian(case.params), terms)
+    rho, _ = solve_steady(case.params, terms)
     dense = null_space_steady(build_liouvillian(case.params, space), space)
     return (float(np.abs(rho - dense).max()),)
 
@@ -286,13 +289,8 @@ def build_parser() -> _Parser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_point = sub.add_parser("point", help="solve a single parameter point")
-    p_point.add_argument("--delta", type=float, default=0.0)
-    p_point.add_argument("--j-coupling", type=float, default=0.0)
-    p_point.add_argument("--omega", type=float, default=0.0)
-    p_point.add_argument("--kappa", type=float, default=1.0)
-    p_point.add_argument("--gamma-c", type=float, default=0.0)
-    p_point.add_argument("--gamma-m", type=float, default=0.0)
-    p_point.add_argument("--m-th", type=float, default=0.0)
+    for f in fields(SystemParams):
+        p_point.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default)
     p_point.add_argument(
         "--truncation", nargs=2, type=int, default=(5, 5), metavar=("N_C", "N_M")
     )

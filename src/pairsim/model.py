@@ -19,7 +19,7 @@ with the row-stacking convention silently transposes everything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,27 +46,34 @@ __all__ = [
 ]
 
 
+def _nonnegative(default: float = 0.0):
+    """A SystemParams field that must not be negative: a rate or an occupation."""
+    return field(default=default, metadata={"nonnegative": True})
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Model parameters, all in units of the atom decay rate unless the
-    caller chooses otherwise (kappa=1 keeps that convention)."""
+    caller chooses otherwise (kappa=1 keeps that convention).
+
+    The fields are the one list of the model's parameters: the sweep
+    config's params keys and the `pairsim point` flags are read off them."""
 
     delta: float = 0.0
     j_coupling: float = 0.0
     omega: float = 0.0
-    kappa: float = 1.0
-    gamma_c: float = 0.0
-    gamma_m: float = 0.0
-    m_th: float = 0.0
+    kappa: float = _nonnegative(1.0)
+    gamma_c: float = _nonnegative()
+    gamma_m: float = _nonnegative()
+    m_th: float = _nonnegative()
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "gamma_c", "gamma_m", "m_th"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {value}")
-        for name in ("delta", "j_coupling", "omega", "kappa", "gamma_c", "gamma_m", "m_th"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata.get("nonnegative") and value < 0:
+                raise ConfigError(f"{f.name} must be nonnegative, got {value}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
 
     def with_value(self, name: str, value: float) -> "SystemParams":
         """Copy with one field replaced (used by the sweep driver)."""

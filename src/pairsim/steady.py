@@ -1,14 +1,14 @@
 """Steady-state solvers and the time-evolution cross-check.
 
-The production path, solve_steady, solves L vec(rho) = 0 on the n - m
-sector of a model.SectorTerms, which owns that sector: its index, the
-generator terms restricted to it, and the check, made when the terms are
+The production path, solve_steady(params, terms), solves L vec(rho) = 0 on
+the n - m sector of a model.SectorTerms, which owns that sector: its index,
+the generator terms restricted to it, and the check, made when the terms are
 built, that no term leaves it (model.sector_index says why solving there is
-exact).  Per point, L is one weighted fill of the terms' fixed pattern
-(SectorTerms.liouvillian); the row of the diagonal element rho[0, 0] is
-replaced by the trace functional, which trace preservation makes linearly
-dependent on the other diagonal rows, and the system is solved by one
-sparse LU.
+exact).  The solvers take the point, not an operator: L is the terms' own
+weighted fill for params (SectorTerms.liouvillian), so it cannot come from
+another truncation.  The row of the diagonal element rho[0, 0] is replaced
+by the trace functional, which trace preservation makes linearly dependent
+on the other diagonal rows, and the system is solved by one sparse LU.
 
 solve_steady_real solves the same sector in real arithmetic.  L preserves
 Hermiticity, so rho[j, i] is the conjugate of rho[i, j], and the sector,
@@ -44,7 +44,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DegenerateSteadyStateError
-from .model import SectorTerms, unvec, vec
+from .model import SectorTerms, SystemParams, unvec, vec
 from .operators import HilbertSpace
 
 __all__ = [
@@ -70,14 +70,22 @@ ILU_FILL_FACTOR = 10
 GMRES_RTOL = 1e-14
 GMRES_RESTART = 50
 GMRES_CYCLES = 2
+# The oracles: null_space_steady's relative cutoff of a zero singular value;
+# suggest_step's power-iteration steps and its margin below the RK4
+# stability limit; the ||L vec(rho)|| at which evolve_to_steady stops.
+NULL_RCOND = 1e-9
+POWER_ITERS = 40
+STEP_SAFETY = 0.8
+DERIV_TOL = 1e-10
 
 
 @dataclass
 class SolveReport:
     """Diagnostics attached to a steady-state solution.
 
-    truncation_converged is None when no truncation check was run, and a
-    boolean once sweep.check_truncation has compared against doubled levels.
+    truncation_converged is None when no truncation check was run, and
+    run_sweep sets it on every solved row to the verdict of the record that
+    sweep.check_truncation returns for the sweep.
     unknowns is the size of the n - m sector that was solved and lu_nnz
     the entries SuperLU stores for its LU factors, supernodal padding
     included: 60897 at a (5, 5) point whose L and U hold 53286 nonzeros.
@@ -144,17 +152,6 @@ def _validated(
             f"{where}: residual {residual:.3e} above tolerance {RESIDUAL_TOL:.0e}"
         )
     return rho, min_eig
-
-
-def _sector_operator(liouvillian: sp.spmatrix, terms: SectorTerms) -> sp.csr_matrix:
-    """L as CSR, or ValueError unless it is the sector operator of terms."""
-    lv = sp.csr_matrix(liouvillian)
-    size = terms.index.size
-    if lv.shape != (size, size):
-        raise ValueError(
-            f"Liouvillian shape {lv.shape} does not fit the {size} sector unknowns of {terms.space}"
-        )
-    return lv
 
 
 def _factored(
@@ -291,17 +288,15 @@ def _solved(
     )
 
 
-def solve_steady(
-    liouvillian: sp.spmatrix, terms: SectorTerms
-) -> tuple[np.ndarray, SolveReport]:
-    """Solve L vec(rho) = 0 with unit trace in the n - m sector.
+def solve_steady(params: SystemParams, terms: SectorTerms) -> tuple[np.ndarray, SolveReport]:
+    """Solve L vec(rho) = 0 with unit trace in the n - m sector of terms,
+    for L = terms.liouvillian(params).
 
-    `liouvillian` is the sector operator terms.liouvillian(params); an
-    operator of any other size raises ValueError.  Returns the Hermitized
-    density matrix on terms.space and a report carrying the residual of the
-    unmodified L; a degenerate steady state raises (see _solved).
+    Returns the Hermitized density matrix on terms.space and a report
+    carrying the residual of the unmodified L; a degenerate steady state
+    raises (see _solved).
     """
-    lv = _sector_operator(liouvillian, terms)
+    lv = terms.liouvillian(params)
     return _solved(lv, lv, terms, None, "solve_steady", _factored)
 
 
@@ -324,9 +319,7 @@ def _hermitian_map(partner: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     ), lower
 
 
-def solve_steady_real(
-    liouvillian: sp.spmatrix, terms: SectorTerms
-) -> tuple[np.ndarray, SolveReport]:
+def solve_steady_real(params: SystemParams, terms: SectorTerms) -> tuple[np.ndarray, SolveReport]:
     """solve_steady in real arithmetic, for a generator that preserves
     Hermiticity.
 
@@ -341,7 +334,7 @@ def solve_steady_real(
     The residual is that of the complex L on x, so a generator that does not
     preserve Hermiticity fails validation instead of returning a state.
     """
-    lv = _sector_operator(liouvillian, terms)
+    lv = terms.liouvillian(params)
     expand, lower = _hermitian_map(terms.partner)
     rows = (lv @ expand)[np.where(lower, terms.partner, np.arange(lower.size))]
     parts = np.where(np.repeat(lower, np.diff(rows.indptr)), rows.data.imag, rows.data.real)
@@ -350,17 +343,16 @@ def solve_steady_real(
     return _solved(lv, real, terms, expand, "solve_steady_real", _preconditioned)
 
 
-def null_space_steady(
-    liouvillian: sp.spmatrix, space: HilbertSpace, rcond: float = 1e-9
-) -> np.ndarray:
+def null_space_steady(liouvillian: sp.spmatrix, space: HilbertSpace) -> np.ndarray:
     """Dense null-space oracle for solve_steady.
 
-    Computes the full SVD-based null space of L and requires it to be
+    Computes the full SVD-based null space of L, singular values below
+    NULL_RCOND times the largest counting as zero, and requires it to be
     one-dimensional.  Exponentially more expensive than the sparse path,
     so this is a test-and-validation tool, not a production solver.
     """
     dense = np.asarray(sp.csr_matrix(liouvillian).todense())
-    basis = scipy.linalg.null_space(dense, rcond=rcond)
+    basis = scipy.linalg.null_space(dense, rcond=NULL_RCOND)
     if basis.shape[1] != 1:
         raise DegenerateSteadyStateError(
             f"Liouvillian null space has dimension {basis.shape[1]}, expected 1"
@@ -372,26 +364,26 @@ def null_space_steady(
     return rho
 
 
-def suggest_step(liouvillian: sp.spmatrix, safety: float = 0.8, iters: int = 40) -> float:
+def suggest_step(liouvillian: sp.spmatrix) -> float:
     """Stable RK4 step from a power-iteration estimate of the spectral radius.
 
     The classical RK4 stability region reaches |lambda h| = 2*sqrt(2) along
     the imaginary axis, which is the binding constraint for weakly damped
-    Hamiltonian dynamics; `safety` backs off from that limit and absorbs the
-    underestimate inherent in a finite power iteration.
+    Hamiltonian dynamics; STEP_SAFETY backs off from that limit and absorbs
+    the underestimate inherent in POWER_ITERS steps of power iteration.
     """
     lv = sp.csr_matrix(liouvillian)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(lv.shape[0]) + 1j * rng.standard_normal(lv.shape[0])
     v /= np.linalg.norm(v)
     radius = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         w = lv @ v
         radius = float(np.linalg.norm(w))
         if radius == 0.0:
             return 1.0
         v = w / radius
-    return safety * 2.0 * np.sqrt(2.0) / radius
+    return STEP_SAFETY * 2.0 * np.sqrt(2.0) / radius
 
 
 def evolve_to_steady(
@@ -399,15 +391,15 @@ def evolve_to_steady(
     initial: np.ndarray,
     t_max: float,
     step: float | None = None,
-    deriv_tol: float = 1e-10,
-    return_info: bool = False,
-):
+) -> tuple[np.ndarray, dict]:
     """Integrate d(rho)/dt = L rho with fixed-step RK4 until stationary.
 
-    Stops once ||L vec(rho)|| < deriv_tol, or fails with ConvergenceError if
-    t_max is exhausted first.  The step defaults to suggest_step(), which is
-    a stability bound, not an accuracy bound: the trajectory is only a means
-    to reach the fixed point, and the fixed point itself is step-independent.
+    Stops once ||L vec(rho)|| < DERIV_TOL, or fails with ConvergenceError if
+    t_max is exhausted first.  Returns the state and a dict of the steps
+    taken, the step, the final ||L vec(rho)|| and the largest trace drift.
+    The step defaults to suggest_step(), which is a stability bound, not an
+    accuracy bound: the trajectory is only a means to reach the fixed point,
+    and the fixed point itself is step-independent.
     """
     lv = sp.csr_matrix(liouvillian)
     if step is None:
@@ -426,7 +418,7 @@ def evolve_to_steady(
     for taken in range(1, n_steps + 1):
         k1 = lv @ v
         deriv = float(np.linalg.norm(k1))
-        if deriv < deriv_tol:
+        if deriv < DERIV_TOL:
             taken -= 1
             break
         if taken == 1:
@@ -448,21 +440,13 @@ def evolve_to_steady(
         max_trace_drift = max(max_trace_drift, drift)
     else:
         deriv = float(np.linalg.norm(lv @ v))
-    if deriv >= deriv_tol:
+    if deriv >= DERIV_TOL:
         raise ConvergenceError(
             f"not stationary by t_max={t_max:g}: ||d rho/dt|| = {deriv:.3e} "
-            f"(tolerance {deriv_tol:.0e})"
+            f"(tolerance {DERIV_TOL:.0e})"
         )
-    rho = unvec(v, dim)
-    if return_info:
-        info = {
-            "steps": taken,
-            "step": step,
-            "final_deriv": deriv,
-            "max_trace_drift": max_trace_drift,
-        }
-        return rho, info
-    return rho
+    info = {"steps": taken, "step": step, "final_deriv": deriv, "max_trace_drift": max_trace_drift}
+    return unvec(v, dim), info
 
 
 def vacuum_state(space: HilbertSpace) -> np.ndarray:

@@ -5,12 +5,14 @@ explicit grid, solves the steady state at every point, and records the full
 observable set per point.  Points that fail to solve are recorded with an
 error marker; they are never interpolated over or silently dropped.
 
-solve_point is the one per-point pipeline (sector solve, then reduction to
-an ObservableRecord); sweeps and the CLI go through it.  The truncation
-check solves its doubled space with solve_steady_real, in real arithmetic
-by GMRES preconditioned with an incomplete LU, which stores a small
-fraction of a complete factor's entries; the rows keep the complex
-solve_steady and its complete LU, whose values the references pin.
+solve_point(params, terms) is the one per-point pipeline (sector solve,
+then reduction to an ObservableRecord); sweeps and the CLI go through it.
+The truncation check, check_truncation(params, base), solves the doubled
+space with solve_steady_real, in real arithmetic by GMRES preconditioned
+with an incomplete LU, which stores a small fraction of a complete factor's
+entries; the rows keep the complex solve_steady and its complete LU, whose
+values the references pin.  The check returns one record, which run_sweep
+stores in the JSON metadata and reads the verdict from.
 
 A sweep that runs the truncation check solves its rows on a thread pool:
 each row is one SuperLU factorization, which runs without the interpreter
@@ -39,7 +41,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
 from typing import Callable
@@ -111,6 +113,8 @@ class SweepConfig:
         for name in ("couple_delta_to_j", "strict_truncation"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not (isinstance(self.name, str) and self.name):
+            raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.output_path, (str, type(None))):
             raise ConfigError(f"output must be a file path, got {self.output_path!r}")
         # the JSON mirror goes next to the CSV with its suffix replaced by .json
@@ -212,7 +216,7 @@ _TOP_LEVEL_KEYS = {
     "output",
 }
 
-_PARAM_KEYS = {"delta", "j_coupling", "omega", "kappa", "gamma_c", "gamma_m", "m_th"}
+_PARAM_KEYS = {f.name for f in fields(SystemParams)}
 
 
 def load_config(path: str) -> SweepConfig:
@@ -256,7 +260,7 @@ def load_config(path: str) -> SweepConfig:
         truncation=tuple(truncation),
         strict_truncation=data.get("strict_truncation", True),
         output_path=data.get("output"),
-        name=str(data.get("name", "sweep")),
+        name=data.get("name", "sweep"),
     )
 
 
@@ -267,7 +271,7 @@ def solve_point(params: SystemParams, terms: SectorTerms) -> tuple[ObservableRec
     wrapping them here (as the benchmark's tracer does) sees every row's
     solve; check_truncation looks up solve_steady_real here too.
     """
-    rho, report = solve_steady(terms.liouvillian(params), terms)
+    rho, report = solve_steady(params, terms)
     return compute_observables(rho, terms.space), report
 
 
@@ -280,40 +284,35 @@ def _deviation(x: float | None, y: float | None) -> float:
     return abs(x - y) / max(abs(x), abs(y), 1e-9)
 
 
-def check_truncation(
-    params: SystemParams,
-    base: tuple[ObservableRecord, SolveReport],
-    details: dict | None = None,
-) -> SolveReport:
+def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveReport]) -> dict:
     """Compare a solved point against the same point at doubled levels.
 
     `base` is the record and report of solve_point at report.levels_used;
-    only the doubled space is solved here, by solve_steady_real.
-    truncation_converged is True iff every scalar observable agrees to
-    TRUNCATION_TOL relative.  Returns the base report with
-    that verdict.  A `details` dict receives the doubled levels, the doubled
-    solve's diagnostics, the largest scalar deviation and the tolerance.
+    only the doubled space is solved here, by solve_steady_real.  Returns
+    the check's record: the doubled levels, the doubled solve's unknowns,
+    lu_nnz, residual_norm, refine_steps and min_eigenvalue, the largest
+    relative deviation of a scalar observable and the tolerance.  The
+    truncation has converged iff max_deviation <= tolerance (TRUNCATION_TOL).
     """
     record, report = base
     n_c, n_m = report.levels_used
     if n_c < 2 or n_m < 2:
         raise ValueError(f"base truncation must be at least (2, 2), got {(n_c, n_m)}")
     terms = SectorTerms.build(HilbertSpace(2 * n_c, 2 * n_m))
-    rho, solved = solve_steady_real(terms.liouvillian(params), terms)
+    rho, solved = solve_steady_real(params, terms)
     doubled = compute_observables(rho, terms.space)
-    deviation = max(_deviation(getattr(record, key), getattr(doubled, key)) for key in SCALAR_KEYS)
-    if details is not None:
-        details.update(
-            levels=list(solved.levels_used),
-            unknowns=solved.unknowns,
-            lu_nnz=solved.lu_nnz,
-            residual_norm=solved.residual_norm,
-            refine_steps=solved.refine_steps,
-            min_eigenvalue=solved.min_eigenvalue,
-            max_deviation=deviation,
-            tolerance=TRUNCATION_TOL,
-        )
-    return replace(report, truncation_converged=deviation <= TRUNCATION_TOL)
+    return {
+        "levels": list(solved.levels_used),
+        "unknowns": solved.unknowns,
+        "lu_nnz": solved.lu_nnz,
+        "residual_norm": solved.residual_norm,
+        "refine_steps": solved.refine_steps,
+        "min_eigenvalue": solved.min_eigenvalue,
+        "max_deviation": max(
+            _deviation(getattr(record, key), getattr(doubled, key)) for key in SCALAR_KEYS
+        ),
+        "tolerance": TRUNCATION_TOL,
+    }
 
 
 def _row_workers(config: SweepConfig, unknowns: int) -> int:
@@ -415,8 +414,10 @@ def run_sweep(
 
     With strict truncation on, a single check_truncation pass runs at the
     grid point with the largest occupation (the worst case for Fock-space
-    truncation); failure aborts the sweep naming that point, and success
-    records the check in metadata["truncation_check"].  With it off, no
+    truncation), and every solved row's truncation_converged is set to its
+    verdict; failure aborts the sweep naming that point, and success
+    records the check in metadata["truncation_check"]: that point's
+    axis_value, then check_truncation's record.  With it off, no
     truncation check runs, the per-row flag stays None and that entry is
     None.  The sector terms are built once, so each point costs one
     weighted fill of their fixed pattern and one LU.
@@ -457,18 +458,17 @@ def run_sweep(
         solved = [row for row in rows if row.record is not None]
         if config.strict_truncation and solved:
             worst = max(solved, key=lambda row: max(row.record.mean_n, row.record.mean_m))
-            truncation_check = {"axis_value": worst.axis_value}
             check = check_truncation(
-                config.params_at(worst.axis_value),
-                base=(worst.record, worst.report),
-                details=truncation_check,
+                config.params_at(worst.axis_value), base=(worst.record, worst.report)
             )
+            truncation_check = {"axis_value": worst.axis_value, **check}
+            converged = check["max_deviation"] <= check["tolerance"]
             for row in solved:
-                row.report.truncation_converged = check.truncation_converged
-            if not check.truncation_converged:
+                row.report.truncation_converged = converged
+            if not converged:
                 raise TruncationError(
                     f"observables not converged at truncation {config.truncation} "
-                    f"(doubling changed them by up to {truncation_check['max_deviation']:.2e} "
+                    f"(doubling changed them by up to {check['max_deviation']:.2e} "
                     f"relative, beyond {TRUNCATION_TOL:g}) at "
                     f"{config.axis} = {worst.axis_value:g}"
                 )

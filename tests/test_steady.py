@@ -37,7 +37,7 @@ from pairsim.steady import (
     suggest_step,
     vacuum_state,
 )
-from pairsim.sweep import _deviation, check_truncation, solve_point
+from pairsim.sweep import TRUNCATION_TOL, _deviation, check_truncation, solve_point
 
 WEAK_POINT = SystemParams(
     delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0, m_th=0.0
@@ -69,9 +69,8 @@ def full_space_solve(lv, space: HilbertSpace) -> np.ndarray:
 
 
 def sector_solve(params: SystemParams, space: HilbertSpace):
-    """solve_steady on the sector operator of `space`, as solve_point does."""
-    terms = SectorTerms.build(space)
-    return solve_steady(terms.liouvillian(params), terms)
+    """solve_steady on the sector terms of `space`, as solve_point does."""
+    return solve_steady(params, SectorTerms.build(space))
 
 
 def per_point_liouvillian(params: SystemParams, space: HilbertSpace):
@@ -189,7 +188,7 @@ def test_pattern_fill_reproduces_the_per_point_sum_bit_for_bit(levels, monkeypat
         assert_same_arrays(lv, oracle, ("data", "indices", "indptr"))
         want_modified, want_rho = per_point_solve(oracle, space)
         monkeypatch.setattr(spla, "splu", lambda a: factored.append(a) or splu(a))
-        rho, _ = solve_steady(lv, terms)
+        rho, _ = solve_steady(params, terms)
         monkeypatch.setattr(spla, "splu", splu)
         assert_same_arrays(factored.pop(), want_modified, ("data", "indices", "indptr"))
         assert rho.tobytes() == want_rho.tobytes()
@@ -270,9 +269,7 @@ def test_time_evolution_reaches_the_same_steady_state():
     space = HilbertSpace(3, 3)
     lv = build_liouvillian(WEAK_POINT, space)
     rho_sparse, _ = sector_solve(WEAK_POINT, space)
-    rho_evolved, info = evolve_to_steady(
-        lv, vacuum_state(space), t_max=500.0, return_info=True
-    )
+    rho_evolved, info = evolve_to_steady(lv, vacuum_state(space), t_max=500.0)
     assert_allclose(rho_evolved, rho_sparse, atol=1e-8)
     assert info["max_trace_drift"] < 1e-9
     assert info["final_deriv"] < 1e-10
@@ -293,7 +290,7 @@ def test_three_way_agreement_on_random_parameters():
         lv = build_liouvillian(params, space)
         rho, _ = sector_solve(params, space)
         assert_allclose(rho, null_space_steady(lv, space), atol=1e-9)
-        rho_t = evolve_to_steady(lv, vacuum_state(space), t_max=2000.0)
+        rho_t, _ = evolve_to_steady(lv, vacuum_state(space), t_max=2000.0)
         assert_allclose(rho, rho_t, atol=1e-8)
 
 
@@ -301,7 +298,7 @@ def test_evolution_from_the_fixed_point_stops_immediately():
     space = HilbertSpace(2, 2)
     lv = build_liouvillian(WEAK_POINT, space)
     rho, _ = sector_solve(WEAK_POINT, space)
-    out, info = evolve_to_steady(lv, rho, t_max=10.0, return_info=True)
+    out, info = evolve_to_steady(lv, rho, t_max=10.0)
     assert info["steps"] == 0
     assert_allclose(out, rho, atol=0)
 
@@ -339,17 +336,6 @@ def test_suggested_step_is_stable_and_not_tiny():
     assert step >= 0.1 / radius
 
 
-def test_solver_shape_mismatch():
-    terms = SectorTerms.build(HilbertSpace(2, 2))
-    # the full-space operator of the same space
-    with pytest.raises(ValueError, match="sector unknowns"):
-        solve_steady(build_liouvillian(WEAK_POINT, terms.space), terms)
-    # the sector operator of another space
-    other = SectorTerms.build(HilbertSpace(3, 3)).liouvillian(WEAK_POINT)
-    with pytest.raises(ValueError, match="sector unknowns"):
-        solve_steady(other, terms)
-
-
 def test_degenerate_steady_state_is_reported():
     # with J = Omega = gamma_m = 0 the phonon sector has no dynamics at
     # all, so every phonon density matrix is stationary
@@ -367,9 +353,9 @@ def test_degenerate_steady_state_is_reported():
 
 def test_truncation_check_passes_for_contained_states():
     base = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(3, 3)))
-    report = check_truncation(WEAK_POINT, base)
-    assert report.truncation_converged is True
-    assert report.levels_used == (3, 3)
+    check = check_truncation(WEAK_POINT, base)
+    assert check["max_deviation"] <= check["tolerance"] == TRUNCATION_TOL
+    assert check["levels"] == [6, 6]
 
 
 def test_truncation_check_fails_for_strong_drive():
@@ -378,11 +364,16 @@ def test_truncation_check_fails_for_strong_drive():
     params = SystemParams(
         delta=0.0, j_coupling=1.0, omega=100.0, gamma_c=1.0, gamma_m=1.0, m_th=0.0
     )
-    report = check_truncation(params, solve_point(params, SectorTerms.build(HilbertSpace(2, 2))))
-    assert report.truncation_converged is False
+    check = check_truncation(params, solve_point(params, SectorTerms.build(HilbertSpace(2, 2))))
+    assert check["max_deviation"] > check["tolerance"]
 
 
-@pytest.mark.parametrize("params, space", CANONICAL_POINTS)
+@pytest.mark.parametrize(
+    "params, space",
+    # (2, 3) and (3, 2) have sectors of equal size, 112 unknowns each
+    CANONICAL_POINTS
+    + [(CANONICAL_POINTS[2][0], HilbertSpace(2, 3)), (CANONICAL_POINTS[2][0], HilbertSpace(3, 2))],
+)
 def test_sector_solve_matches_full_space_oracle(params, space):
     rho_full = full_space_solve(build_liouvillian(params, space), space)
     outside = np.ones(space.dim**2, dtype=bool)
@@ -454,17 +445,24 @@ def test_generator_without_the_symmetry_is_rejected(monkeypatch):
 
 def test_truncation_check_reuses_the_base_solution(monkeypatch):
     record, report = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(3, 3)))
+    before = replace(report)
     solved = []
     for name, solver in (("solve_steady", solve_steady), ("solve_steady_real", solve_steady_real)):
 
-        def counting(liouvillian, terms, _name=name, _solver=solver):
+        def counting(params, terms, _name=name, _solver=solver):
             solved.append((_name, terms.space.n_c, terms.space.n_m))
-            return _solver(liouvillian, terms)
+            return _solver(params, terms)
 
         monkeypatch.setattr(pairsim.sweep, name, counting)
-    checked = check_truncation(WEAK_POINT, (record, report))
+    check = check_truncation(WEAK_POINT, (record, report))
     assert solved == [("solve_steady_real", 6, 6)]
-    assert checked == replace(report, truncation_converged=True)
+    assert list(check) == [
+        "levels", "unknowns", "lu_nnz", "residual_norm",
+        "refine_steps", "min_eigenvalue", "max_deviation", "tolerance",
+    ]
+    assert check["levels"] == [6, 6] and check["unknowns"] == sector_index(HilbertSpace(6, 6)).size
+    assert check["max_deviation"] <= check["tolerance"]
+    assert report == before  # the base report is left as it was
 
 
 def test_truncation_check_rejects_tiny_base():
@@ -493,9 +491,8 @@ REAL_SOLVE_POINTS = [
 @pytest.mark.parametrize("params, space", REAL_SOLVE_POINTS)
 def test_real_solve_matches_the_complex_solve(params, space):
     terms = SectorTerms.build(space)
-    lv = terms.liouvillian(params)
-    want, _ = solve_steady(lv, terms)
-    rho, report = solve_steady_real(lv, terms)
+    want, _ = solve_steady(params, terms)
+    rho, report = solve_steady_real(params, terms)
     assert_allclose(rho, want, rtol=0, atol=1e-12)
     assert_allclose(observable_values(rho, space), observable_values(want, space), rtol=1e-10)
     assert report.residual_norm < RESIDUAL_TOL
@@ -514,7 +511,7 @@ def test_real_solve_rejects_a_generator_that_breaks_hermiticity(monkeypatch):
     monkeypatch.setattr(pairsim.model, "_operators", non_hermitian)
     terms = SectorTerms.build(HilbertSpace(3, 3))
     with pytest.raises(ConvergenceError):
-        solve_steady_real(terms.liouvillian(WEAK_POINT), terms)
+        solve_steady_real(WEAK_POINT, terms)
 
 
 @pytest.mark.parametrize("levels, stored", [((2, 3), 1017), ((5, 5), 6545)])
@@ -525,7 +522,7 @@ def test_real_system_keeps_the_block_pattern(levels, stored, monkeypatch):
     factored = []
     spilu = spla.spilu
     monkeypatch.setattr(spla, "spilu", lambda a, **kw: factored.append(a) or spilu(a, **kw))
-    solve_steady_real(terms.liouvillian(WEAK_POINT), terms)
+    solve_steady_real(WEAK_POINT, terms)
     (real,) = factored
     assert real.dtype == np.float64
     assert real.nnz == stored
@@ -560,10 +557,9 @@ FIG5_WEAK_LOW = SystemParams(
 )
 def test_real_solve_matches_a_refined_direct_solve(params, space, monkeypatch):
     terms = SectorTerms.build(space)
-    lv = terms.liouvillian(params)
-    rho, report = solve_steady_real(lv, terms)
+    rho, report = solve_steady_real(params, terms)
     monkeypatch.setattr(pairsim.steady, "_preconditioned", direct_refined)
-    want, oracle = solve_steady_real(lv, terms)
+    want, oracle = solve_steady_real(params, terms)
     assert report.lu_nnz < oracle.lu_nnz  # the preconditioner's, not the complete LU's
     got, ref = compute_observables(rho, space), compute_observables(want, space)
     for key in SCALAR_KEYS:
@@ -596,19 +592,20 @@ def test_truncation_check_falls_back_to_the_complete_lu(failure, monkeypatch):
         return lu
 
     monkeypatch.setattr(spla, "splu", recorded)
-    details = {}
-    assert check_truncation(WEAK_POINT, base, details) == want
-    assert want.truncation_converged is True
+    check = check_truncation(WEAK_POINT, base)
+    assert want["max_deviation"] <= want["tolerance"]
+    assert check["max_deviation"] <= check["tolerance"]
+    assert abs(check["max_deviation"] - want["max_deviation"]) <= 1e-12
     # one complete LU, whose entries the check records
-    assert factors == [details["lu_nnz"]]
-    assert details["residual_norm"] < RESIDUAL_TOL
+    assert factors == [check["lu_nnz"]] and check["lu_nnz"] > want["lu_nnz"]
+    assert check["residual_norm"] < RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("levels", [(5, 5), (6, 14)])
 def test_blockwise_min_eigenvalue_matches_the_full_one(levels):
     params = CANONICAL_POINTS[2][0]
     terms = SectorTerms.build(HilbertSpace(*levels))
-    rho, report = solve_steady(terms.liouvillian(params), terms)
+    rho, report = solve_steady(params, terms)
     _, full = _validated(rho, report.residual_norm, "test")
     _, blockwise = _validated(rho, report.residual_norm, "test", terms.blocks)
     assert report.min_eigenvalue == blockwise

@@ -11,7 +11,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose
 
 import pairsim
 import pairsim.sweep
-from pairsim.cli import CHECK_CASES, main, run_check
+from pairsim.cli import CHECK_CASES, build_parser, main, run_check
 from pairsim.errors import ConfigError, TruncationError
 from pairsim.model import SectorTerms, SystemParams, sector_index
 from pairsim.operators import HilbertSpace
@@ -159,6 +159,12 @@ def test_load_config_defaults_and_rejections(tmp_path):
     bad = write_yaml(tmp_path / "badyaml.yaml", "axis: [unclosed\n")
     with pytest.raises(ConfigError, match="YAML"):
         load_config(bad)
+    # a name becomes the default file names, so it is not coerced with str()
+    for name in ("null", "[a, b]", "''", "3"):
+        bad = write_yaml(tmp_path / "badname.yaml", f"axis: delta\nvalues: [0]\nname: {name}\n")
+        with pytest.raises(ConfigError, match="name must be a non-empty string"):
+            load_config(bad)
+        assert main(["sweep", bad]) == 1
 
 
 @pytest.mark.parametrize(
@@ -213,6 +219,22 @@ def test_load_config_rejects_text_that_is_not_utf8(tmp_path, capsys):
         load_config(str(path))
     assert main(["sweep", str(path)]) == 1
     assert f"config error: {path}: not UTF-8" in capsys.readouterr().err
+
+
+def test_readme_python_blocks_run(capsys):
+    # Library use, then the truncation check of Choosing truncations, which
+    # uses its names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 2
+    names: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), names)
+    assert capsys.readouterr().out.split() == [
+        *(str(getattr(names["obs"], key)) for key in ("g2_n", "g2_nm", "log_neg")),
+        "(72,", "72)", "584",
+    ]
+    assert names["converged"] is True
 
 
 def test_readme_example_config_loads(tmp_path):
@@ -429,7 +451,7 @@ def test_sweep_metadata_records_the_truncation_check():
     assert 0 < check["max_deviation"] <= check["tolerance"] == TRUNCATION_TOL
     # the count is that of the real factorization the check made
     terms = SectorTerms.build(HilbertSpace(6, 6))
-    _, real = solve_steady_real(terms.liouvillian(config.params_at(check["axis_value"])), terms)
+    _, real = solve_steady_real(config.params_at(check["axis_value"]), terms)
     assert (check["unknowns"], check["lu_nnz"]) == (real.unknowns, real.lu_nnz)
     assert run_sweep(make_config()).metadata["truncation_check"] is None
 
@@ -518,17 +540,16 @@ def test_concurrent_failure_cancels_the_rows_not_started(monkeypatch):
     workers = _row_workers(config, sector_index(HilbertSpace(2, 2)).size)
     assert workers == 2
     k = 3  # the failing row, counted from 1
-    terms = SectorTerms.build(HilbertSpace(2, 2))
-    failing = terms.liouvillian(config.params_at(config.axis_values[k - 1]))
+    failing = config.params_at(config.axis_values[k - 1])
     started = []
     original = pairsim.sweep.solve_steady
 
-    def failing_at_row_k(liouvillian, terms):
-        started.append(liouvillian)
-        if (liouvillian != failing).nnz == 0:
+    def failing_at_row_k(params, terms):
+        started.append(params)
+        if params == failing:
             raise RuntimeError("row k")
         time.sleep(0.05)  # the other rows outlast the cancellation
-        return original(liouvillian, terms)
+        return original(params, terms)
 
     monkeypatch.setattr(pairsim.sweep, "solve_steady", failing_at_row_k)
     with pytest.raises(RuntimeError, match="row k"):
@@ -689,6 +710,27 @@ def test_cli_missing_output_directory_fails_before_solving(tmp_path, monkeypatch
     assert f"io error: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
 
 
+def test_cli_output_directory_fails_before_solving(tmp_path, monkeypatch, capsys):
+    solves = solve_threads(monkeypatch)
+    cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML)
+    out = tmp_path / "out"
+    out.mkdir()
+    # with a trailing separator, the JSON mirror would be out/.json
+    for path in (str(out), str(out) + os.sep):
+        assert main(["sweep", cfg, "--output", path]) == 3
+        assert f"io error: [Errno 21] Is a directory: '{path}'" in capsys.readouterr().err
+        in_yaml = write_yaml(tmp_path / "in_yaml.yaml", f"{MINI_YAML}output: {path}\n")
+        assert main(["sweep", in_yaml]) == 3
+        assert f"io error: [Errno 21] Is a directory: '{path}'" in capsys.readouterr().err
+    # a directory where the JSON mirror goes
+    mirror = tmp_path / "res.json"
+    mirror.mkdir()
+    assert main(["sweep", cfg, "--output", str(tmp_path / "res.csv")]) == 3
+    assert f"io error: [Errno 21] Is a directory: '{mirror}'" in capsys.readouterr().err
+    assert solves == []
+    assert not any(out.iterdir()) and not (tmp_path / "res.csv").exists()
+
+
 def test_cli_strict_truncation_abort_exits_2(tmp_path):
     cfg = write_yaml(
         tmp_path / "hot.yaml",
@@ -699,6 +741,18 @@ def test_cli_strict_truncation_abort_exits_2(tmp_path):
     assert main(["sweep", cfg, "--output", str(tmp_path / "hot.csv")]) == 2
     assert main(["sweep", cfg, "--no-strict-truncation",
                  "--output", str(tmp_path / "hot.csv")]) == 0
+
+
+def test_point_flags_follow_the_system_params():
+    parser = build_parser()
+    names = [f.name for f in fields(SystemParams)]
+    defaults = vars(parser.parse_args(["point"]))
+    assert set(defaults) - set(names) == {"command", "func", "truncation", "json"}
+    for f in fields(SystemParams):
+        assert defaults[f.name] == f.default
+        flag = "--" + f.name.replace("_", "-")
+        assert getattr(parser.parse_args(["point", flag, "2.5"]), f.name) == 2.5
+    assert pairsim.sweep._PARAM_KEYS == set(names)
 
 
 def test_cli_point_json(capsys):
