@@ -68,14 +68,13 @@ def _load_config_arg(arg: str) -> SweepConfig:
 def _cmd_sweep(args) -> int:
     config = _load_config_arg(args.config)
     if args.truncation is not None:
-        config = replace(config, truncation=(args.truncation[0], args.truncation[1]))
+        config = replace(config, truncation=tuple(args.truncation))
     if args.no_strict_truncation:
         config = replace(config, strict_truncation=False)
     if args.output is not None:
         config = replace(config, output_path=args.output)
 
-    csv_path = config.output_path or f"{config.name}.csv"
-    json_path = os.path.splitext(csv_path)[0] + ".json"
+    csv_path, json_path = config.csv_path, config.json_path
     # found before the sweep rather than when its results are written
     if not os.path.isdir(os.path.dirname(csv_path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), csv_path)
@@ -292,7 +291,7 @@ def build_parser() -> _Parser:
     for f in fields(SystemParams):
         p_point.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default)
     p_point.add_argument(
-        "--truncation", nargs=2, type=int, default=(5, 5), metavar=("N_C", "N_M")
+        "--truncation", nargs=2, type=int, default=SweepConfig.truncation, metavar=("N_C", "N_M")
     )
     p_point.add_argument("--json", action="store_true", help="print JSON instead of text")
     p_point.set_defaults(func=_cmd_point)

@@ -81,13 +81,6 @@ class SystemParams:
             raise ConfigError(f"unknown parameter {name!r}")
         return replace(self, **{name: value})
 
-    @property
-    def min_positive_rate(self) -> float:
-        rates = [r for r in (self.kappa, self.gamma_c, self.gamma_m) if r > 0]
-        if not rates:
-            raise ConfigError("no positive damping rate; the dynamics has no relaxation scale")
-        return min(rates)
-
 
 def _operators(space: HilbertSpace) -> tuple[dict, dict]:
     """H's three Hermitian pieces, keyed by the parameter that weights them

@@ -36,8 +36,8 @@ class HilbertSpace:
     contributes a factor of 2, giving dim = 2*(n_c+1)*(n_m+1).
     """
 
-    n_c: int = 5
-    n_m: int = 5
+    n_c: int
+    n_m: int
 
     def __post_init__(self) -> None:
         if self.n_c < 1 or self.n_m < 1:

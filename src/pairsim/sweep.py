@@ -41,7 +41,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
 from typing import Callable
@@ -86,13 +86,17 @@ _CSV_COLUMNS = ("axis", *SCALAR_KEYS, *ELEMENT_KEYS, "residual", "converged")
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep.  The fields are the one list of the config's settings:
+    load_config reads the YAML keys (a field's name, or the key in its
+    metadata), the required keys and every default off them."""
+
     axis: str
-    axis_values: tuple[float, ...]
-    base_params: SystemParams
+    axis_values: tuple[float, ...] = field(metadata={"key": "values"})
+    base_params: SystemParams = field(default_factory=SystemParams, metadata={"key": "params"})
     couple_delta_to_j: bool = False
     truncation: tuple[int, int] = (5, 5)
     strict_truncation: bool = True
-    output_path: str | None = None
+    output_path: str | None = field(default=None, metadata={"key": "output"})
     name: str = "sweep"
 
     def __post_init__(self) -> None:
@@ -109,17 +113,19 @@ class SweepConfig:
             raise ConfigError("axis_values must be strictly monotone")
         if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in self.truncation):
             raise ConfigError(f"truncation must be whole numbers >= 2, got {self.truncation}")
-        # a quoted "false" from YAML would be truthy
-        for name in ("couple_delta_to_j", "strict_truncation"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        # numpy levels are accepted, but stored as ints, which JSON can write
+        object.__setattr__(self, "truncation", tuple(int(n) for n in self.truncation))
+        # the switches; a quoted "false" from YAML would be truthy
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, bool) and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
         if not (isinstance(self.name, str) and self.name):
             raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
-        if not isinstance(self.output_path, (str, type(None))):
+        if not isinstance(self.output_path, (str, type(None))) or self.output_path == "":
             raise ConfigError(f"output must be a file path, got {self.output_path!r}")
-        # the JSON mirror goes next to the CSV with its suffix replaced by .json
-        path = self.output_path
-        if path is not None and os.path.splitext(path)[1].lower() == ".json":
+        path = self.csv_path
+        if os.path.splitext(path)[1].lower() == ".json":
             raise ConfigError(
                 f"output is the CSV path and its JSON mirror would overwrite it, got {path!r}"
             )
@@ -131,6 +137,16 @@ class SweepConfig:
                 self.params_at(value)
             except ConfigError as exc:
                 raise ConfigError(f"axis_values: {self.axis} = {value:g} is invalid ({exc})") from exc
+
+    @property
+    def csv_path(self) -> str:
+        """Where the CSV goes: output_path, or <name>.csv."""
+        return f"{self.name}.csv" if self.output_path is None else self.output_path
+
+    @property
+    def json_path(self) -> str:
+        """Where the JSON mirror goes: csv_path with its suffix replaced by .json."""
+        return os.path.splitext(self.csv_path)[0] + ".json"
 
     def params_at(self, value: float) -> SystemParams:
         """Parameters for one grid point, applying the |delta| = j coupling
@@ -205,24 +221,15 @@ def _expand_values(raw, context: str) -> tuple[float, ...]:
     raise ConfigError(f"{context}: values must be a list or a start/stop/points mapping")
 
 
-_TOP_LEVEL_KEYS = {
-    "name",
-    "axis",
-    "values",
-    "params",
-    "couple_delta_to_j",
-    "truncation",
-    "strict_truncation",
-    "output",
-}
-
 _PARAM_KEYS = {f.name for f in fields(SystemParams)}
 
 
 def load_config(path: str) -> SweepConfig:
     """Parse and validate a sweep config file.
 
-    Unknown keys are rejected rather than ignored so that typos fail loudly.
+    The keys are those of SweepConfig's fields; a key that is absent takes
+    its field's default.  Unknown keys are rejected rather than ignored so
+    that typos fail loudly.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -233,35 +240,32 @@ def load_config(path: str) -> SweepConfig:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    unknown = set(data) - _TOP_LEVEL_KEYS
+    keys = {f.metadata.get("key", f.name): f for f in fields(SweepConfig)}
+    unknown = set(data) - set(keys)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    for key in ("axis", "values"):
-        if key not in data:
+    for key, f in keys.items():
+        if f.default is MISSING and f.default_factory is MISSING and key not in data:
             raise ConfigError(f"{path}: missing required key '{key}'")
+    given = {f.name: data[key] for key, f in keys.items() if key in data}
 
-    raw_params = data.get("params", {})
-    if not isinstance(raw_params, dict):
-        raise ConfigError(f"{path}: params must be a mapping")
-    unknown = set(raw_params) - _PARAM_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown params keys {sorted(unknown)}")
-    base = SystemParams(**{k: _number(v, f"params {k}") for k, v in raw_params.items()})
-
-    truncation = data.get("truncation", (5, 5))
-    if not (isinstance(truncation, (list, tuple)) and len(truncation) == 2):
-        raise ConfigError(f"{path}: truncation must be a pair, got {truncation!r}")
-
-    return SweepConfig(
-        axis=data["axis"],
-        axis_values=_expand_values(data["values"], f"{path}: values"),
-        base_params=base,
-        couple_delta_to_j=data.get("couple_delta_to_j", False),
-        truncation=tuple(truncation),
-        strict_truncation=data.get("strict_truncation", True),
-        output_path=data.get("output"),
-        name=data.get("name", "sweep"),
-    )
+    if "base_params" in given:
+        raw_params = given["base_params"]
+        if not isinstance(raw_params, dict):
+            raise ConfigError(f"{path}: params must be a mapping")
+        unknown = set(raw_params) - _PARAM_KEYS
+        if unknown:
+            raise ConfigError(f"{path}: unknown params keys {sorted(unknown)}")
+        given["base_params"] = SystemParams(
+            **{k: _number(v, f"params {k}") for k, v in raw_params.items()}
+        )
+    if "truncation" in given:
+        truncation = given["truncation"]
+        if not (isinstance(truncation, (list, tuple)) and len(truncation) == 2):
+            raise ConfigError(f"{path}: truncation must be a pair, got {truncation!r}")
+        given["truncation"] = tuple(truncation)
+    given["axis_values"] = _expand_values(given["axis_values"], f"{path}: values")
+    return SweepConfig(**given)
 
 
 def solve_point(params: SystemParams, terms: SectorTerms) -> tuple[ObservableRecord, SolveReport]:
@@ -477,17 +481,10 @@ def run_sweep(
         "tool": "pairsim",
         "version": __version__,
         "generated": datetime.now(timezone.utc).isoformat(),
-        "config": _config_dict(config),
+        "config": asdict(config),
         "truncation_check": truncation_check,
     }
     return SweepResult(config=config, rows=rows, metadata=metadata)
-
-
-def _config_dict(config: SweepConfig) -> dict:
-    data = asdict(config)
-    data["axis_values"] = list(data["axis_values"])
-    data["truncation"] = list(data["truncation"])
-    return data
 
 
 def point_json(record: ObservableRecord, report: SolveReport) -> dict:
@@ -542,7 +539,7 @@ def emit_json(result: SweepResult, path: str) -> None:
             entry.update(point_json(row.record, row.report))
         entry["converged"] = row.converged
         rows.append(entry)
-    doc = {"metadata": result.metadata, "rows": rows}
+    # serialized first, so that a value JSON cannot write leaves no file
+    text = json.dumps({"metadata": result.metadata, "rows": rows}, indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")

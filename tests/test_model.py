@@ -63,13 +63,6 @@ def test_params_validation():
         SystemParams(
             delta=np.inf, j_coupling=1, omega=1, gamma_c=1, gamma_m=1, m_th=0
         )
-    # kappa = 0 is legal (undamped atom); only fully undamped systems have
-    # no relaxation scale to report
-    undamped = SystemParams(
-        delta=0, j_coupling=1, omega=1, kappa=0.0, gamma_c=0.0, gamma_m=0.0, m_th=0
-    )
-    with pytest.raises(ConfigError):
-        undamped.min_positive_rate
 
 
 def test_params_with_value():

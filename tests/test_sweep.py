@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from helpers import read_csv
@@ -123,6 +124,13 @@ def test_params_at_applies_axis_and_coupling():
     assert negative.params_at(2.0).delta == -2.0
 
 
+def load_error(path: str) -> str:
+    """The message of the ConfigError that loading path raises."""
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    return str(info.value)
+
+
 def test_load_config_defaults_and_rejections(tmp_path):
     path = write_yaml(
         tmp_path / "ok.yaml",
@@ -136,35 +144,63 @@ def test_load_config_defaults_and_rejections(tmp_path):
     assert config.base_params.omega == 1.0
 
     bad = write_yaml(tmp_path / "unknown.yaml", "axis: delta\nvalues: [0]\nfrobnicate: 1\n")
-    with pytest.raises(ConfigError, match="frobnicate"):
-        load_config(bad)
+    assert load_error(bad) == f"{bad}: unknown keys ['frobnicate']"
     bad = write_yaml(
         tmp_path / "badparam.yaml",
         "axis: delta\nvalues: [0]\nparams: {qfactor: 3}\n",
     )
-    with pytest.raises(ConfigError, match="qfactor"):
-        load_config(bad)
+    assert load_error(bad) == f"{bad}: unknown params keys ['qfactor']"
     bad = write_yaml(
         tmp_path / "negrate.yaml",
         "axis: delta\nvalues: [0]\nparams: {gamma_c: -1}\n",
     )
-    with pytest.raises(ConfigError, match="gamma_c"):
-        load_config(bad)
+    assert load_error(bad) == "gamma_c must be nonnegative, got -1.0"
     bad = write_yaml(tmp_path / "notmap.yaml", "- 1\n- 2\n")
-    with pytest.raises(ConfigError, match="mapping"):
-        load_config(bad)
+    assert load_error(bad) == f"{bad}: top level must be a mapping"
     bad = write_yaml(tmp_path / "noaxis.yaml", "values: [0]\n")
-    with pytest.raises(ConfigError, match="axis"):
-        load_config(bad)
+    assert load_error(bad) == f"{bad}: missing required key 'axis'"
     bad = write_yaml(tmp_path / "badyaml.yaml", "axis: [unclosed\n")
-    with pytest.raises(ConfigError, match="YAML"):
-        load_config(bad)
+    assert load_error(bad).startswith(f"{bad}: not valid YAML (")
     # a name becomes the default file names, so it is not coerced with str()
-    for name in ("null", "[a, b]", "''", "3"):
+    for name, shown in (("null", "None"), ("[a, b]", "['a', 'b']"), ("''", "''"), ("3", "3")):
         bad = write_yaml(tmp_path / "badname.yaml", f"axis: delta\nvalues: [0]\nname: {name}\n")
-        with pytest.raises(ConfigError, match="name must be a non-empty string"):
-            load_config(bad)
+        assert load_error(bad) == f"name must be a non-empty string, got {shown}"
         assert main(["sweep", bad]) == 1
+
+
+def yaml_keys() -> dict[str, str]:
+    """SweepConfig's YAML keys, each mapped to the name of its field."""
+    return {f.metadata.get("key", f.name): f.name for f in fields(SweepConfig)}
+
+
+def test_config_keys_follow_the_fields(tmp_path):
+    # every field is reached by exactly one key; three keys are not the
+    # names of their fields
+    keys = yaml_keys()
+    assert len(keys) == len(fields(SweepConfig))
+    assert {key: name for key, name in keys.items() if key != name} == {
+        "values": "axis_values", "params": "base_params", "output": "output_path",
+    }
+    text = (
+        "name: full\naxis: j_coupling\nvalues: [0.5, 1.0]\nparams: {delta: -0.1}\n"
+        "couple_delta_to_j: true\ntruncation: [3, 4]\nstrict_truncation: false\n"
+        "output: full.dat\n"
+    )
+    assert set(yaml.safe_load(text)) == set(keys)
+    config = load_config(write_yaml(tmp_path / "full.yaml", text))
+    # an absent key takes its field's default
+    minimal = load_config(write_yaml(tmp_path / "min.yaml", "axis: delta\nvalues: [0.0, 0.5]\n"))
+    assert minimal == SweepConfig("delta", (0.0, 0.5))
+    for key, name in keys.items():
+        assert getattr(config, name) != getattr(minimal, name), key
+    assert (minimal.csv_path, minimal.json_path) == ("sweep.csv", "sweep.json")
+    assert (config.csv_path, config.json_path) == ("full.dat", "full.json")
+
+
+@pytest.mark.parametrize("key", ["axis_values: [1.0]", "base_params: {}", "output_path: x.csv"])
+def test_field_names_of_renamed_keys_are_unknown_keys(tmp_path, key):
+    path = write_yaml(tmp_path / "field.yaml", f"axis: delta\nvalues: [0]\n{key}\n")
+    assert load_error(path) == f"{path}: unknown keys ['{key.split(':')[0]}']"
 
 
 @pytest.mark.parametrize(
@@ -243,7 +279,7 @@ def test_readme_example_config_loads(tmp_path):
     blocks = re.findall(r"```yaml\n(.*?)```", readme, re.DOTALL)
     assert len(blocks) == 1
     data = yaml.safe_load(blocks[0])
-    assert set(data) == pairsim.sweep._TOP_LEVEL_KEYS
+    assert set(data) == set(yaml_keys())
     data["output"] = str(tmp_path / data["output"])
     config = load_config(write_yaml(tmp_path / "example.yaml", yaml.safe_dump(data)))
     assert config.output_path == data["output"]
@@ -371,6 +407,29 @@ def test_csv_is_deterministic_apart_from_timestamp(tmp_path):
     lines_b = paths[1].read_text().splitlines()
     assert lines_a[0].startswith("# pairsim ")
     assert lines_a[1:] == lines_b[1:]
+
+
+def test_numpy_levels_write_the_json_of_int_levels(tmp_path):
+    # SweepConfig accepts numpy levels and stores them as ints
+    docs = []
+    for levels in ((2, 2), (np.int64(2), np.int64(2))):
+        config = make_config(truncation=levels)
+        assert [type(n) for n in config.truncation] == [int, int]
+        path = tmp_path / "levels.json"
+        emit_json(run_sweep(config), str(path))
+        doc = json.loads(path.read_text())
+        del doc["metadata"]["generated"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
+def test_a_failed_json_dump_leaves_no_file(tmp_path):
+    result = run_sweep(make_config(truncation=(2, 2)))
+    result.metadata["unwritable"] = object()
+    path = tmp_path / "sweep.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        emit_json(result, str(path))
+    assert not path.exists()
 
 
 def test_strict_truncation_aborts_with_context():
@@ -701,6 +760,18 @@ def test_cli_rejects_a_json_output_path_before_solving(tmp_path, monkeypatch, ca
     assert capsys.readouterr().err.count("its JSON mirror would overwrite it") == 2
 
 
+def test_cli_rejects_an_empty_output_path_before_solving(tmp_path, monkeypatch, capsys):
+    # an empty path is not replaced by the default <name>.csv
+    solves = solve_threads(monkeypatch)
+    cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML)
+    assert main(["sweep", cfg, "--output", ""]) == 1
+    in_yaml = write_yaml(tmp_path / "in_yaml.yaml", f"{MINI_YAML}output: ''\n")
+    assert main(["sweep", in_yaml]) == 1
+    assert solves == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["in_yaml.yaml", "mini.yaml"]
+    assert capsys.readouterr().err.count("config error: output must be a file path, got ''") == 2
+
+
 def test_cli_missing_output_directory_fails_before_solving(tmp_path, monkeypatch, capsys):
     solves = solve_threads(monkeypatch)
     cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML)
@@ -748,6 +819,7 @@ def test_point_flags_follow_the_system_params():
     names = [f.name for f in fields(SystemParams)]
     defaults = vars(parser.parse_args(["point"]))
     assert set(defaults) - set(names) == {"command", "func", "truncation", "json"}
+    assert defaults["truncation"] == SweepConfig.truncation
     for f in fields(SystemParams):
         assert defaults[f.name] == f.default
         flag = "--" + f.name.replace("_", "-")
@@ -902,10 +974,13 @@ def test_shipped_configs_parse_and_run_thinned(tmp_path):
 
 
 def test_every_exported_name_resolves():
-    modules = [pairsim] + [
+    modules = [
         importlib.import_module(f"pairsim.{info.name}")
         for info in pkgutil.iter_modules(pairsim.__path__)
     ]
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+    # the package root defines __version__ and re-exports nothing
+    public = {name for name in vars(pairsim) if not name.startswith("_")}
+    assert public <= {module.__name__.split(".")[1] for module in modules}
