@@ -79,13 +79,10 @@ STEP_SAFETY = 0.8
 DERIV_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     """Diagnostics attached to a steady-state solution.
 
-    truncation_converged is None when no truncation check was run, and
-    run_sweep sets it on every solved row to the verdict of the record that
-    sweep.check_truncation returns for the sweep.
     unknowns is the size of the n - m sector that was solved and lu_nnz
     the entries SuperLU stores for its LU factors, supernodal padding
     included: 60897 at a (5, 5) point whose L and U hold 53286 nonzeros.
@@ -99,10 +96,12 @@ class SolveReport:
     np.longdouble, plain float64 where np.longdouble is float64 (arm64
     macOS, Windows).  When it falls back to the complete LU, both are the
     complete LU's, as for solve_steady.
+
+    A sweep's truncation check is not a row's diagnostic: the sweep keeps
+    the check's one record as metadata["truncation_check"].
     """
 
     residual_norm: float
-    truncation_converged: bool | None
     levels_used: tuple[int, int]
     unknowns: int
     lu_nnz: int
@@ -279,7 +278,6 @@ def _solved(
     rho, min_eig = _validated(unvec(full, dim), norm, where, terms.blocks)
     return rho, SolveReport(
         residual_norm=norm,
-        truncation_converged=None,
         levels_used=(space.n_c, space.n_m),
         unknowns=int(terms.index.size),
         lu_nnz=lu_nnz,

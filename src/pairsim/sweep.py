@@ -12,19 +12,19 @@ space with solve_steady_real, in real arithmetic by GMRES preconditioned
 with an incomplete LU, which stores a small fraction of a complete factor's
 entries; the rows keep the complex solve_steady and its complete LU, whose
 values the references pin.  The check returns one record, which run_sweep
-stores in the JSON metadata and reads the verdict from.
+stores in the JSON metadata as the sweep's one verdict: a sweep whose check
+fails raises instead of returning rows.
 
-A sweep that runs the truncation check solves its rows on a thread pool:
-each row is one SuperLU factorization, which runs without the interpreter
-lock, and the rows are independent.  The worker count is bounded
-(_row_workers); with one BLAS thread on 2 CPUs, a whole fig6 sweep peaks at
-88 MiB RSS, fig2_weak at 75 MiB and fig5_weak at 105 MiB, of which the
-import takes 62 MiB.  A sweep without the check solves its rows on the
-calling thread, so a pool adds nothing to its peak memory.  Either way the
-rows and the check call a one-thread BLAS (_one_blas_thread): spinning BLAS
-threads would take the CPUs the other rows need, and one policy for every
-sweep makes each row's arithmetic that of a serial one-thread solve, whether
-or not the check runs, and the check's record independent of the
+Every sweep solves its rows on a thread pool of _row_workers threads: each
+row is one SuperLU factorization, which runs without the interpreter lock,
+and the rows are independent.  The worker count is bounded; with one BLAS
+thread on 2 CPUs, a whole fig6 sweep peaks at 88 MiB RSS, fig2_weak at
+75 MiB and fig5_weak at 105 MiB, of which the import takes 62 MiB.  A sweep
+without the check gets one worker, which solves its rows one at a time.
+The rows and the check call a one-thread BLAS (_one_blas_thread): spinning
+BLAS threads would take the CPUs the other rows need, and one policy for
+every sweep makes each row's arithmetic that of a serial one-thread solve,
+whether or not the check runs, and the check's record independent of the
 environment's thread count.
 
 Output contract: a CSV whose first line is a comment carrying version and
@@ -102,19 +102,29 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
-        values = np.asarray(self.axis_values, dtype=float)
-        if values.size == 0:
+        # stored as a tuple of floats, which JSON can write and which hashes
+        if isinstance(self.axis_values, str) or not np.iterable(self.axis_values):
+            raise ConfigError(f"axis_values must be a list of numbers, got {self.axis_values!r}")
+        values = tuple(_number(v, "axis_values") for v in self.axis_values)
+        object.__setattr__(self, "axis_values", values)
+        if not values:
             raise ConfigError("axis_values must be non-empty")
-        if not np.isfinite(values).all():
-            raise ConfigError(f"axis_values must be finite, got {list(self.axis_values)}")
-        if values.size > 1 and not (
-            np.all(np.diff(values) > 0) or np.all(np.diff(values) < 0)
-        ):
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"axis_values must be finite, got {list(values)}")
+        steps = np.diff(values)
+        if not (np.all(steps > 0) or np.all(steps < 0)):
             raise ConfigError("axis_values must be strictly monotone")
-        if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in self.truncation):
-            raise ConfigError(f"truncation must be whole numbers >= 2, got {self.truncation}")
+        levels = self.truncation
+        if not (
+            isinstance(levels, (list, tuple, np.ndarray))
+            and getattr(levels, "ndim", 1) == 1
+            and len(levels) == 2
+        ):
+            raise ConfigError(f"truncation must be a pair, got {levels!r}")
+        if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in levels):
+            raise ConfigError(f"truncation must be whole numbers >= 2, got {levels}")
         # numpy levels are accepted, but stored as ints, which JSON can write
-        object.__setattr__(self, "truncation", tuple(int(n) for n in self.truncation))
+        object.__setattr__(self, "truncation", tuple(int(n) for n in levels))
         # the switches; a quoted "false" from YAML would be truthy
         for f in fields(self):
             value = getattr(self, f.name)
@@ -167,12 +177,9 @@ class SweepRow:
 
     @property
     def converged(self) -> bool:
-        """True when the point solved (solve_steady enforces the residual
-        tolerance) and the sweep-level truncation check, if one ran, did not
-        flag it."""
-        if self.error is not None or self.report is None:
-            return False
-        return self.report.truncation_converged is not False
+        """True when the point solved: solve_steady enforces the residual
+        tolerance, and a sweep whose truncation check fails returns no rows."""
+        return self.error is None
 
 
 @dataclass
@@ -259,11 +266,6 @@ def load_config(path: str) -> SweepConfig:
         given["base_params"] = SystemParams(
             **{k: _number(v, f"params {k}") for k, v in raw_params.items()}
         )
-    if "truncation" in given:
-        truncation = given["truncation"]
-        if not (isinstance(truncation, (list, tuple)) and len(truncation) == 2):
-            raise ConfigError(f"{path}: truncation must be a pair, got {truncation!r}")
-        given["truncation"] = tuple(truncation)
     given["axis_values"] = _expand_values(given["axis_values"], f"{path}: values")
     return SweepConfig(**given)
 
@@ -322,14 +324,15 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
 def _row_workers(config: SweepConfig, unknowns: int) -> int:
     """Threads that solve the rows of `config`, whose sector has `unknowns`.
 
-    1 without the truncation check: the rows then run on the calling thread.
-    With it, min(CPUs available to the process, rows, doubled-sector
-    unknowns // row-sector unknowns).  The ratio is 6 for every shipped
-    config, and it bounds memory: each worker holds one row's factor and
-    solve at a time, so the peak grows with the workers.  With 12 CPUs
-    reported, 12 workers instead of 6 raised a whole sweep's peak RSS from
-    101-104 to 130-135 MiB on fig6 and from 127-133 to 179-191 MiB on
-    fig5_weak (5 fresh processes each, one BLAS thread).
+    1 without the truncation check, so that its rows are solved one at a
+    time: two concurrent (6, 14) rows of fig7 raise its peak memory by about
+    a quarter.  With it, min(CPUs available to the process, rows,
+    doubled-sector unknowns // row-sector unknowns).  The ratio is 6 for
+    every shipped config, and it bounds memory: each worker holds one row's
+    factor and solve at a time, so the peak grows with the workers.  With
+    12 CPUs reported, 12 workers instead of 6 raised a whole sweep's peak
+    RSS from 101-104 to 130-135 MiB on fig6 and from 127-133 to 179-191 MiB
+    on fig5_weak (5 fresh processes each, one BLAS thread).
     """
     if not config.strict_truncation:
         return 1
@@ -385,10 +388,10 @@ def _one_blas_thread():
     LU calls a threaded BLAS run slower side by side than one after the
     other.  On a 2-vCPU machine, with OpenBLAS's default two threads, fig6's
     rows took about 5.5 s serially, 8 to 9 s on two workers and about 3 s on
-    two workers with one BLAS thread.  Rows on the calling thread take it
-    too, so that a row rounds the same whether or not its sweep runs the
-    check.  The check takes it too, so that its record does not depend on
-    the environment's thread count.  The count is process-wide: other
+    two workers with one BLAS thread.  The one-worker rows of a sweep
+    without the check take it too, so that a row rounds the same whether or
+    not its sweep runs the check.  The check takes it too, so that its
+    record does not depend on the environment's thread count.  The count is process-wide: other
     threads of the process get one BLAS thread meanwhile too.
     """
     controls = _openblas_thread_controls()
@@ -418,46 +421,35 @@ def run_sweep(
 
     With strict truncation on, a single check_truncation pass runs at the
     grid point with the largest occupation (the worst case for Fock-space
-    truncation), and every solved row's truncation_converged is set to its
-    verdict; failure aborts the sweep naming that point, and success
+    truncation); failure aborts the sweep naming that point, and success
     records the check in metadata["truncation_check"]: that point's
-    axis_value, then check_truncation's record.  With it off, no
-    truncation check runs, the per-row flag stays None and that entry is
-    None.  The sector terms are built once, so each point costs one
-    weighted fill of their fixed pattern and one LU.
+    axis_value, then check_truncation's record.  That entry is the sweep's
+    one verdict; with the check off, none runs and it is None.  The sector
+    terms are built once, so each point costs one weighted fill of their
+    fixed pattern and one LU.
 
-    With the check on, the rows are solved on _row_workers threads; without
-    it, or with one worker, on the calling thread.  Either way every loaded
-    OpenBLAS is held at one thread while they and the check run
-    (_one_blas_thread), and restored after.  Rows come back in axis order, and
-    `progress(done, total)` is called from the calling thread after each
+    The rows are solved on _row_workers threads, one without the check, with
+    every loaded OpenBLAS held at one thread while they and the check run
+    (_one_blas_thread), and restored after.  Rows come back in axis order,
+    and `progress(done, total)` is called from the calling thread after each
     one.  An exception other than a PairsimError, or an interrupt, cancels
     the rows not yet started and propagates once the running ones finish.
     """
     terms = SectorTerms.build(HilbertSpace(*config.truncation))
     values = config.axis_values
-    solve = partial(_solve_row, config, terms)
     rows: list[SweepRow] = []
-
-    def collect(solved) -> None:
-        for row in solved:
-            rows.append(row)
-            if progress is not None:
-                progress(len(rows), len(values))
-
-    workers = _row_workers(config, terms.index.size)
     truncation_check = None
     with _one_blas_thread():
-        if workers == 1:
-            collect(map(solve, values))
-        else:
-            pool = ThreadPoolExecutor(workers)
-            try:
-                collect(pool.map(solve, values))
-            finally:
-                # Executor.map submits every row up front; without the
-                # cancel, an exception would wait for all of them to be solved
-                pool.shutdown(cancel_futures=True)
+        pool = ThreadPoolExecutor(_row_workers(config, terms.index.size))
+        try:
+            for row in pool.map(partial(_solve_row, config, terms), values):
+                rows.append(row)
+                if progress is not None:
+                    progress(len(rows), len(values))
+        finally:
+            # Executor.map submits every row up front; without the cancel,
+            # an exception would wait for all of them to be solved
+            pool.shutdown(cancel_futures=True)
 
         solved = [row for row in rows if row.record is not None]
         if config.strict_truncation and solved:
@@ -466,10 +458,7 @@ def run_sweep(
                 config.params_at(worst.axis_value), base=(worst.record, worst.report)
             )
             truncation_check = {"axis_value": worst.axis_value, **check}
-            converged = check["max_deviation"] <= check["tolerance"]
-            for row in solved:
-                row.report.truncation_converged = converged
-            if not converged:
+            if not check["max_deviation"] <= check["tolerance"]:  # NaN fails too
                 raise TruncationError(
                     f"observables not converged at truncation {config.truncation} "
                     f"(doubling changed them by up to {check['max_deviation']:.2e} "

@@ -26,7 +26,7 @@ from pairsim.cli import CHECK_CASES, build_parser, main, run_check
 from pairsim.errors import ConfigError, TruncationError
 from pairsim.model import SectorTerms, SystemParams, sector_index
 from pairsim.operators import HilbertSpace
-from pairsim.steady import EIG_FLOOR, MAX_REFINE, RESIDUAL_TOL, solve_steady_real
+from pairsim.steady import EIG_FLOOR, MAX_REFINE, RESIDUAL_TOL, SolveReport, solve_steady_real
 from pairsim.sweep import (
     TRUNCATION_TOL,
     SweepConfig,
@@ -108,6 +108,30 @@ def test_config_validation():
         make_config(truncation=(1, 5))
     with pytest.raises(ConfigError):
         make_config(axis="delta", couple_delta_to_j=True)
+
+
+def test_truncation_must_be_a_pair(tmp_path):
+    with pytest.raises(ConfigError, match=r"truncation must be a pair, got \(3, 3, 3\)"):
+        SweepConfig(axis="delta", axis_values=(0.0,), truncation=(3, 3, 3))
+    for levels in ("5", "[3, 3, 3]"):
+        path = write_yaml(
+            tmp_path / "levels.yaml", f"axis: delta\nvalues: [0.0]\ntruncation: {levels}\n"
+        )
+        assert load_error(path) == f"truncation must be a pair, got {yaml.safe_load(levels)!r}"
+        assert main(["sweep", path]) == 1
+
+
+def test_axis_values_are_stored_as_a_tuple_of_floats(tmp_path):
+    config = make_config(axis_values=np.linspace(-0.1, 0.1, 3), truncation=(2, 2))
+    assert config.axis_values == (-0.1, 0.0, 0.1)
+    assert [type(v) for v in config.axis_values] == [float] * 3
+    assert hash(config) == hash(make_config(axis_values=[-0.1, 0.0, 0.1], truncation=(2, 2)))
+    path = tmp_path / "linspace.json"
+    emit_json(run_sweep(config), str(path))
+    assert json.loads(path.read_text())["metadata"]["config"]["axis_values"] == [-0.1, 0.0, 0.1]
+    for values in ("0.5", 0.5, (0.0, "x"), (0.0, True)):
+        with pytest.raises(ConfigError, match="axis_values must be"):
+            make_config(axis_values=values)
 
 
 def test_params_at_applies_axis_and_coupling():
@@ -515,11 +539,13 @@ def test_sweep_metadata_records_the_truncation_check():
     assert run_sweep(make_config()).metadata["truncation_check"] is None
 
 
-def test_strict_truncation_marks_rows_converged():
+def test_strict_truncation_rows_pass_the_recorded_check():
+    # the check's record is the sweep's one verdict: a checked sweep that
+    # returns its rows passed it, and every row it returns solved
     result = run_sweep(make_config(strict_truncation=True))
-    for row in result.rows:
-        assert row.report.truncation_converged is True
-        assert row.converged
+    check = result.metadata["truncation_check"]
+    assert check["max_deviation"] <= check["tolerance"]
+    assert all(row.error is None and row.converged for row in result.rows)
 
 
 def test_truncation_check_stores_an_incomplete_factor():
@@ -574,8 +600,7 @@ def test_concurrent_rows_equal_the_calling_thread_rows(monkeypatch, tmp_path):
     assert [row.axis_value for row in pooled.rows] == list(config.axis_values)
     for a, b in zip(pooled.rows, serial.rows):
         assert (a.axis_value, a.error, a.record) == (b.axis_value, b.error, b.record)
-        assert a.report.truncation_converged is True and b.report.truncation_converged is None
-        assert replace(a.report, truncation_converged=None) == b.report
+        assert a.report == b.report
     cells = []
     for result, name in ((pooled, "pooled.csv"), (serial, "serial.csv")):
         emit_csv(result, str(tmp_path / name))
@@ -646,13 +671,14 @@ def test_concurrent_rows_hold_blas_at_one_thread(monkeypatch):
     assert (seen, checked, after_pool, after_serial) == ([ones] * 6, [ones], twos, twos)
 
 
-def test_rows_without_the_check_run_on_the_calling_thread(monkeypatch):
+def test_rows_without_the_check_run_on_one_worker_thread(monkeypatch):
     set_cpus(monkeypatch, 64)
     threads = solve_threads(monkeypatch)
     config = make_config(axis_values=tuple(0.1 * k for k in range(8)))
     assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size) == 1
     run_sweep(config)
-    assert threads == [threading.get_ident()] * 8
+    assert len(threads) == 8 and len(set(threads)) == 1
+    assert threading.get_ident() not in threads
 
 
 def test_worker_count_is_bounded_by_the_unknowns_ratio(monkeypatch):
@@ -881,6 +907,24 @@ def test_point_report_equals_a_sweep_row_with_a_threaded_blas(tmp_path):
     row = json.loads((tmp_path / "one.json").read_text())["rows"][0]
     assert point["report"] == row["report"]
     assert point["observables"] == row["observables"]
+
+
+def test_reports_hold_exactly_the_solve_report_fields(tmp_path, capsys):
+    # a row's report and point's report are the SolveReport, and the
+    # sweep's truncation verdict is in neither
+    names = [f.name for f in fields(SolveReport)]
+    rows = {}
+    for strict in (False, True):
+        path = tmp_path / f"strict_{strict}.json"
+        emit_json(run_sweep(make_config(strict_truncation=strict)), str(path))
+        rows[strict] = json.loads(path.read_text())["rows"]
+        assert [list(row["report"]) for row in rows[strict]] == [names] * 3
+    assert main(["point", "--delta", "0", "--j-coupling", "0.1", "--omega", "1", "--gamma-c",
+                 "10", "--gamma-m", "10", "--truncation", "3", "3", "--json"]) == 0
+    point = json.loads(capsys.readouterr().out)
+    assert list(point["report"]) == names
+    assert rows[True][1]["axis_value"] == 0.0
+    assert point["report"] == rows[True][1]["report"] == rows[False][1]["report"]
 
 
 def test_reports_carry_refinement_steps_and_smallest_eigenvalue(tmp_path, capsys):
