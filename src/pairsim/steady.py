@@ -8,24 +8,25 @@ exact).  The solvers take the point, not an operator: L is the terms' own
 weighted fill for params (SectorTerms.liouvillian), so it cannot come from
 another truncation.  The row of the diagonal element rho[0, 0] is replaced
 by the trace functional, which trace preservation makes linearly dependent
-on the other diagonal rows, and the system is solved by one sparse LU.
+on the other diagonal rows, and one unrefined sparse LU solves the system.
 
 solve_steady_real solves the same sector in real arithmetic.  L preserves
 Hermiticity, so rho[j, i] is the conjugate of rho[i, j], and the sector,
 closed under transposition, has as many real unknowns as complex ones.  The
 truncation check solves its doubled space, the largest system of a sweep,
-this way, and not by a complete LU: an incomplete LU preconditions GMRES,
-and refinement with residuals summed in extended precision brings the
-answer to what a complete LU refined the same way gives (_preconditioned).
-At fig6's (12, 16) check the incomplete factor holds 297k entries against
-the complete one's 6.55M, and the solve takes about a third of the time.
-If the incomplete factor is singular or GMRES stalls, the complete LU
-solves the system instead.  The rows keep the complex solve and its
-complete LU, whose values the benchmark's references pin at 1e-12.  That
-unrefined solve is the less accurate of the two: at fig5_weak on (6, 12),
-solve_steady and solve_steady_real differ in g2_n by 2.5e-7 relative at
-gamma_m = 100 and by 4.0e-10 at gamma_m = 0.01, so changing the rows'
-solver moves their values, while the check only compares at 1e-6.
+this way, and not by a complete LU: an incomplete LU preconditions GMRES
+(_preconditioned).  At fig6's (12, 16) check the incomplete factor holds
+297k entries against the complete one's 6.55M, and the solve takes about a
+third of the time.  If the incomplete factor is singular or GMRES stalls,
+the complete LU solves the system instead.  Either solve is refined by the
+one routine, _refined, with residuals summed in extended precision, so the
+answer does not depend on which factor solved it.  The rows keep the
+complex solve and its complete LU, unrefined, whose values the benchmark's
+references pin at 1e-12.  That solve is the less accurate of the two: at
+fig5_weak on (6, 12), solve_steady and solve_steady_real differ in g2_n by
+2.5e-7 relative at gamma_m = 100 and by 4.0e-10 at gamma_m = 0.01, so
+changing the rows' solver moves their values, while the check only
+compares at 1e-6.
 
 Two independent oracles stay full-space, since their job is not to assume
 the symmetry: a dense null-space computation (null_space_steady) and a
@@ -87,15 +88,15 @@ class SolveReport:
     the entries SuperLU stores for its LU factors, supernodal padding
     included: 60897 at a (5, 5) point whose L and U hold 53286 nonzeros.
     refine_steps counts the iterative-refinement steps taken after the
-    first solve (0 to MAX_REFINE), and min_eigenvalue is the smallest
-    eigenvalue of the Hermitized state (at least EIG_FLOOR).
+    first solve: 0 for solve_steady, which does not refine.  min_eigenvalue
+    is the smallest eigenvalue of the Hermitized state (at least EIG_FLOOR).
 
     For solve_steady_real, lu_nnz counts the entries of the incomplete LU
     that preconditions GMRES (297k at (12, 16), where the complete factor
-    holds 6.55M) and refine_steps the steps whose residual is summed in
-    np.longdouble, plain float64 where np.longdouble is float64 (arm64
-    macOS, Windows).  When it falls back to the complete LU, both are the
-    complete LU's, as for solve_steady.
+    holds 6.55M), or of the complete LU when it falls back to one, and
+    refine_steps the steps of _refined (0 to MAX_REFINE) on either path,
+    whose residuals are summed in np.longdouble (plain float64 where
+    np.longdouble is float64: arm64 macOS, Windows).
 
     A sweep's truncation check is not a row's diagnostic: the sweep keeps
     the check's one record as metadata["truncation_check"].
@@ -153,80 +154,82 @@ def _validated(
     return rho, min_eig
 
 
-def _factored(
-    modified: sp.csc_matrix, rhs: np.ndarray, residual: Callable[[np.ndarray], float]
-) -> tuple[np.ndarray, int, int]:
-    """Solve modified y = rhs by one complete sparse LU; return y, the
-    factor's stored entries and the float64 refinement steps taken.
-
-    Refinement runs while residual(y) is above 0.1 RESIDUAL_TOL, at most
-    MAX_REFINE times; it rarely triggers (direct solves land near 1e-14)
-    but costs little and protects ill-conditioned corners.  A singular
-    factorization signals a degenerate steady-state manifold.
-    """
+def _complete_lu(modified: sp.csc_matrix) -> spla.SuperLU:
+    """The complete sparse LU of modified; a singular one signals a
+    degenerate steady-state manifold."""
     try:
-        lu = spla.splu(modified)
+        return spla.splu(modified)
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise DegenerateSteadyStateError(
             f"trace-replaced Liouvillian is singular ({exc}); "
             "the steady state is not unique"
         ) from exc
-    y = lu.solve(rhs)
-    steps = 0
-    while steps < MAX_REFINE and residual(y) > 0.1 * RESIDUAL_TOL:
-        y = y + lu.solve(rhs - modified @ y)
-        steps += 1
-    return y, int(lu.nnz), steps
 
 
-def _preconditioned(
-    modified: sp.csc_matrix, rhs: np.ndarray, residual: Callable[[np.ndarray], float]
-) -> tuple[np.ndarray, int, int]:
-    """Solve modified y = rhs by GMRES with an incomplete-LU preconditioner,
-    refined with residuals summed in np.longdouble; return y, the
-    incomplete factor's stored entries and the refinement steps taken.
+def _factored(modified: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Solve modified y = rhs by one complete sparse LU, unrefined; return
+    y, the factor's stored entries and 0 refinement steps."""
+    lu = _complete_lu(modified)
+    return lu.solve(rhs), int(lu.nnz), 0
 
-    GMRES alone stops at a relative residual of GMRES_RTOL, which leaves
-    the solution's own error up to the condition number times larger.
-    Each refinement step sums rhs - modified y in extended precision and
-    adds the correction that the same preconditioned GMRES solves for;
-    steps stop once a correction no longer moves y at working precision,
-    or after MAX_REFINE (Carson and Higham, SIAM J. Sci. Comput. 40, A817
-    (2018)).  Where np.longdouble is float64 (arm64 macOS, Windows), the
-    steps are plain float64 refinement.
 
-    If the incomplete factorization is singular, or any GMRES solve misses
-    its tolerance within GMRES_RESTART * GMRES_CYCLES iterations, the
-    complete LU of _factored solves the system instead.
+def _refined(
+    modified: sp.csc_matrix, rhs: np.ndarray, solve: Callable[[np.ndarray], np.ndarray | None]
+) -> tuple[np.ndarray, int] | None:
+    """Solve modified y = rhs by `solve` and refine; return y and the
+    refinement steps taken, or None if a solve fails (returns None).
+
+    A solve stopped at a small relative residual can be off by up to the
+    condition number times more.  Each step sums rhs - modified y in
+    np.longdouble (float64 where it is float64: arm64 macOS, Windows) and
+    adds the correction `solve` finds, until a correction no longer moves y
+    at working precision or after MAX_REFINE steps (Carson and Higham, SIAM
+    J. Sci. Comput. 40, A817 (2018)).  Real systems only: the cast to
+    np.longdouble would drop an imaginary part.
     """
-    try:
-        ilu = spla.spilu(modified, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR)
-    except RuntimeError:  # "Factor is exactly singular"
-        return _factored(modified, rhs, residual)
-    precond = spla.LinearOperator(modified.shape, ilu.solve, dtype=modified.dtype)
-
-    def gmres(b: np.ndarray) -> np.ndarray | None:
-        x, info = spla.gmres(
-            modified, b, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
-            maxiter=GMRES_CYCLES, M=precond,
-        )
-        return x if info == 0 else None
-
     wide = modified.astype(np.longdouble)  # the residuals are summed in it
-    y, steps = gmres(rhs), 0
+    y, steps = solve(rhs), 0
     while y is not None and steps < MAX_REFINE:
-        correction = gmres((rhs - wide @ y).astype(rhs.dtype))
+        correction = solve((rhs - wide @ y).astype(rhs.dtype))
         if correction is None:
-            y = None
-            break
+            return None
         y = y + correction
         steps += 1
         if np.abs(correction).max() <= np.finfo(y.dtype).eps * np.abs(y).max():
             break
-    if y is None:
-        del ilu, precond, wide
-        return _factored(modified, rhs, residual)
-    return y, int(ilu.nnz), steps
+    return None if y is None else (y, steps)
+
+
+def _preconditioned(modified: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Solve the real system modified y = rhs by GMRES with an
+    incomplete-LU preconditioner, refined by _refined; return y, the
+    factor's stored entries and the refinement steps taken.
+
+    If the incomplete factorization is singular, or a GMRES solve misses
+    GMRES_RTOL within GMRES_RESTART * GMRES_CYCLES iterations, the complete
+    LU solves the system instead, refined the same way.
+    """
+    try:
+        ilu = spla.spilu(modified, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR)
+    except RuntimeError:  # "Factor is exactly singular"
+        solved = None
+    else:
+        precond = spla.LinearOperator(modified.shape, ilu.solve, dtype=modified.dtype)
+
+        def gmres(b: np.ndarray) -> np.ndarray | None:
+            x, info = spla.gmres(
+                modified, b, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
+                maxiter=GMRES_CYCLES, M=precond,
+            )
+            return x if info == 0 else None
+
+        solved, nnz = _refined(modified, rhs, gmres), int(ilu.nnz)
+        del ilu, precond, gmres  # released before a complete LU is made
+    if solved is None:
+        lu = _complete_lu(modified)
+        solved, nnz = _refined(modified, rhs, lu.solve), int(lu.nnz)
+    y, steps = solved
+    return y, nnz, steps
 
 
 def _solved(
@@ -235,7 +238,7 @@ def _solved(
     terms: SectorTerms,
     expand: sp.csr_matrix | None,
     where: str,
-    solve: Callable[..., tuple[np.ndarray, int, int]],
+    solve: Callable[[sp.csc_matrix, np.ndarray], tuple[np.ndarray, int, int]],
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve `system` y = 0 for unit trace and return the validated state
     x = expand @ y (x = y without a map) on terms.space, with its report.
@@ -245,8 +248,7 @@ def _solved(
     which are unknowns of the complex and of the real system alike.  The
     result is assembled from system's CSR arrays, converted to CSC once and
     handed to `solve` (_factored or _preconditioned) with the right-hand
-    side and the residual of the sector operator `lv` on x, which is also
-    the residual reported.
+    side.  The residual reported is that of the sector operator `lv` on x.
     """
     space, dim = terms.space, terms.space.dim
     trace_cols = np.flatnonzero(terms.index % (dim + 1) == 0).astype(system.indices.dtype)
@@ -262,19 +264,14 @@ def _solved(
     rhs = np.zeros(system.shape[0], dtype=system.dtype)
     rhs[0] = 1.0
 
-    def sector(y):
-        return y if expand is None else expand @ y
-
-    def residual(y):
-        return float(np.linalg.norm(lv @ sector(y)))
-
     # the factor is released on return, before validation allocates, so
     # that its pages can be reused instead of adding to the peak
-    y, lu_nnz, steps = solve(modified, rhs, residual)
+    y, lu_nnz, steps = solve(modified, rhs)
     del modified
+    x = y if expand is None else expand @ y
     full = np.zeros(dim * dim, dtype=complex)
-    full[terms.index] = sector(y)
-    norm = residual(y)
+    full[terms.index] = x
+    norm = float(np.linalg.norm(lv @ x))
     rho, min_eig = _validated(unvec(full, dim), norm, where, terms.blocks)
     return rho, SolveReport(
         residual_norm=norm,

@@ -39,6 +39,7 @@ import ctypes
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -379,6 +380,13 @@ def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int],
     return controls
 
 
+# the open _one_blas_thread contexts, and the (set, count) pairs that the
+# first of them saved for the last to restore
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved: list[tuple[Callable[[int], None], int]] = []
+
+
 @contextmanager
 def _one_blas_thread():
     """Hold every loaded OpenBLAS at one thread, and restore its counts after.
@@ -393,16 +401,26 @@ def _one_blas_thread():
     not its sweep runs the check.  The check takes it too, so that its
     record does not depend on the environment's thread count.  The count is process-wide: other
     threads of the process get one BLAS thread meanwhile too.
+
+    Holders may overlap, as two sweeps on two threads or a point solved
+    during a sweep do: the first holder saves the counts and pins them, and
+    the last one restores them, so no holder runs unpinned.
     """
-    controls = _openblas_thread_controls()
-    counts = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
+    global _blas_holders, _blas_saved
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = [(put, get()) for get, put in _openblas_thread_controls()]
+            for put, _ in _blas_saved:
+                put(1)
+        _blas_holders += 1
     try:
         yield
     finally:
-        for (_, put), count in zip(controls, counts):
-            put(count)
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                for put, count in _blas_saved:
+                    put(count)
 
 
 def _solve_row(config: SweepConfig, terms: SectorTerms, value: float) -> SweepRow:

@@ -113,19 +113,14 @@ def sliced_sector_terms(space: HilbertSpace) -> SectorTerms:
 
 def per_point_solve(lv, space: HilbertSpace):
     """Oracle for solve_steady's assembly: a trace-row matrix stacked on
-    rows 1.. of L, then the same LU, refinement and Hermitization.
+    rows 1.. of L, then the same unrefined LU solve and Hermitization.
     Returns the factored matrix and the state."""
     index = sector_index(space)
     trace_row = sp.csr_matrix((index % (space.dim + 1) == 0).astype(complex))
     modified = sp.vstack([trace_row, lv[1:]], format="csc")
     rhs = np.zeros(index.size, dtype=complex)
     rhs[0] = 1.0
-    lu = spla.splu(modified)
-    x = lu.solve(rhs)
-    for _ in range(MAX_REFINE):
-        if np.linalg.norm(lv @ x) <= 0.1 * RESIDUAL_TOL:
-            break
-        x = x + lu.solve(rhs - modified @ x)
+    x = spla.splu(modified).solve(rhs)
     full = np.zeros(space.dim**2, dtype=complex)
     full[index] = x
     rho = unvec(full, space.dim)
@@ -530,7 +525,7 @@ def test_real_system_keeps_the_block_pattern(levels, stored, monkeypatch):
     assert np.count_nonzero(real.data) < stored
 
 
-def direct_refined(modified, rhs, residual):
+def direct_refined(modified, rhs):
     """Oracle for the real solve: the complete LU of the trace-replaced real
     system and MAX_REFINE steps of refinement with residuals summed in
     np.longdouble, whatever the residual."""
@@ -595,11 +590,46 @@ def test_truncation_check_falls_back_to_the_complete_lu(failure, monkeypatch):
     monkeypatch.setattr(spla, "splu", recorded)
     check = check_truncation(WEAK_POINT, base)
     assert want["max_deviation"] <= want["tolerance"]
-    assert check["max_deviation"] <= check["tolerance"]
-    assert abs(check["max_deviation"] - want["max_deviation"]) <= 1e-12
+    assert check["residual_norm"] < RESIDUAL_TOL
+    # the complete LU is refined as GMRES is, to the same answer
+    for key in ("residual_norm", "min_eigenvalue", "max_deviation"):
+        assert check[key] == want[key], key
+    assert check["refine_steps"] >= 1
     # one complete LU, whose entries the check records
     assert factors == [check["lu_nnz"]] and check["lu_nnz"] > want["lu_nnz"]
-    assert check["residual_norm"] < RESIDUAL_TOL
+
+
+def complete_lu(monkeypatch, permc_spec):
+    singular_preconditioner(monkeypatch)
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a: splu(a, permc_spec=permc_spec))
+
+
+@pytest.mark.parametrize(
+    "params, space",
+    [
+        (WEAK_POINT, HilbertSpace(2, 3)),
+        (WEAK_POINT, HilbertSpace(5, 5)),
+        # fig5_weak's two ends at its truncation
+        (replace(FIG5_WEAK_LOW, gamma_m=100.0), HilbertSpace(6, 12)),
+        (FIG5_WEAK_LOW, HilbertSpace(6, 12)),
+    ],
+)
+def test_real_solve_agrees_whichever_factor_solved_it(params, space, monkeypatch):
+    # the incomplete LU with GMRES, the complete COLAMD LU it falls back to,
+    # and a complete MMD_ATA LU give one answer once refined
+    terms = SectorTerms.build(space)
+    values = []
+    for fallback in (None, "COLAMD", "MMD_ATA"):
+        with monkeypatch.context() as patch:
+            if fallback is not None:
+                complete_lu(patch, fallback)
+            rho, _ = solve_steady_real(params, terms)
+        values.append(compute_observables(rho, space))
+    for other in values[1:]:
+        for key in SCALAR_KEYS:
+            x, y = getattr(values[0], key), getattr(other, key)
+            assert abs(x - y) <= 1e-15 * max(abs(x), abs(y)), key
 
 
 @pytest.mark.parametrize("levels", [(5, 5), (6, 14)])

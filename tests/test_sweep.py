@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from pairsim.sweep import (
     TRUNCATION_TOL,
     SweepConfig,
     _expand_values,
+    _one_blas_thread,
     _row_workers,
     emit_csv,
     emit_json,
@@ -669,6 +671,62 @@ def test_concurrent_rows_hold_blas_at_one_thread(monkeypatch):
     # the pooled rows, the calling-thread rows and the truncation check alike
     # see one thread, and the count is restored after each sweep
     assert (seen, checked, after_pool, after_serial) == ([ones] * 6, [ones], twos, twos)
+
+
+@contextmanager
+def blas_counts_at(count: int):
+    """Every loaded OpenBLAS's thread control, with its count set to `count`
+    and restored after; skips where no OpenBLAS is found."""
+    controls = pairsim.sweep._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS found in this process")
+    saved = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(count)
+        yield controls
+    finally:
+        for (_, put), old in zip(controls, saved):
+            put(old)
+
+
+def test_overlapping_one_blas_thread_holders_keep_the_pin():
+    # two sweeps on two threads, or a point solved during a sweep: the
+    # count stays 1 until the last holder leaves, which restores it
+    first, second = _one_blas_thread(), _one_blas_thread()
+    with blas_counts_at(2) as controls:
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        after_first = [get() for get, _ in controls]
+        second.__exit__(None, None, None)
+        after_second = [get() for get, _ in controls]
+    assert (after_first, after_second) == ([1] * len(controls), [2] * len(controls))
+
+
+def test_one_blas_thread_holders_on_many_threads_keep_the_pin():
+    seen = []
+
+    def hold():
+        for _ in range(200):
+            with _one_blas_thread():
+                seen.append([get() for get, _ in controls])
+
+    threads = [threading.Thread(target=hold) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    with blas_counts_at(2) as controls:
+        try:
+            sys.setswitchinterval(1e-6)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        after = [get() for get, _ in controls]
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [[1] * len(controls)] * (8 * 200)
+    assert after == [2] * len(controls)
 
 
 def test_rows_without_the_check_run_on_one_worker_thread(monkeypatch):
