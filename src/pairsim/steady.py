@@ -14,19 +14,26 @@ solve_steady_real solves the same sector in real arithmetic.  L preserves
 Hermiticity, so rho[j, i] is the conjugate of rho[i, j], and the sector,
 closed under transposition, has as many real unknowns as complex ones.  The
 truncation check solves its doubled space, the largest system of a sweep,
-this way, and not by a complete LU: an incomplete LU preconditions GMRES
-(_preconditioned).  At fig6's (12, 16) check the incomplete factor holds
-297k entries against the complete one's 6.55M, and the solve takes about a
-third of the time.  If the incomplete factor is singular or GMRES stalls,
-the complete LU solves the system instead.  Either solve is refined by the
-one routine, _refined, with residuals summed in extended precision, so the
-answer does not depend on which factor solved it.  The rows keep the
-complex solve and its complete LU, unrefined, whose values the benchmark's
-references pin at 1e-12.  That solve is the less accurate of the two: at
-fig5_weak on (6, 12), solve_steady and solve_steady_real differ in g2_n by
-2.5e-7 relative at gamma_m = 100 and by 4.0e-10 at gamma_m = 0.01, so
-changing the rows' solver moves their values, while the check only
-compares at 1e-6.
+this way, and not by a complete LU: GMRES solves it (_preconditioned),
+preconditioned by one forward block Gauss-Seidel sweep over the levels of
+q = n - m (_level_sweep).  Ordered by the q that an entry's ket and bra
+share (SectorTerms.levels), the system is block tridiagonal but for the
+trace row, so the sweep needs a complete sparse LU of each group of
+consecutive levels and the couplings to the levels below it; level
+reduction (Gaver, Jacobs and Latouche, Adv. Appl. Prob. 16, 715 (1984))
+uses the same structure.  At fig6's (12, 16) check the level factors hold
+382k entries, the complete LU 6.55M, and the solve takes 119 ms; fig4's
+(10, 10) check takes 33 ms and 146k entries, and no longer falls back to
+the 1.55M-entry complete LU (best of 5, one BLAS thread, 2-vCPU Xeon
+guest).  If a level factor is singular or GMRES stalls, the complete LU
+solves the system instead.  Either solve is refined by the one routine,
+_refined, with residuals summed in extended precision, so the answer does
+not depend on which factor solved it.  The rows keep the complex solve and
+its complete LU, unrefined, whose values the benchmark's references pin at
+1e-12.  That solve is the less accurate of the two: at fig5_weak on (6, 12),
+solve_steady and solve_steady_real differ in g2_n by 2.5e-7 relative at
+gamma_m = 100 and by 4.0e-10 at gamma_m = 0.01, so changing the rows'
+solver moves their values, while the check only compares at 1e-6.
 
 Two independent oracles stay full-space, since their job is not to assume
 the symmetry: a dense null-space computation (null_space_steady) and a
@@ -37,6 +44,7 @@ Tests compare all three.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -63,14 +71,24 @@ TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
 RESIDUAL_TOL = 1e-10
 MAX_REFINE = 3  # refinement steps after the first solve, at most
-# The truncation check's preconditioned GMRES (_preconditioned): spilu's
-# drop tolerance and fill limit, the relative residual each GMRES solve must
-# reach, and the iterations it may take, GMRES_RESTART per cycle.
-ILU_DROP_TOL = 1e-3
-ILU_FILL_FACTOR = 10
+# The truncation check's preconditioned GMRES (_preconditioned): the
+# relative residual each GMRES solve must reach, the iterations between
+# restarts, and the iterations a solve may take in all, restarts included.
+# The shipped checks take 3 to 27 a solve, fig7 at m_th = 1 up to 124 on
+# (12, 28) and 135 on (12, 72).
 GMRES_RTOL = 1e-14
 GMRES_RESTART = 50
-GMRES_CYCLES = 2
+GMRES_ITERATIONS = 300
+# The fewest unknowns a factor of the level preconditioner (_level_sweep)
+# covers.  Level q holds (2 k)^2 unknowns, k the photon-phonon pairs (n, m)
+# with n - m = q: 4, 16, 36, ... counted from either end of the q chain, and
+# at most (2 (n_c + 1))^2.  Grouping consecutive levels to 200 merges the five
+# smallest at each end (220 unknowns) and pairs the next; each level from
+# k = 8 (256) on is its own factor.  Medians of 11 interleaved check solves,
+# one BLAS thread: fig6's (12, 16) check took 152, 151, 129 and 170 ms with
+# groups of at least 1 (one level a factor), 100, 200 and 400 unknowns;
+# fig2_weak's (10, 10) check 45, 36, 38 and 39 ms.
+LEVEL_GROUP = 200
 # The oracles: null_space_steady's relative cutoff of a zero singular value;
 # suggest_step's power-iteration steps and its margin below the RK4
 # stability limit; the ||L vec(rho)|| at which evolve_to_steady stops.
@@ -91,12 +109,13 @@ class SolveReport:
     first solve: 0 for solve_steady, which does not refine.  min_eigenvalue
     is the smallest eigenvalue of the Hermitized state (at least EIG_FLOOR).
 
-    For solve_steady_real, lu_nnz counts the entries of the incomplete LU
-    that preconditions GMRES (297k at (12, 16), where the complete factor
-    holds 6.55M), or of the complete LU when it falls back to one, and
-    refine_steps the steps of _refined (0 to MAX_REFINE) on either path,
-    whose residuals are summed in np.longdouble (plain float64 where
-    np.longdouble is float64: arm64 macOS, Windows).
+    For solve_steady_real, lu_nnz counts the entries of the level factors
+    that precondition GMRES, summed over the groups of q levels (382k at
+    (12, 16), where the complete factor holds 6.55M; 146k at fig4's (10,
+    10) check, where it holds 1.55M), or of the complete LU when it falls
+    back to one, and refine_steps the steps of _refined (0 to MAX_REFINE)
+    on either path, whose residuals are summed in np.longdouble (plain
+    float64 where np.longdouble is float64: arm64 macOS, Windows).
 
     A sweep's truncation check is not a row's diagnostic: the sweep keeps
     the check's one record as metadata["truncation_check"].
@@ -200,31 +219,78 @@ def _refined(
     return None if y is None else (y, steps)
 
 
-def _preconditioned(modified: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Solve the real system modified y = rhs by GMRES with an
-    incomplete-LU preconditioner, refined by _refined; return y, the
-    factor's stored entries and the refinement steps taken.
+def _level_sweep(
+    modified: sp.csc_matrix, levels: tuple[np.ndarray, ...]
+) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """One forward block Gauss-Seidel sweep over the q levels of modified,
+    and the entries its factors store.
 
-    If the incomplete factorization is singular, or a GMRES solve misses
-    GMRES_RTOL within GMRES_RESTART * GMRES_CYCLES iterations, the complete
-    LU solves the system instead, refined the same way.
+    Ordered by levels (SectorTerms.levels), modified is block tridiagonal
+    but for its trace row, which sits in level 0 and reaches every level.
+    Consecutive levels are grouped to at least LEVEL_GROUP unknowns (the
+    last group may hold fewer), and each group's diagonal block D_g gets a
+    complete sparse LU (spla.splu, which raises RuntimeError on a singular
+    block).  The sweep solves x_g = D_g^-1 (r_g - sum_{h < g} A_gh x_h), g
+    ascending: the couplings A_gh below the diagonal are the previous
+    group's and the left part of the trace row.  The ordered copy is freed
+    before the sweep is returned.
+    """
+    order = np.concatenate(levels)
+    bounds = [0]
+    for end in np.cumsum([level.size for level in levels]):
+        if end - bounds[-1] >= LEVEL_GROUP:
+            bounds.append(int(end))
+    if bounds[-1] < order.size:
+        bounds.append(order.size)
+    ordered = modified[order][:, order].tocsr()
+    groups = []
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = ordered[start:stop]
+        groups.append((start, stop, spla.splu(rows[:, start:stop].tocsc()), rows[:, :start]))
+    del ordered, rows
+
+    def sweep(r: np.ndarray) -> np.ndarray:
+        r, x = r[order], np.empty_like(r)
+        for start, stop, lu, below in groups:
+            x[start:stop] = lu.solve(r[start:stop] - below @ x[:start])
+        y = np.empty_like(x)
+        y[order] = x
+        return y
+
+    return sweep, sum(int(lu.nnz) for _, _, lu, _ in groups)
+
+
+def _preconditioned(
+    levels: tuple[np.ndarray, ...], modified: sp.csc_matrix, rhs: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """Solve the real system modified y = rhs by GMRES preconditioned with
+    a level sweep (_level_sweep), refined by _refined; return y, the level
+    factors' stored entries and the refinement steps taken.
+
+    A GMRES solve may take GMRES_ITERATIONS iterations in all.  spla.gmres
+    counts restart cycles by default, and ends a cycle early on its
+    preconditioned estimate; a callback of type "legacy" makes maxiter
+    count iterations.  If a level factor is singular, or a GMRES solve
+    misses GMRES_RTOL within its iterations, the complete LU solves the
+    system instead, refined the same way.
     """
     try:
-        ilu = spla.spilu(modified, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR)
+        sweep, nnz = _level_sweep(modified, levels)
     except RuntimeError:  # "Factor is exactly singular"
         solved = None
     else:
-        precond = spla.LinearOperator(modified.shape, ilu.solve, dtype=modified.dtype)
+        precond = spla.LinearOperator(modified.shape, sweep, dtype=modified.dtype)
 
         def gmres(b: np.ndarray) -> np.ndarray | None:
             x, info = spla.gmres(
                 modified, b, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
-                maxiter=GMRES_CYCLES, M=precond,
+                maxiter=GMRES_ITERATIONS, M=precond, callback=lambda _: None,
+                callback_type="legacy",
             )
             return x if info == 0 else None
 
-        solved, nnz = _refined(modified, rhs, gmres), int(ilu.nnz)
-        del ilu, precond, gmres  # released before a complete LU is made
+        solved = _refined(modified, rhs, gmres)
+        del sweep, precond, gmres  # released before a complete LU is made
     if solved is None:
         lu = _complete_lu(modified)
         solved, nnz = _refined(modified, rhs, lu.solve), int(lu.nnz)
@@ -246,9 +312,16 @@ def _solved(
     Row 0 of `system`, rho[0, 0] (index[0] = 0), is replaced by the trace
     functional: 1 at the diagonal entries rho[i, i] (k = i (dim + 1)),
     which are unknowns of the complex and of the real system alike.  The
-    result is assembled from system's CSR arrays, converted to CSC once and
-    handed to `solve` (_factored or _preconditioned) with the right-hand
-    side.  The residual reported is that of the sector operator `lv` on x.
+    replaced equation must be the vacuum's, |g, 0, 0>'s.  Trace preservation
+    makes any one diagonal equation depend on the others, but not in
+    rounding: solved as solve_steady_real solves, replacing another one
+    moved g2_m by up to 1.8e-7 at (3, 4), where a 40-digit solve agrees with
+    this one to float64 rounding, and by up to 7.4e-6 at (12, 16).
+    _level_sweep orders the unknowns by level only inside the
+    preconditioner, so the equations stay these.  The result is assembled
+    from system's CSR arrays, converted to CSC once and handed to `solve`
+    (_factored or _preconditioned) with the right-hand side.  The residual
+    reported is that of the sector operator `lv` on x.
     """
     space, dim = terms.space, terms.space.dim
     trace_cols = np.flatnonzero(terms.index % (dim + 1) == 0).astype(system.indices.dtype)
@@ -263,6 +336,7 @@ def _solved(
     ).tocsc()
     rhs = np.zeros(system.shape[0], dtype=system.dtype)
     rhs[0] = 1.0
+    del system  # freed here if no caller holds it, as the real solve does not
 
     # the factor is released on return, before validation allocates, so
     # that its pages can be reused instead of adding to the peak
@@ -331,11 +405,23 @@ def solve_steady_real(params: SystemParams, terms: SectorTerms) -> tuple[np.ndar
     """
     lv = terms.liouvillian(params)
     expand, lower = _hermitian_map(terms.partner)
-    rows = (lv @ expand)[np.where(lower, terms.partner, np.arange(lower.size))]
+    solve = partial(_preconditioned, terms.levels)
+    # the real system is handed over as a temporary, which _solved frees
+    # once its trace-replaced copy exists
+    return _solved(
+        lv, _real_system(lv, expand, lower, terms.partner), terms, expand,
+        "solve_steady_real", solve,
+    )
+
+
+def _real_system(
+    lv: sp.csr_matrix, expand: sp.csr_matrix, lower: np.ndarray, partner: np.ndarray
+) -> sp.csr_matrix:
+    """The real equations of solve_steady_real in CSR: rows of L T, the real
+    part at i <= j and the imaginary part of the partner row at i > j."""
+    rows = (lv @ expand)[np.where(lower, partner, np.arange(lower.size))]
     parts = np.where(np.repeat(lower, np.diff(rows.indptr)), rows.data.imag, rows.data.real)
-    real = sp.csr_matrix((parts, rows.indices, rows.indptr), shape=lv.shape)
-    del rows, parts  # free the complex products before the factorization
-    return _solved(lv, real, terms, expand, "solve_steady_real", _preconditioned)
+    return sp.csr_matrix((parts, rows.indices, rows.indptr), shape=lv.shape)
 
 
 def null_space_steady(liouvillian: sp.spmatrix, space: HilbertSpace) -> np.ndarray:

@@ -27,6 +27,7 @@ from pairsim.model import (
 from pairsim.observables import SCALAR_KEYS, compute_observables
 from pairsim.operators import HilbertSpace, photon_lowering
 from pairsim.steady import (
+    GMRES_ITERATIONS,
     MAX_REFINE,
     RESIDUAL_TOL,
     _validated,
@@ -84,7 +85,7 @@ def per_point_liouvillian(params: SystemParams, space: HilbertSpace):
 def sliced_sector_terms(space: HilbertSpace) -> SectorTerms:
     """Oracle for SectorTerms.build: every full-space generator term formed
     and then sliced to the sector, and the pattern, positions and values
-    taken from the slices; partner and blocks by direct lookup."""
+    taken from the slices; partner, blocks and levels by direct lookup."""
     index = sector_index(space)
     size = index.size
     keys, values = [], []
@@ -104,6 +105,7 @@ def sliced_sector_terms(space: HilbertSpace) -> SectorTerms:
         index,
         partner=position[bra + ket * space.dim],
         blocks=tuple(np.flatnonzero(q == value) for value in np.unique(q)),
+        levels=tuple(np.flatnonzero(q[ket] == value) for value in np.unique(q)),
         indptr=np.searchsorted(pattern, np.arange(0, size * size + 1, size)).astype(np.int32),
         indices=(pattern % size).astype(np.int32),
         positions=tuple(np.searchsorted(pattern, k).astype(np.int32) for k in keys),
@@ -149,7 +151,9 @@ ZERO_PATTERNS = [
 ]
 
 
-SECTOR_FIELDS = ("index", "partner", "blocks", "indptr", "indices", "positions", "values")
+SECTOR_FIELDS = (
+    "index", "partner", "blocks", "levels", "indptr", "indices", "positions", "values"
+)
 
 
 @pytest.mark.parametrize("levels", [(2, 3), (5, 5), (6, 14)])
@@ -510,14 +514,22 @@ def test_real_solve_rejects_a_generator_that_breaks_hermiticity(monkeypatch):
         solve_steady_real(WEAK_POINT, terms)
 
 
+def level_sweeps(monkeypatch) -> list:
+    """Record the system of every level preconditioner the real solve makes."""
+    systems = []
+    sweep = pairsim.steady._level_sweep
+    monkeypatch.setattr(
+        pairsim.steady, "_level_sweep", lambda a, levels: systems.append(a) or sweep(a, levels)
+    )
+    return systems
+
+
 @pytest.mark.parametrize("levels, stored", [((2, 3), 1017), ((5, 5), 6545)])
 def test_real_system_keeps_the_block_pattern(levels, stored, monkeypatch):
     # a real and an imaginary entry for every complex entry of L T, zeros
     # included: pruning the zeros hides the 2 x 2 blocks from COLAMD
     terms = SectorTerms.build(HilbertSpace(*levels))
-    factored = []
-    spilu = spla.spilu
-    monkeypatch.setattr(spla, "spilu", lambda a, **kw: factored.append(a) or spilu(a, **kw))
+    factored = level_sweeps(monkeypatch)
     solve_steady_real(WEAK_POINT, terms)
     (real,) = factored
     assert real.dtype == np.float64
@@ -525,10 +537,74 @@ def test_real_system_keeps_the_block_pattern(levels, stored, monkeypatch):
     assert np.count_nonzero(real.data) < stored
 
 
-def direct_refined(modified, rhs):
+def sector_levels(terms: SectorTerms) -> np.ndarray:
+    """The q = n - m of each sector unknown, read from terms.levels, which
+    must list every unknown once, by the q its ket and bra share."""
+    space = terms.space
+    q = space.photon_values() - space.phonon_values()
+    ket, bra = terms.index % space.dim, terms.index // space.dim
+    level = np.full(terms.index.size, np.iinfo(int).min)
+    for value, members in zip(np.unique(q), terms.levels, strict=True):
+        assert (q[ket[members]] == value).all() and (q[bra[members]] == value).all()
+        level[members] = value
+    assert np.array_equal(np.sort(np.concatenate(terms.levels)), np.arange(terms.index.size))
+    return level
+
+
+@pytest.mark.parametrize("levels", [(3, 4), (5, 5), (6, 8)])
+def test_level_order_makes_the_sector_block_tridiagonal(levels, monkeypatch):
+    # the premise of the level preconditioner: ordered by q, the complex L
+    # and the trace-replaced real system couple each level to itself and
+    # its neighbours only; the trace row, in level 0, is the one exception
+    terms = SectorTerms.build(HilbertSpace(*levels))
+    level = sector_levels(terms)
+    params = CANONICAL_POINTS[2][0]  # every term on, m_th > 0 included
+    systems = level_sweeps(monkeypatch)
+    solve_steady_real(params, terms)
+    (real,) = systems
+    for matrix, skip in ((terms.liouvillian(params), None), (real, 0)):
+        coo = matrix.tocoo()
+        kept = coo.row != skip
+        steps = np.abs(level[coo.row[kept]] - level[coo.col[kept]])
+        assert set(steps.tolist()) == {0, 1}
+    trace_row = real.tocsr()[0]
+    assert level[0] == 0
+    assert set(level[trace_row.indices].tolist()) == set(level.tolist())
+
+
+def test_trace_replaces_the_vacuum_equation(monkeypatch):
+    # the trace takes the place of rho[0, 0]'s equation, the vacuum's, in
+    # the complex and the real solve; the level order permutes only inside
+    # the preconditioner, so the replaced equation stays the same
+    space = HilbertSpace(3, 4)
+    terms = SectorTerms.build(space)
+    assert space.index(0, 0, 0) == 0 and terms.index[0] == 0
+    diagonal = np.flatnonzero(terms.index % (space.dim + 1) == 0)
+    systems, modified = [], []
+    solved, complete = pairsim.steady._solved, pairsim.steady._complete_lu
+    monkeypatch.setattr(
+        pairsim.steady, "_solved", lambda lv, system, *rest: systems.append(system)
+        or solved(lv, system, *rest)
+    )
+    monkeypatch.setattr(
+        pairsim.steady, "_complete_lu", lambda a: modified.append(a) or complete(a)
+    )
+    real = level_sweeps(monkeypatch)
+    params = replace(FIG5_WEAK_LOW, gamma_m=100.0)
+    solve_steady(params, terms)
+    solve_steady_real(params, terms)
+    for system, factored in zip(systems, modified + real, strict=True):
+        rows, kept = factored.tocsr(), system[1:]
+        assert rows[0].indices.tolist() == diagonal.tolist()
+        assert (rows[0].data == 1.0).all()
+        kept.sort_indices()
+        assert_same_arrays(rows[1:], kept, ("data", "indices", "indptr"))
+
+
+def direct_refined(levels, modified, rhs):
     """Oracle for the real solve: the complete LU of the trace-replaced real
-    system and MAX_REFINE steps of refinement with residuals summed in
-    np.longdouble, whatever the residual."""
+    system, whatever its levels, and MAX_REFINE steps of refinement with
+    residuals summed in np.longdouble, whatever the residual."""
     lu = spla.splu(modified)
     wide = modified.astype(np.longdouble)
     y = lu.solve(rhs)
@@ -539,6 +615,11 @@ def direct_refined(modified, rhs):
 
 FIG5_WEAK_LOW = SystemParams(
     delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=0.01
+)
+# the row of the shipped fig4 sweep that its truncation check doubles
+FIG4_CHECK = SystemParams(
+    delta=19.054607179632484, j_coupling=19.054607179632484, omega=1.0, gamma_c=10.0,
+    gamma_m=10.0,
 )
 
 
@@ -553,20 +634,36 @@ FIG5_WEAK_LOW = SystemParams(
 )
 def test_real_solve_matches_a_refined_direct_solve(params, space, monkeypatch):
     terms = SectorTerms.build(space)
-    rho, report = solve_steady_real(params, terms)
+    with monkeypatch.context() as patch:
+        factors = complete_lus(patch)
+        rho, _ = solve_steady_real(params, terms)
+    assert factors == []  # the level preconditioner's solve, not the complete LU's
     monkeypatch.setattr(pairsim.steady, "_preconditioned", direct_refined)
-    want, oracle = solve_steady_real(params, terms)
-    assert report.lu_nnz < oracle.lu_nnz  # the preconditioner's, not the complete LU's
+    want, _ = solve_steady_real(params, terms)
     got, ref = compute_observables(rho, space), compute_observables(want, space)
     for key in SCALAR_KEYS:
         assert _deviation(getattr(got, key), getattr(ref, key)) <= 1e-13, key
 
 
+def complete_lus(monkeypatch) -> list[int]:
+    """Record the stored entries of every complete LU the real solve makes."""
+    factors = []
+    complete = pairsim.steady._complete_lu
+
+    def recorded(a):
+        lu = complete(a)
+        factors.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(pairsim.steady, "_complete_lu", recorded)
+    return factors
+
+
 def singular_preconditioner(monkeypatch):
-    def singular(a, **kw):
+    def singular(a, levels):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(spla, "spilu", singular)
+    monkeypatch.setattr(pairsim.steady, "_level_sweep", singular)
 
 
 def unconverged_gmres(monkeypatch):
@@ -579,15 +676,7 @@ def test_truncation_check_falls_back_to_the_complete_lu(failure, monkeypatch):
     base = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(3, 3)))
     want = check_truncation(WEAK_POINT, base)
     failure(monkeypatch)
-    factors = []
-    splu = spla.splu
-
-    def recorded(a):
-        lu = splu(a)
-        factors.append(lu.nnz)
-        return lu
-
-    monkeypatch.setattr(spla, "splu", recorded)
+    factors = complete_lus(monkeypatch)
     check = check_truncation(WEAK_POINT, base)
     assert want["max_deviation"] <= want["tolerance"]
     assert check["residual_norm"] < RESIDUAL_TOL
@@ -613,23 +702,64 @@ def complete_lu(monkeypatch, permc_spec):
         # fig5_weak's two ends at its truncation
         (replace(FIG5_WEAK_LOW, gamma_m=100.0), HilbertSpace(6, 12)),
         (FIG5_WEAK_LOW, HilbertSpace(6, 12)),
+        # fig4's shipped check, which fell back to the complete LU when an
+        # incomplete LU preconditioned GMRES
+        (FIG4_CHECK, HilbertSpace(10, 10)),
     ],
 )
 def test_real_solve_agrees_whichever_factor_solved_it(params, space, monkeypatch):
-    # the incomplete LU with GMRES, the complete COLAMD LU it falls back to,
-    # and a complete MMD_ATA LU give one answer once refined
+    # the level preconditioner with GMRES, the complete COLAMD LU it falls
+    # back to, and a complete MMD_ATA LU give one answer once refined
     terms = SectorTerms.build(space)
     values = []
     for fallback in (None, "COLAMD", "MMD_ATA"):
         with monkeypatch.context() as patch:
             if fallback is not None:
                 complete_lu(patch, fallback)
+            factors = complete_lus(patch)
             rho, _ = solve_steady_real(params, terms)
+        assert len(factors) == (fallback is not None), fallback
         values.append(compute_observables(rho, space))
     for other in values[1:]:
         for key in SCALAR_KEYS:
             x, y = getattr(values[0], key), getattr(other, key)
             assert abs(x - y) <= 1e-15 * max(abs(x), abs(y)), key
+
+
+def gmres_iterations(monkeypatch) -> list[int]:
+    """Record the iterations of every GMRES solve, counted by its callback."""
+    counts = []
+    gmres = spla.gmres
+
+    def counted(*args, callback, **kwargs):
+        calls = []
+
+        def counting(residual):
+            calls.append(residual)
+            callback(residual)
+
+        try:
+            return gmres(*args, callback=counting, **kwargs)
+        finally:
+            counts.append(len(calls))
+
+    monkeypatch.setattr(spla, "gmres", counted)
+    return counts
+
+
+def test_gmres_cap_counts_iterations_not_restart_cycles(monkeypatch):
+    # at fig4's check every GMRES solve converges within the cap
+    terms = SectorTerms.build(HilbertSpace(10, 10))
+    counts, factors = gmres_iterations(monkeypatch), complete_lus(monkeypatch)
+    solve_steady_real(FIG4_CHECK, terms)
+    assert factors == [] and 0 < max(counts) <= GMRES_ITERATIONS
+    # a cap one below the first solve's iterations stops it after exactly
+    # that many, within its first restart cycle, and the complete LU solves
+    cap = counts[0] - 1
+    counts.clear()
+    monkeypatch.setattr(pairsim.steady, "GMRES_ITERATIONS", cap)
+    solve_steady_real(FIG4_CHECK, terms)
+    assert counts == [cap] and len(factors) == 1
 
 
 @pytest.mark.parametrize("levels", [(5, 5), (6, 14)])

@@ -22,6 +22,7 @@ from helpers import read_csv
 from numpy.testing import assert_allclose
 
 import pairsim
+import pairsim.steady
 import pairsim.sweep
 from pairsim.cli import CHECK_CASES, build_parser, main, run_check
 from pairsim.errors import ConfigError, TruncationError
@@ -550,12 +551,18 @@ def test_strict_truncation_rows_pass_the_recorded_check():
     assert all(row.error is None and row.converged for row in result.rows)
 
 
-def test_truncation_check_stores_an_incomplete_factor():
+def test_truncation_check_stores_an_incomplete_factor(monkeypatch):
     # fig2_weak at delta = 0, checked at (10, 10): the complete LU of the
-    # doubled system holds 1,419,742 entries, the preconditioner 138,290
+    # doubled system holds 1,419,742 entries, the level preconditioner's
+    # factors 141,518; the only complete LU is the row's complex one
+    factored = []
+    complete = pairsim.steady._complete_lu
+    monkeypatch.setattr(
+        pairsim.steady, "_complete_lu", lambda a: factored.append(a.dtype) or complete(a)
+    )
     config = make_config(axis_values=(0.0,), truncation=(5, 5), strict_truncation=True)
     check = run_sweep(config).metadata["truncation_check"]
-    assert check["lu_nnz"] < 300_000
+    assert check["lu_nnz"] < 300_000 and factored == [np.complex128]
     assert check["max_deviation"] <= TRUNCATION_TOL
     # with one BLAS thread the record repeats exactly
     assert run_sweep(config).metadata["truncation_check"] == check
