@@ -233,13 +233,6 @@ def _nonzero_sums(rows: np.ndarray, columns: np.ndarray, values: np.ndarray, wid
     return sums.count_nonzero()
 
 
-def _grouped(labels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The positions of each value of labels, values ascending, positions
-    ascending within each."""
-    order = np.argsort(labels, kind="stable")
-    return tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
-
-
 @dataclass(frozen=True, eq=False)
 class SectorTerms:
     """The generator terms of one space restricted to its n - m sector.
@@ -253,19 +246,18 @@ class SectorTerms:
 
     The sector is closed under transposition: partner[p] is the position of
     rho[j, i] when index[p] holds rho[i, j], so partner[p] > p below the
-    diagonal (i > j) and partner[p] == p on it.  blocks groups the basis
-    states by q = n - m; a state in the sector is block diagonal in them.
-    levels groups the sector positions the same way, by the q that
-    rho[i, j]'s ket and bra share, q ascending.  H conserves q, sigma-
-    keeps it, and a, b and b^dag move ket and bra together by one, so L
-    couples each level only to itself and its two neighbours: ordered by
-    level, L is block tridiagonal.
+    diagonal (i > j) and partner[p] == p on it.  levels groups the sector
+    positions by the q = n - m that rho[i, j]'s ket and bra share, q
+    ascending: level q is the block of rho on the basis states with n - m =
+    q, column-stacked, and a state in the sector is zero outside these
+    blocks.  H conserves q, sigma- keeps it, and a, b and b^dag move ket
+    and bra together by one, so L couples each level only to itself and its
+    two neighbours: ordered by level, L is block tridiagonal.
     """
 
     space: HilbertSpace
     index: np.ndarray
     partner: np.ndarray
-    blocks: tuple[np.ndarray, ...]
     levels: tuple[np.ndarray, ...]
     indptr: np.ndarray
     indices: np.ndarray
@@ -308,13 +300,13 @@ class SectorTerms:
         pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
         idx = np.int32 if max(size, pattern.size) < 2**31 else np.int64
         ket, bra = index % space.dim, index // space.dim
-        q = space.photon_values() - space.phonon_values()
+        level = (space.photon_values() - space.phonon_values())[ket]
+        by_level = np.argsort(level, kind="stable")  # positions ascending in a level
         return cls(
             space,
             index,
             partner=np.searchsorted(index, bra + ket * space.dim),
-            blocks=_grouped(q),
-            levels=_grouped(q[ket]),
+            levels=tuple(np.split(by_level, np.flatnonzero(np.diff(level[by_level])) + 1)),
             indptr=np.searchsorted(pattern, np.arange(0, size * size + 1, size)).astype(idx),
             indices=(pattern % size).astype(idx),
             positions=tuple(np.searchsorted(pattern, k).astype(idx) for k in keys),

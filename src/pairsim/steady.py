@@ -43,6 +43,7 @@ Tests compare all three.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -107,7 +108,8 @@ class SolveReport:
     included: 60897 at a (5, 5) point whose L and U hold 53286 nonzeros.
     refine_steps counts the iterative-refinement steps taken after the
     first solve: 0 for solve_steady, which does not refine.  min_eigenvalue
-    is the smallest eigenvalue of the Hermitized state (at least EIG_FLOOR).
+    is the smallest eigenvalue of the Hermitized state (at least EIG_FLOOR),
+    the smallest over its q = n - m blocks, outside which the state is zero.
 
     For solve_steady_real, lu_nnz counts the entries of the level factors
     that precondition GMRES, summed over the groups of q levels (382k at
@@ -130,38 +132,39 @@ class SolveReport:
 
 
 def _validated(
-    rho: np.ndarray, residual: float, where: str, blocks: tuple[np.ndarray, ...] | None = None
+    x: np.ndarray, partner: np.ndarray, groups: tuple[np.ndarray, ...], residual: float, where: str
 ) -> tuple[np.ndarray, float]:
-    """Hermitize within tolerance and enforce the density-matrix invariants;
-    return the Hermitized state and its smallest eigenvalue.
+    """Hermitize the column-stacked state x within tolerance and enforce the
+    density-matrix invariants; return the Hermitized x and the smallest
+    eigenvalue of its groups.
 
-    Violations beyond the stated tolerances raise instead of being repaired,
-    since silent repair would mask assembly bugs upstream.  A non-finite
-    solution is rejected first: every comparison with NaN is False, so it
-    would pass the tolerance tests and crash the eigenvalue call.  `blocks`
-    (SectorTerms.blocks) may be given only for a state that is zero outside
-    them, as a sector solve's is; the eigenvalues are then found one block
-    at a time.
+    x[partner[p]] is rho[j, i] when x[p] is rho[i, j].  Each group lists the
+    column-stacked positions of a square block, and x must be zero outside
+    them: SectorTerms.levels for a sector state, all dim^2 entries for the
+    full-space oracle.  Violations beyond the stated tolerances raise instead
+    of being repaired, since silent repair would mask assembly bugs upstream.
+    A non-finite solution is rejected first: every comparison with NaN is
+    False, so it would pass the tolerance tests and crash the eigenvalue call.
     """
-    if not (np.isfinite(residual) and np.isfinite(rho).all()):
+    if not (np.isfinite(residual) and np.isfinite(x).all()):
         raise ConvergenceError(
             f"{where}: steady state not finite (residual {residual:.3e})"
         )
-    herm_dev = float(np.abs(rho - rho.conj().T).max())
+    mirror = x[partner].conj()
+    herm_dev = float(np.abs(x - mirror).max())
     if herm_dev > HERM_TOL:
         raise ConvergenceError(
             f"{where}: steady state not Hermitian (deviation {herm_dev:.3e})"
         )
-    rho = 0.5 * (rho + rho.conj().T)
-    trace_dev = abs(np.trace(rho).real - 1.0)
+    x = 0.5 * (x + mirror)
+    trace_dev = abs(x[partner == np.arange(x.size)].sum().real - 1.0)
     if trace_dev > TRACE_TOL:
         raise ConvergenceError(
             f"{where}: steady-state trace off by {trace_dev:.3e}"
         )
-    if blocks is None:
-        min_eig = float(np.linalg.eigvalsh(rho).min())
-    else:
-        min_eig = min(float(np.linalg.eigvalsh(rho[np.ix_(b, b)]).min()) for b in blocks)
+    min_eig = min(
+        float(np.linalg.eigvalsh(unvec(x[g], math.isqrt(g.size))).min()) for g in groups
+    )
     if min_eig < EIG_FLOOR:
         raise ConvergenceError(
             f"{where}: steady state indefinite (min eigenvalue {min_eig:.3e})"
@@ -170,7 +173,7 @@ def _validated(
         raise ConvergenceError(
             f"{where}: residual {residual:.3e} above tolerance {RESIDUAL_TOL:.0e}"
         )
-    return rho, min_eig
+    return x, min_eig
 
 
 def _complete_lu(modified: sp.csc_matrix) -> spla.SuperLU:
@@ -321,7 +324,8 @@ def _solved(
     preconditioner, so the equations stay these.  The result is assembled
     from system's CSR arrays, converted to CSC once and handed to `solve`
     (_factored or _preconditioned) with the right-hand side.  The residual
-    reported is that of the sector operator `lv` on x.
+    reported is that of the sector operator `lv` on x.  x is validated level
+    by level, and only the Hermitized x is scattered into a dim^2 array.
     """
     space, dim = terms.space, terms.space.dim
     trace_cols = np.flatnonzero(terms.index % (dim + 1) == 0).astype(system.indices.dtype)
@@ -343,10 +347,10 @@ def _solved(
     y, lu_nnz, steps = solve(modified, rhs)
     del modified
     x = y if expand is None else expand @ y
-    full = np.zeros(dim * dim, dtype=complex)
-    full[terms.index] = x
     norm = float(np.linalg.norm(lv @ x))
-    rho, min_eig = _validated(unvec(full, dim), norm, where, terms.blocks)
+    x, min_eig = _validated(x, terms.partner, terms.levels, norm, where)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[terms.index % dim, terms.index // dim] = x
     return rho, SolveReport(
         residual_norm=norm,
         levels_used=(space.n_c, space.n_m),
@@ -438,11 +442,11 @@ def null_space_steady(liouvillian: sp.spmatrix, space: HilbertSpace) -> np.ndarr
         raise DegenerateSteadyStateError(
             f"Liouvillian null space has dimension {basis.shape[1]}, expected 1"
         )
-    rho = unvec(basis[:, 0], space.dim)
-    rho = rho / np.trace(rho)
-    residual = float(np.linalg.norm(dense @ vec(rho)))
-    rho, _ = _validated(rho, residual, "null_space_steady")
-    return rho
+    x = basis[:, 0] / np.trace(unvec(basis[:, 0], space.dim))
+    transpose = vec(np.arange(x.size).reshape(space.dim, space.dim))
+    residual = float(np.linalg.norm(dense @ x))
+    x, _ = _validated(x, transpose, (np.arange(x.size),), residual, "null_space_steady")
+    return unvec(x, space.dim)
 
 
 def suggest_step(liouvillian: sp.spmatrix) -> float:
