@@ -97,11 +97,12 @@ def _cmd_sweep(args) -> int:
     result = run_sweep(config, progress=progress)
     check = result.metadata["truncation_check"]
     if check is not None:
+        report = ", ".join(
+            f"{key} {value:.3g}" if isinstance(value, float) else f"{key} {value}"
+            for key, value in check["report"].items()
+        )
         print(
-            f"truncation check at {config.axis} = {check['axis_value']:g}, levels "
-            f"{tuple(check['levels'])}: {check['unknowns']} unknowns, LU {check['lu_nnz']} "
-            f"entries, residual {check['residual_norm']:.2e}, {check['refine_steps']} "
-            f"refinement steps, min eigenvalue {check['min_eigenvalue']:.2e}; largest "
+            f"truncation check at {config.axis} = {check['axis_value']:g} ({report}): largest "
             f"deviation {check['max_deviation']:.2e} (tolerance {check['tolerance']:g})",
             file=sys.stderr,
         )

@@ -23,17 +23,17 @@ consecutive levels and the couplings to the levels below it; level
 reduction (Gaver, Jacobs and Latouche, Adv. Appl. Prob. 16, 715 (1984))
 uses the same structure.  At fig6's (12, 16) check the level factors hold
 382k entries, the complete LU 6.55M, and the solve takes 119 ms; fig4's
-(10, 10) check takes 33 ms and 146k entries, and no longer falls back to
-the 1.55M-entry complete LU (best of 5, one BLAS thread, 2-vCPU Xeon
-guest).  If a level factor is singular or GMRES stalls, the complete LU
-solves the system instead.  Either solve is refined by the one routine,
-_refined, with residuals summed in extended precision, so the answer does
-not depend on which factor solved it.  The rows keep the complex solve and
-its complete LU, unrefined, whose values the benchmark's references pin at
-1e-12.  That solve is the less accurate of the two: at fig5_weak on (6, 12),
-solve_steady and solve_steady_real differ in g2_n by 2.5e-7 relative at
-gamma_m = 100 and by 4.0e-10 at gamma_m = 0.01, so changing the rows'
-solver moves their values, while the check only compares at 1e-6.
+(10, 10) check takes 33 ms and 146k entries, the complete LU 1.55M (best of
+5, one BLAS thread, 2-vCPU Xeon guest).  If a level factor is singular or
+GMRES stalls, the complete LU solves the system instead.  Either solve is
+refined by the one routine, _refined, with residuals summed in extended
+precision, so the answer does not depend on which factor solved it.  The
+rows keep the complex solve and its complete LU, unrefined, whose values the
+benchmark's references pin at 1e-12.  That solve is the less accurate of the
+two: at fig5_weak on (6, 12), solve_steady and solve_steady_real differ in
+g2_n by 2.5e-7 relative at gamma_m = 100 and by 4.0e-10 at gamma_m = 0.01,
+so changing the rows' solver moves their values, while the check only
+compares at 1e-6.
 
 Two independent oracles stay full-space, since their job is not to assume
 the symmetry: a dense null-space computation (null_space_steady) and a

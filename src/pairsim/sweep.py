@@ -11,12 +11,11 @@ The truncation check, check_truncation(params, base), solves the doubled
 space with solve_steady_real, in real arithmetic by GMRES preconditioned
 with one block Gauss-Seidel sweep over the levels of q = n - m, whose
 factors store a small fraction of a complete LU's entries: 382k against
-6.55M at fig6's (12, 16) check, and 146k against 1.55M at fig4's, which no
-longer falls back to the complete LU.  The rows keep the complex
-solve_steady and its complete LU, whose values the references pin.  The
-check returns one record, which run_sweep stores in the JSON metadata as
-the sweep's one verdict: a sweep whose check fails raises instead of
-returning rows.
+6.55M at fig6's (12, 16) check, and 146k against 1.55M at fig4's.  The rows
+keep the complex solve_steady and its complete LU, whose values the
+references pin.  The check returns one record, the doubled point as a row
+holds it plus the verdict, which run_sweep stores in the JSON metadata: a
+sweep whose check fails raises instead of returning rows.
 
 Every sweep solves its rows on a thread pool of _row_workers threads: each
 row is one SuperLU factorization, which runs without the interpreter lock,
@@ -299,10 +298,10 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
 
     `base` is the record and report of solve_point at report.levels_used;
     only the doubled space is solved here, by solve_steady_real.  Returns
-    the check's record: the doubled levels, the doubled solve's unknowns,
-    lu_nnz, residual_norm, refine_steps and min_eigenvalue, the largest
-    relative deviation of a scalar observable and the tolerance.  The
-    truncation has converged iff max_deviation <= tolerance (TRUNCATION_TOL).
+    the check's record: the doubled point's "observables" and "report" as a
+    row holds them (point_json), the largest relative deviation of a scalar
+    observable from the base record and the tolerance.  The truncation has
+    converged iff max_deviation <= tolerance (TRUNCATION_TOL).
     """
     record, report = base
     n_c, n_m = report.levels_used
@@ -312,12 +311,7 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
     rho, solved = solve_steady_real(params, terms)
     doubled = compute_observables(rho, terms.space)
     return {
-        "levels": list(solved.levels_used),
-        "unknowns": solved.unknowns,
-        "lu_nnz": solved.lu_nnz,
-        "residual_norm": solved.residual_norm,
-        "refine_steps": solved.refine_steps,
-        "min_eigenvalue": solved.min_eigenvalue,
+        **point_json(doubled, solved),
         "max_deviation": max(
             _deviation(getattr(record, key), getattr(doubled, key)) for key in SCALAR_KEYS
         ),
@@ -364,7 +358,9 @@ def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int],
     loaded, found through /proc/self/maps: on Linux only, elsewhere none."""
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+            # the pathname is the sixth field, and may hold spaces
+            found = (line.split(maxsplit=5)[-1] for line in fh if "openblas" in line.lower())
+            paths = sorted({path.rstrip("\n") for path in found})
     except OSError:
         return []
     controls = []
@@ -499,7 +495,8 @@ def run_sweep(
 
 def point_json(record: ObservableRecord, report: SolveReport) -> dict:
     """The "observables" and "report" objects of one solved point, as they
-    appear in a sweep JSON row and in `pairsim point --json`."""
+    appear in a sweep JSON row, in `pairsim point --json` and in the
+    truncation check's record."""
     return {"observables": asdict(record), "report": asdict(report)}
 
 

@@ -1,6 +1,7 @@
 """Sweep configuration, execution, serialization, and CLI tests."""
 
 import importlib
+import io
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 from helpers import read_csv
 from numpy.testing import assert_allclose
@@ -27,17 +29,20 @@ import pairsim.sweep
 from pairsim.cli import CHECK_CASES, build_parser, main, run_check
 from pairsim.errors import ConfigError, TruncationError
 from pairsim.model import SectorTerms, SystemParams, sector_index
+from pairsim.observables import SCALAR_KEYS, compute_observables
 from pairsim.operators import HilbertSpace
 from pairsim.steady import EIG_FLOOR, MAX_REFINE, RESIDUAL_TOL, SolveReport, solve_steady_real
 from pairsim.sweep import (
     TRUNCATION_TOL,
     SweepConfig,
+    _deviation,
     _expand_values,
     _one_blas_thread,
     _row_workers,
     emit_csv,
     emit_json,
     load_config,
+    point_json,
     run_sweep,
     solve_point,
 )
@@ -523,22 +528,24 @@ def test_benchmark_self_test_passes():
 
 
 def test_sweep_metadata_records_the_truncation_check():
+    # the record holds the doubled point as a JSON row holds it, then the verdict
     config = make_config(strict_truncation=True)
-    check = run_sweep(config).metadata["truncation_check"]
-    assert set(check) == {
-        "axis_value", "levels", "unknowns", "lu_nnz", "residual_norm",
-        "refine_steps", "min_eigenvalue", "max_deviation", "tolerance",
-    }
-    assert all(math.isfinite(value) for key, value in check.items() if key != "levels")
-    assert check["levels"] == [6, 6]
-    assert check["axis_value"] in config.axis_values
-    assert check["residual_norm"] < RESIDUAL_TOL
-    assert check["min_eigenvalue"] >= EIG_FLOOR
-    assert 0 < check["max_deviation"] <= check["tolerance"] == TRUNCATION_TOL
-    # the count is that of the real factorization the check made
+    result = run_sweep(config)
+    check = result.metadata["truncation_check"]
+    assert list(check) == ["axis_value", "observables", "report", "max_deviation", "tolerance"]
+    assert list(check["report"]) == [f.name for f in fields(SolveReport)]
+    assert check["report"]["levels_used"] == (6, 6)
+    (base,) = [row for row in result.rows if row.axis_value == check["axis_value"]]
     terms = SectorTerms.build(HilbertSpace(6, 6))
-    _, real = solve_steady_real(config.params_at(check["axis_value"]), terms)
-    assert (check["unknowns"], check["lu_nnz"]) == (real.unknowns, real.lu_nnz)
+    with _one_blas_thread():
+        rho, real = solve_steady_real(config.params_at(base.axis_value), terms)
+    doubled = compute_observables(rho, terms.space)
+    assert {key: check[key] for key in ("observables", "report")} == point_json(doubled, real)
+    assert check["max_deviation"] == max(
+        _deviation(getattr(base.record, key), getattr(doubled, key)) for key in SCALAR_KEYS
+    )
+    assert 0 < check["max_deviation"] <= check["tolerance"] == TRUNCATION_TOL
+    assert real.residual_norm < RESIDUAL_TOL and real.min_eigenvalue >= EIG_FLOOR
     assert run_sweep(make_config()).metadata["truncation_check"] is None
 
 
@@ -562,7 +569,7 @@ def test_truncation_check_stores_an_incomplete_factor(monkeypatch):
     )
     config = make_config(axis_values=(0.0,), truncation=(5, 5), strict_truncation=True)
     check = run_sweep(config).metadata["truncation_check"]
-    assert check["lu_nnz"] < 300_000 and factored == [np.complex128]
+    assert check["report"]["lu_nnz"] < 300_000 and factored == [np.complex128]
     assert check["max_deviation"] <= TRUNCATION_TOL
     # with one BLAS thread the record repeats exactly
     assert run_sweep(config).metadata["truncation_check"] == check
@@ -736,6 +743,28 @@ def test_one_blas_thread_holders_on_many_threads_keep_the_pin():
     assert after == [2] * len(controls)
 
 
+def test_openblas_under_a_path_with_a_space_is_pinned(tmp_path, monkeypatch):
+    # a maps line ends with the pathname, which may hold spaces
+    libs = sorted((Path(scipy.__file__).parents[1] / "scipy.libs").glob("libscipy_openblas*.so"))
+    if not libs:
+        pytest.skip("no bundled scipy OpenBLAS found")
+    link = tmp_path / "my env" / "libscipy_openblas.so"
+    link.parent.mkdir()
+    link.symlink_to(libs[0])
+    maps = f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234567    {link}\n"
+
+    def fake_open(path, *args, **kwargs):
+        return io.StringIO(maps) if path == "/proc/self/maps" else open(path, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pairsim.sweep, "open", fake_open, raising=False)
+        controls = pairsim.sweep._openblas_thread_controls()
+    assert len(controls) == 1
+    # the link names the loaded library, whose count the real controls set
+    with blas_counts_at(2):
+        assert controls[0][0]() == 2
+
+
 def test_rows_without_the_check_run_on_one_worker_thread(monkeypatch):
     set_cpus(monkeypatch, 64)
     threads = solve_threads(monkeypatch)
@@ -811,8 +840,11 @@ def test_cli_sweep_reports_the_truncation_check(tmp_path, capsys):
     cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML.replace("strict_truncation: false", ""))
     assert main(["sweep", cfg, "--output", str(tmp_path / "mini.csv")]) == 0
     doc = json.loads((tmp_path / "mini.json").read_text())
-    check = doc["metadata"]["truncation_check"]
-    assert f"{check['unknowns']} unknowns, LU {check['lu_nnz']} entries" in capsys.readouterr().err
+    report = doc["metadata"]["truncation_check"]["report"]
+    err = capsys.readouterr().err
+    # every field of the doubled point's report, by name
+    assert all(f"{key} " in err for key in report)
+    assert f"unknowns {report['unknowns']}, lu_nnz {report['lu_nnz']}," in err
 
 
 def test_cli_exit_codes(tmp_path):
