@@ -69,8 +69,6 @@ def _cmd_sweep(args) -> int:
     config = _load_config_arg(args.config)
     if args.truncation is not None:
         config = replace(config, truncation=tuple(args.truncation))
-    if args.no_strict_truncation:
-        config = replace(config, strict_truncation=False)
     if args.output is not None:
         config = replace(config, output_path=args.output)
 
@@ -279,11 +277,6 @@ def build_parser() -> _Parser:
         type=int,
         metavar=("N_C", "N_M"),
         help="override the Fock truncation",
-    )
-    p_sweep.add_argument(
-        "--no-strict-truncation",
-        action="store_true",
-        help="skip the truncation-doubling check",
     )
     p_sweep.add_argument("--output", help="override the CSV output path")
     p_sweep.set_defaults(func=_cmd_sweep)

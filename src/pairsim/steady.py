@@ -21,19 +21,14 @@ share (SectorTerms.levels), the system is block tridiagonal but for the
 trace row, so the sweep needs a complete sparse LU of each group of
 consecutive levels and the couplings to the levels below it; level
 reduction (Gaver, Jacobs and Latouche, Adv. Appl. Prob. 16, 715 (1984))
-uses the same structure.  At fig6's (12, 16) check the level factors hold
-382k entries, the complete LU 6.55M, and the solve takes 119 ms; fig4's
-(10, 10) check takes 33 ms and 146k entries, the complete LU 1.55M (best of
-5, one BLAS thread, 2-vCPU Xeon guest).  If a level factor is singular or
+uses the same structure.  The level factors store a small fraction of a
+complete LU's entries (SolveReport gives the counts).  If a level factor is singular or
 GMRES stalls, the complete LU solves the system instead.  Either solve is
 refined by the one routine, _refined, with residuals summed in extended
 precision, so the answer does not depend on which factor solved it.  The
 rows keep the complex solve and its complete LU, unrefined, whose values the
-benchmark's references pin at 1e-12.  That solve is the less accurate of the
-two: at fig5_weak on (6, 12), solve_steady and solve_steady_real differ in
-g2_n by 2.5e-7 relative at gamma_m = 100 and by 4.0e-10 at gamma_m = 0.01,
-so changing the rows' solver moves their values, while the check only
-compares at 1e-6.
+benchmark's references pin; solve_steady says how far they are from the
+real solve's, and the check only compares at 1e-6.
 
 Two independent oracles stay full-space, since their job is not to assume
 the symmetry: a dense null-space computation (null_space_steady) and a
@@ -367,7 +362,10 @@ def solve_steady(params: SystemParams, terms: SectorTerms) -> tuple[np.ndarray, 
 
     Returns the Hermitized density matrix on terms.space and a report
     carrying the residual of the unmodified L; a degenerate steady state
-    raises (see _solved).
+    raises (see _solved).  Unrefined, it is the less accurate of the two
+    sector solvers: at fig5_weak on (6, 12), its g2_n differs from
+    solve_steady_real's by 2.5e-7 relative at gamma_m = 100 and by 4.0e-10
+    at gamma_m = 0.01, so changing the rows' solver moves their values.
     """
     lv = terms.liouvillian(params)
     return _solved(lv, lv, terms, None, "solve_steady", _factored)

@@ -9,25 +9,21 @@ solve_point(params, terms) is the one per-point pipeline (sector solve,
 then reduction to an ObservableRecord); sweeps and the CLI go through it.
 The truncation check, check_truncation(params, base), solves the doubled
 space with solve_steady_real, in real arithmetic by GMRES preconditioned
-with one block Gauss-Seidel sweep over the levels of q = n - m, whose
-factors store a small fraction of a complete LU's entries: 382k against
-6.55M at fig6's (12, 16) check, and 146k against 1.55M at fig4's.  The rows
-keep the complex solve_steady and its complete LU, whose values the
-references pin.  The check returns one record, the doubled point as a row
-holds it plus the verdict, which run_sweep stores in the JSON metadata: a
-sweep whose check fails raises instead of returning rows.
+level by level in q = n - m (steady.py says how).  The rows keep the complex
+solve_steady and its complete LU, whose values the references pin.  The
+check returns one record, the doubled point as a row holds it plus the
+verdict, which run_sweep stores in the JSON metadata: a sweep whose check
+fails raises instead of returning rows.
 
 Every sweep solves its rows on a thread pool of _row_workers threads: each
 row is one SuperLU factorization, which runs without the interpreter lock,
-and the rows are independent.  The worker count is bounded; with one BLAS
-thread on 2 CPUs, a whole fig6 sweep peaks at 88 MiB RSS, fig2_weak at
-75 MiB and fig5_weak at 105 MiB, of which the import takes 62 MiB.  A sweep
-without the check gets one worker, which solves its rows one at a time.
-The rows and the check call a one-thread BLAS (_one_blas_thread): spinning
-BLAS threads would take the CPUs the other rows need, and one policy for
-every sweep makes each row's arithmetic that of a serial one-thread solve,
-whether or not the check runs, and the check's record independent of the
-environment's thread count.
+and the rows are independent.  The worker count is bounded, which bounds
+memory.  A sweep without the check gets one worker, which solves its rows
+one at a time.  The rows and the check call a one-thread BLAS
+(_one_blas_thread): spinning BLAS threads would take the CPUs the other
+rows need, and one policy for every sweep makes each row's arithmetic that
+of a serial one-thread solve, whether or not the check runs, and the
+check's record independent of the environment's thread count.
 
 Output contract: a CSV whose first line is a comment carrying version and
 timestamp (the only nondeterministic line), then a header, then one row per
@@ -80,7 +76,7 @@ AXES = ("delta", "j_coupling", "gamma_m", "m_th")
 UNDEF_TOKEN = "undef"
 ERROR_TOKEN = "error"
 
-# The largest relative change of a scalar observable that the
+# The largest relative change of a reported observable that the
 # truncation-doubling check accepts.
 TRUNCATION_TOL = 1e-6
 
@@ -187,7 +183,6 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
-    config: SweepConfig
     rows: list[SweepRow] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
@@ -299,9 +294,10 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
     `base` is the record and report of solve_point at report.levels_used;
     only the doubled space is solved here, by solve_steady_real.  Returns
     the check's record: the doubled point's "observables" and "report" as a
-    row holds them (point_json), the largest relative deviation of a scalar
-    observable from the base record and the tolerance.  The truncation has
-    converged iff max_deviation <= tolerance (TRUNCATION_TOL).
+    row holds them (point_json), the largest relative deviation of a
+    reported column, scalar or density-matrix element, from the base record
+    and the tolerance.  The truncation has converged iff max_deviation <=
+    tolerance (TRUNCATION_TOL).
     """
     record, report = base
     n_c, n_m = report.levels_used
@@ -310,11 +306,11 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
     terms = SectorTerms.build(HilbertSpace(2 * n_c, 2 * n_m))
     rho, solved = solve_steady_real(params, terms)
     doubled = compute_observables(rho, terms.space)
+    deviations = [_deviation(getattr(record, key), getattr(doubled, key)) for key in SCALAR_KEYS]
+    deviations += [_deviation(record.elements[key], doubled.elements[key]) for key in ELEMENT_KEYS]
     return {
         **point_json(doubled, solved),
-        "max_deviation": max(
-            _deviation(getattr(record, key), getattr(doubled, key)) for key in SCALAR_KEYS
-        ),
+        "max_deviation": max(deviations),
         "tolerance": TRUNCATION_TOL,
     }
 
@@ -330,7 +326,9 @@ def _row_workers(config: SweepConfig, unknowns: int) -> int:
     factor and solve at a time, so the peak grows with the workers.  With
     12 CPUs reported, 12 workers instead of 6 raised a whole sweep's peak
     RSS from 101-104 to 130-135 MiB on fig6 and from 127-133 to 179-191 MiB
-    on fig5_weak (5 fresh processes each, one BLAS thread).
+    on fig5_weak (5 fresh processes each, one BLAS thread).  On 2 CPUs, a
+    whole sweep peaks at 88 MiB on fig6, 75 MiB on fig2_weak and 105 MiB on
+    fig5_weak, of which the import takes 62 MiB.
     """
     if not config.strict_truncation:
         return 1
@@ -490,7 +488,7 @@ def run_sweep(
         "config": asdict(config),
         "truncation_check": truncation_check,
     }
-    return SweepResult(config=config, rows=rows, metadata=metadata)
+    return SweepResult(rows=rows, metadata=metadata)
 
 
 def point_json(record: ObservableRecord, report: SolveReport) -> dict:

@@ -29,7 +29,7 @@ import pairsim.sweep
 from pairsim.cli import CHECK_CASES, build_parser, main, run_check
 from pairsim.errors import ConfigError, TruncationError
 from pairsim.model import SectorTerms, SystemParams, sector_index
-from pairsim.observables import SCALAR_KEYS, compute_observables
+from pairsim.observables import ELEMENT_KEYS, SCALAR_KEYS, compute_observables
 from pairsim.operators import HilbertSpace
 from pairsim.steady import EIG_FLOOR, MAX_REFINE, RESIDUAL_TOL, SolveReport, solve_steady_real
 from pairsim.sweep import (
@@ -39,6 +39,7 @@ from pairsim.sweep import (
     _expand_values,
     _one_blas_thread,
     _row_workers,
+    check_truncation,
     emit_csv,
     emit_json,
     load_config,
@@ -542,11 +543,24 @@ def test_sweep_metadata_records_the_truncation_check():
     doubled = compute_observables(rho, terms.space)
     assert {key: check[key] for key in ("observables", "report")} == point_json(doubled, real)
     assert check["max_deviation"] == max(
-        _deviation(getattr(base.record, key), getattr(doubled, key)) for key in SCALAR_KEYS
+        *(_deviation(getattr(base.record, key), getattr(doubled, key)) for key in SCALAR_KEYS),
+        *(_deviation(base.record.elements[key], doubled.elements[key]) for key in ELEMENT_KEYS),
     )
     assert 0 < check["max_deviation"] <= check["tolerance"] == TRUNCATION_TOL
     assert real.residual_norm < RESIDUAL_TOL and real.min_eigenvalue >= EIG_FLOOR
     assert run_sweep(make_config()).metadata["truncation_check"] is None
+
+
+def test_truncation_check_compares_every_element(monkeypatch):
+    # a doubled record in which only rho55 moves by 2e-6 relative fails
+    record, report = solve_point(BASE, SectorTerms.build(HilbertSpace(3, 3)))
+    rho55 = record.elements["rho55"]
+    assert rho55 > 1e-9  # above _deviation's absolute floor
+    moved = replace(record, elements={**record.elements, "rho55": rho55 * (1 + 2e-6)})
+    monkeypatch.setattr(pairsim.sweep, "compute_observables", lambda rho, space: moved)
+    check = check_truncation(BASE, (record, report))
+    assert check["max_deviation"] == pytest.approx(2e-6, rel=1e-5)
+    assert not check["max_deviation"] <= check["tolerance"]
 
 
 def test_strict_truncation_rows_pass_the_recorded_check():
@@ -926,15 +940,37 @@ def test_cli_output_directory_fails_before_solving(tmp_path, monkeypatch, capsys
 
 
 def test_cli_strict_truncation_abort_exits_2(tmp_path):
-    cfg = write_yaml(
-        tmp_path / "hot.yaml",
+    hot = (
         "axis: delta\nvalues: [0.0]\n"
         "params: {j_coupling: 1.0, omega: 100.0, gamma_c: 1.0, gamma_m: 1.0}\n"
-        "truncation: [2, 2]\n",
+        "truncation: [2, 2]\n"
     )
+    cfg = write_yaml(tmp_path / "hot.yaml", hot)
     assert main(["sweep", cfg, "--output", str(tmp_path / "hot.csv")]) == 2
-    assert main(["sweep", cfg, "--no-strict-truncation",
-                 "--output", str(tmp_path / "hot.csv")]) == 0
+    # the check is waived only in a config, and the JSON metadata records it
+    cfg = write_yaml(tmp_path / "waived.yaml", hot + "strict_truncation: false\n")
+    assert main(["sweep", cfg, "--output", str(tmp_path / "waived.csv")]) == 0
+    metadata = json.loads((tmp_path / "waived.json").read_text())["metadata"]
+    assert metadata["config"]["strict_truncation"] is False
+    assert metadata["truncation_check"] is None
+
+
+def test_cli_sweep_cannot_skip_the_truncation_check(monkeypatch, capsys):
+    solves = solve_threads(monkeypatch)
+    assert main(["sweep", "fig2_weak", "--no-strict-truncation"]) == 1
+    assert "unrecognized arguments: --no-strict-truncation" in capsys.readouterr().err
+    assert solves == []
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert options == {"--help", "--truncation", "--output"}
+
+
+def test_only_fig7_waives_the_truncation_check():
+    # a second shipped waiver has to be a visible decision
+    configs = Path(pairsim.sweep.__file__).parent / "configs"
+    waived = [p.name for p in sorted(configs.glob("*.yaml")) if not load_config(str(p)).strict_truncation]
+    assert waived == ["fig7.yaml"]
 
 
 def test_point_flags_follow_the_system_params():
