@@ -969,7 +969,11 @@ def test_cli_sweep_cannot_skip_the_truncation_check(monkeypatch, capsys):
 def test_only_fig7_waives_the_truncation_check():
     # a second shipped waiver has to be a visible decision
     configs = Path(pairsim.sweep.__file__).parent / "configs"
-    waived = [p.name for p in sorted(configs.glob("*.yaml")) if not load_config(str(p)).strict_truncation]
+    waived = [
+        path.name
+        for path in sorted(configs.glob("*.yaml"))
+        if not load_config(str(path)).strict_truncation
+    ]
     assert waived == ["fig7.yaml"]
 
 
