@@ -1,6 +1,6 @@
 """Steady-state solvers and the time-evolution cross-check.
 
-The production path, solve_steady(params, terms), solves L vec(rho) = 0 on
+The complex path, solve_steady(params, terms), solves L vec(rho) = 0 on
 the n - m sector of a model.SectorTerms, which owns that sector: its index,
 the generator terms restricted to it, and the check, made when the terms are
 built, that no term leaves it (model.sector_index says why solving there is
@@ -25,10 +25,11 @@ uses the same structure.  The level factors store a small fraction of a
 complete LU's entries (SolveReport gives the counts).  If a level factor is singular or
 GMRES stalls, the complete LU solves the system instead.  Either solve is
 refined by the one routine, _refined, with residuals summed in extended
-precision, so the answer does not depend on which factor solved it.  The
-rows keep the complex solve and its complete LU, unrefined, whose values the
-benchmark's references pin; solve_steady says how far they are from the
-real solve's, and the check only compares at 1e-6.
+precision, so the answer does not depend on which factor solved it.  A
+row's sector size picks its solver (sweep.solve_point): up to
+COMPLEX_LU_UNKNOWNS unknowns the complex solve and its complete LU,
+unrefined, which is the faster there; above, the real solve, the faster
+there and refined (solve_steady says how far apart the two are).
 
 Two independent oracles stay full-space, since their job is not to assume
 the symmetry: a dense null-space computation (null_space_steady) and a
@@ -85,6 +86,16 @@ GMRES_ITERATIONS = 300
 # groups of at least 1 (one level a factor), 100, 200 and 400 unknowns;
 # fig2_weak's (10, 10) check 45, 36, 38 and 39 ms.
 LEVEL_GROUP = 200
+# The most unknowns a row's sector may have for sweep.solve_point to solve it
+# by solve_steady's complete complex LU; a larger one takes solve_steady_real.
+# Best of 15 interleaved solves, one BLAS thread, L's fill included, complex
+# against real, at fig7's m_th = 0.001, 0.03, 0.3 and 1 and fig5_weak's
+# gamma_m = 1: at (5, 5), 584 unknowns, 5.5-6.6 against 7.2-14.2 ms; at (6,
+# 8), 1316, 24.9-25.4 against 12.5-25.0 ms; at (6, 14), 2492, 78-88 against
+# 22-81 ms.  Between, at (6, 6)'s 924 and (5, 8)'s 1016, the real solve won
+# at the cold and weak-drive points and lost at m_th = 0.3 and 1, whose GMRES
+# needs more iterations.
+COMPLEX_LU_UNKNOWNS = 1000
 # The oracles: null_space_steady's relative cutoff of a zero singular value;
 # suggest_step's power-iteration steps and its margin below the RK4
 # stability limit; the ||L vec(rho)|| at which evolve_to_steady stops.
@@ -102,11 +113,13 @@ class SolveReport:
     the entries SuperLU stores for its LU factors, supernodal padding
     included: 60897 at a (5, 5) point whose L and U hold 53286 nonzeros.
     refine_steps counts the iterative-refinement steps taken after the
-    first solve: 0 for solve_steady, which does not refine.  min_eigenvalue
+    first solve: 0 for solve_steady, which does not refine, and so for a
+    row of at most COMPLEX_LU_UNKNOWNS unknowns.  min_eigenvalue
     is the smallest eigenvalue of the Hermitized state (at least EIG_FLOOR),
     the smallest over its q = n - m blocks, outside which the state is zero.
 
-    For solve_steady_real, lu_nnz counts the entries of the level factors
+    For solve_steady_real, which solves the truncation check and the rows
+    above COMPLEX_LU_UNKNOWNS, lu_nnz counts the entries of the level factors
     that precondition GMRES, summed over the groups of q levels (382k at
     (12, 16), where the complete factor holds 6.55M; 146k at fig4's (10,
     10) check, where it holds 1.55M), or of the complete LU when it falls
@@ -364,8 +377,10 @@ def solve_steady(params: SystemParams, terms: SectorTerms) -> tuple[np.ndarray, 
     carrying the residual of the unmodified L; a degenerate steady state
     raises (see _solved).  Unrefined, it is the less accurate of the two
     sector solvers: at fig5_weak on (6, 12), its g2_n differs from
-    solve_steady_real's by 2.5e-7 relative at gamma_m = 100 and by 4.0e-10
-    at gamma_m = 0.01, so changing the rows' solver moves their values.
+    solve_steady_real's by 2.5e-7 relative at gamma_m = 100, where the
+    real solve matches the 40-digit oracle (tests/test_oracle.py), and by
+    4.0e-10 at gamma_m = 0.01.  Rows take it only up to
+    COMPLEX_LU_UNKNOWNS unknowns, where it is the faster.
     """
     lv = terms.liouvillian(params)
     return _solved(lv, lv, terms, None, "solve_steady", _factored)

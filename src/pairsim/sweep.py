@@ -9,17 +9,18 @@ solve_point(params, terms) is the one per-point pipeline (sector solve,
 then reduction to an ObservableRecord); sweeps and the CLI go through it.
 The truncation check, check_truncation(params, base), solves the doubled
 space with solve_steady_real, in real arithmetic by GMRES preconditioned
-level by level in q = n - m (steady.py says how).  The rows keep the complex
-solve_steady and its complete LU, whose values the references pin.  The
+level by level in q = n - m (steady.py says how).  So does a row whose
+sector has more than steady.COMPLEX_LU_UNKNOWNS unknowns; a smaller row
+keeps the complex solve_steady and its complete LU (solve_point).  The
 check returns one record, the doubled point as a row holds it plus the
 verdict, which run_sweep stores in the JSON metadata: a sweep whose check
 fails raises instead of returning rows.
 
-Every sweep solves its rows on a thread pool of _row_workers threads: each
-row is one SuperLU factorization, which runs without the interpreter lock,
-and the rows are independent.  The worker count is bounded, which bounds
-memory.  A sweep without the check gets one worker, which solves its rows
-one at a time.  The rows and the check call a one-thread BLAS
+Every sweep solves its rows on a thread pool of _row_workers threads: the
+rows are independent, and SuperLU runs without the interpreter lock, though
+the real solve's GMRES loop holds it.  The worker count is bounded, which
+bounds memory.  A sweep without the check gets one worker, which solves its
+rows one at a time.  The rows and the check call a one-thread BLAS
 (_one_blas_thread): spinning BLAS threads would take the CPUs the other
 rows need, and one policy for every sweep makes each row's arithmetic that
 of a serial one-thread solve, whether or not the check runs, and the
@@ -55,7 +56,7 @@ from .errors import ConfigError, PairsimError, TruncationError
 from .model import SectorTerms, SystemParams, build_liouvillian, sector_index  # noqa: F401
 from .observables import ELEMENT_KEYS, SCALAR_KEYS, ObservableRecord, compute_observables
 from .operators import HilbertSpace
-from .steady import SolveReport, solve_steady, solve_steady_real
+from .steady import COMPLEX_LU_UNKNOWNS, SolveReport, solve_steady, solve_steady_real
 
 __all__ = [
     "AXES",
@@ -176,8 +177,9 @@ class SweepRow:
 
     @property
     def converged(self) -> bool:
-        """True when the point solved: solve_steady enforces the residual
-        tolerance, and a sweep whose truncation check fails returns no rows."""
+        """True when the point solved: either sector solver enforces the
+        residual tolerance, and a sweep whose truncation check fails returns
+        no rows."""
         return self.error is None
 
 
@@ -271,11 +273,16 @@ def load_config(path: str) -> SweepConfig:
 def solve_point(params: SystemParams, terms: SectorTerms) -> tuple[ObservableRecord, SolveReport]:
     """Solve the steady state on terms.space and reduce it to its record.
 
-    solve_steady and compute_observables are looked up in this module, so
-    wrapping them here (as the benchmark's tracer does) sees every row's
-    solve; check_truncation looks up solve_steady_real here too.
+    A sector of at most COMPLEX_LU_UNKNOWNS unknowns is solved by
+    solve_steady's complete complex LU, unrefined; a larger one by
+    solve_steady_real, refined, which is faster there (steady.py gives the
+    measurements).  The solvers and compute_observables are looked up in
+    this module, so wrapping them here (as the benchmark's tracer does)
+    sees every row's solve; check_truncation looks up solve_steady_real
+    here too.
     """
-    rho, report = solve_steady(params, terms)
+    solve = solve_steady if terms.index.size <= COMPLEX_LU_UNKNOWNS else solve_steady_real
+    rho, report = solve(params, terms)
     return compute_observables(rho, terms.space), report
 
 
@@ -319,16 +326,18 @@ def _row_workers(config: SweepConfig, unknowns: int) -> int:
     """Threads that solve the rows of `config`, whose sector has `unknowns`.
 
     1 without the truncation check, so that its rows are solved one at a
-    time: two concurrent (6, 14) rows of fig7 raise its peak memory by about
-    a quarter.  With it, min(CPUs available to the process, rows,
-    doubled-sector unknowns // row-sector unknowns).  The ratio is 6 for
-    every shipped config, and it bounds memory: each worker holds one row's
-    factor and solve at a time, so the peak grows with the workers.  With
-    12 CPUs reported, 12 workers instead of 6 raised a whole sweep's peak
-    RSS from 101-104 to 130-135 MiB on fig6 and from 127-133 to 179-191 MiB
-    on fig5_weak (5 fresh processes each, one BLAS thread).  On 2 CPUs, a
-    whole sweep peaks at 88 MiB on fig6, 75 MiB on fig2_weak and 105 MiB on
-    fig5_weak, of which the import takes 62 MiB.
+    time: two concurrent (6, 14) rows of fig7 raised its peak RSS from
+    74.4-74.6 to 78.3-79.6 MiB and did not finish sooner, since the real
+    solve's GMRES loop holds the interpreter lock.  With it, min(CPUs
+    available to the process, rows, doubled-sector unknowns // row-sector
+    unknowns).  The ratio is 6 for every shipped config, and it bounds
+    memory: each worker holds one row's factor and solve at a time, so the
+    peak grows with the workers.  12 workers instead of 6 raised a whole
+    sweep's peak RSS from 89-91 to 97-99 MiB on fig6 and from 111-114 to
+    124-127 MiB on fig5_weak (3 fresh processes each, one BLAS thread).  On
+    2 CPUs, a whole sweep peaks at 86 MiB on fig6, 75 MiB on fig2_weak and
+    102-104 MiB on fig5_weak, of which the import takes 62 MiB (5 fresh
+    processes each).
     """
     if not config.strict_truncation:
         return 1
@@ -441,7 +450,7 @@ def run_sweep(
     axis_value, then check_truncation's record.  That entry is the sweep's
     one verdict; with the check off, none runs and it is None.  The sector
     terms are built once, so each point costs one weighted fill of their
-    fixed pattern and one LU.
+    fixed pattern and one sector solve (solve_point).
 
     The rows are solved on _row_workers threads, one without the check, with
     every loaded OpenBLAS held at one thread while they and the check run

@@ -10,8 +10,10 @@ fig5_weak at gamma_m = 100 is the weakest drive of the shipped sweeps: <m> =
 1.6e-6 and g2_m = 1.6e-3, so its two-phonon population is about 2e-15 of
 the vacuum's.  At its shipped (6, 12) and at (6, 14) its statistics sit at
 most 3.6e-13 from the (3, 4) digits, so there the digits hold the solves to
-1e-11.  The rows' unrefined complex LU misses that bound: its g2_n is 2.5e-7
-off at (6, 12), its g2_m 1.1e-5 off at (6, 14).
+1e-11.  There a row's sector (2100 and 2492 unknowns) is above
+steady.COMPLEX_LU_UNKNOWNS, so solve_point solves it with solve_steady_real
+too; the unrefined complex LU would miss the bound, its g2_n 2.5e-7 off at
+(6, 12) and its g2_m 1.1e-5 off at (6, 14).
 """
 
 import pytest
@@ -105,21 +107,9 @@ def test_the_oracle_truncation_matches_its_digits(name, solver):
     assert_digits(solver, name, (3, 4), 1e-13)
 
 
-ROWS_MISS = pytest.mark.xfail(
-    strict=True,
-    reason="the rows' unrefined complex LU loses the weak-drive tail; "
-    "moving the rows to solve_steady_real (ROADMAP item 2) mends it",
-)
-
-
 @pytest.mark.parametrize(
     "solver, levels",
-    [
-        (real_solve, (6, 12)),
-        (real_solve, (6, 14)),
-        pytest.param(row_solve, (6, 12), marks=ROWS_MISS),
-        pytest.param(row_solve, (6, 14), marks=ROWS_MISS),
-    ],
+    [(real_solve, (6, 12)), (real_solve, (6, 14)), (row_solve, (6, 12)), (row_solve, (6, 14))],
 )
 def test_the_weakest_drive_matches_its_digits_at_taller_truncations(solver, levels):
     assert_digits(solver, "fig5_weak gamma_m=100", levels, 1e-11)

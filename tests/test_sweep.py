@@ -31,7 +31,15 @@ from pairsim.errors import ConfigError, TruncationError
 from pairsim.model import SectorTerms, SystemParams, sector_index
 from pairsim.observables import ELEMENT_KEYS, SCALAR_KEYS, compute_observables
 from pairsim.operators import HilbertSpace
-from pairsim.steady import EIG_FLOOR, MAX_REFINE, RESIDUAL_TOL, SolveReport, solve_steady_real
+from pairsim.steady import (
+    COMPLEX_LU_UNKNOWNS,
+    EIG_FLOOR,
+    MAX_REFINE,
+    RESIDUAL_TOL,
+    SolveReport,
+    solve_steady,
+    solve_steady_real,
+)
 from pairsim.sweep import (
     TRUNCATION_TOL,
     SweepConfig,
@@ -335,6 +343,21 @@ def test_sweep_rows_match_direct_solves():
         assert row.record.log_neg == pytest.approx(direct.log_neg, abs=1e-12)
     assert result.metadata["tool"] == "pairsim"
     assert result.metadata["config"]["axis"] == "delta"
+
+
+@pytest.mark.parametrize(
+    "levels, solver", [((5, 5), solve_steady), ((6, 8), solve_steady_real)]
+)
+def test_solve_point_picks_the_solver_by_sector_size(levels, solver):
+    # (5, 5)'s 584 unknowns keep the unrefined complete complex LU, (6, 8)'s
+    # 1316 take the refined real solve; each row is that solver's, bit for bit
+    terms = SectorTerms.build(HilbertSpace(*levels))
+    assert (terms.index.size <= COMPLEX_LU_UNKNOWNS) == (solver is solve_steady)
+    params = BASE.with_value("gamma_m", 0.1)
+    rho, report = solver(params, terms)
+    assert solve_point(params, terms) == (compute_observables(rho, terms.space), report)
+    if solver is solve_steady:
+        assert report.refine_steps == 0
 
 
 def test_failed_points_become_error_rows(tmp_path):
