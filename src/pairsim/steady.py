@@ -1,4 +1,4 @@
-"""Steady-state solvers and the time-evolution cross-check.
+"""Steady-state solvers.
 
 The complex path, solve_steady(params, terms), solves L vec(rho) = 0 on
 the n - m sector of a model.SectorTerms, which owns that sector: its index,
@@ -15,26 +15,27 @@ Hermiticity, so rho[j, i] is the conjugate of rho[i, j], and the sector,
 closed under transposition, has as many real unknowns as complex ones.  The
 truncation check solves its doubled space, the largest system of a sweep,
 this way, and not by a complete LU: GMRES solves it (_preconditioned),
-preconditioned by one forward block Gauss-Seidel sweep over the levels of
+preconditioned by one red-black block Gauss-Seidel sweep over the levels of
 q = n - m (_level_sweep).  Ordered by the q that an entry's ket and bra
 share (SectorTerms.levels), the system is block tridiagonal but for the
-trace row, so the sweep needs a complete sparse LU of each group of
-consecutive levels and the couplings to the levels below it; level
-reduction (Gaver, Jacobs and Latouche, Adv. Appl. Prob. 16, 715 (1984))
-uses the same structure.  The level factors store a small fraction of a
-complete LU's entries (SolveReport gives the counts).  If a level factor is singular or
-GMRES stalls, the complete LU solves the system instead.  Either solve is
-refined by the one routine, _refined, with residuals summed in extended
-precision, so the answer does not depend on which factor solved it.  A
-row's sector size picks its solver (sweep.solve_point): up to
+trace row, so levels of the same parity never couple, and each colour needs
+one complete sparse LU of a block-diagonal matrix; level reduction (Gaver,
+Jacobs and Latouche, Adv. Appl. Prob. 16, 715 (1984)) uses the same
+structure.  The two factors store a small fraction of a complete LU's
+entries (SolveReport gives the counts).  Each GMRES solve stops at a loose
+GMRES_RTOL, and refinement with residuals summed in extended precision
+(_refined) carries the accuracy.  If a factor is singular, or GMRES or its
+refinement does not converge, the complete LU solves the system instead,
+refined by the same routine, so the answer does not depend on which factor
+solved it.  A row's sector size picks its solver (sweep.solve_point): up to
 COMPLEX_LU_UNKNOWNS unknowns the complex solve and its complete LU,
 unrefined, which is the faster there; above, the real solve, the faster
 there and refined (solve_steady says how far apart the two are).
 
-Two independent oracles stay full-space, since their job is not to assume
-the symmetry: a dense null-space computation (null_space_steady) and a
-fixed-step RK4 integration of the master equation (evolve_to_steady).
-Tests compare all three.
+An independent oracle stays full-space, since its job is not to assume the
+symmetry: a dense null-space computation (null_space_steady).  The tests
+hold the sector solvers to it and to a fixed-step RK4 integration of the
+master equation (tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ __all__ = [
     "solve_steady",
     "solve_steady_real",
     "null_space_steady",
-    "evolve_to_steady",
-    "suggest_step",
-    "vacuum_state",
 ]
 
 HERM_TOL = 1e-10
@@ -68,41 +66,30 @@ TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
 RESIDUAL_TOL = 1e-10
 MAX_REFINE = 3  # refinement steps after the first solve, at most
-# The truncation check's preconditioned GMRES (_preconditioned): the
-# relative residual each GMRES solve must reach, the iterations between
+# The real solve's preconditioned GMRES (_preconditioned): the relative
+# residual at which each GMRES solve stops, the iterations between
 # restarts, and the iterations a solve may take in all, restarts included.
-# The shipped checks take 3 to 27 a solve, fig7 at m_th = 1 up to 124 on
-# (12, 28) and 135 on (12, 72).
-GMRES_RTOL = 1e-14
+# GMRES_RTOL is an inner tolerance: _refined carries the accuracy, and it is
+# the loosest decade at which every shipped row and check still stops by
+# _refined's correction test within MAX_REFINE - 1 steps with every
+# observable unchanged; at 1e-8 two fig5_weak rows (gamma_m 0.032 and 0.045)
+# took 3 steps.  A solve takes 2 to 12 iterations on the shipped rows and
+# checks, and fig7 at m_th = 1 up to 76 on (12, 28) and 79 on (12, 72).
+GMRES_RTOL = 1e-9
 GMRES_RESTART = 50
 GMRES_ITERATIONS = 300
-# The fewest unknowns a factor of the level preconditioner (_level_sweep)
-# covers.  Level q holds (2 k)^2 unknowns, k the photon-phonon pairs (n, m)
-# with n - m = q: 4, 16, 36, ... counted from either end of the q chain, and
-# at most (2 (n_c + 1))^2.  Grouping consecutive levels to 200 merges the five
-# smallest at each end (220 unknowns) and pairs the next; each level from
-# k = 8 (256) on is its own factor.  Medians of 11 interleaved check solves,
-# one BLAS thread: fig6's (12, 16) check took 152, 151, 129 and 170 ms with
-# groups of at least 1 (one level a factor), 100, 200 and 400 unknowns;
-# fig2_weak's (10, 10) check 45, 36, 38 and 39 ms.
-LEVEL_GROUP = 200
 # The most unknowns a row's sector may have for sweep.solve_point to solve it
 # by solve_steady's complete complex LU; a larger one takes solve_steady_real.
 # Best of 15 interleaved solves, one BLAS thread, L's fill included, complex
 # against real, at fig7's m_th = 0.001, 0.03, 0.3 and 1 and fig5_weak's
-# gamma_m = 1: at (5, 5), 584 unknowns, 5.5-6.6 against 7.2-14.2 ms; at (6,
-# 8), 1316, 24.9-25.4 against 12.5-25.0 ms; at (6, 14), 2492, 78-88 against
-# 22-81 ms.  Between, at (6, 6)'s 924 and (5, 8)'s 1016, the real solve won
-# at the cold and weak-drive points and lost at m_th = 0.3 and 1, whose GMRES
-# needs more iterations.
+# gamma_m = 1: at (5, 5), 584 unknowns, 5.8-7.2 against 5.5-14.9 ms, the
+# real solve slower at m_th = 0.3 and 1, whose GMRES needs more iterations;
+# at (6, 8), 1316, 25.6-31.8 against 9.3-30.6 ms; at (6, 14), 2492, 83-108
+# against 16-82 ms.  Between, at (6, 6)'s 924 and (5, 8)'s 1016, the real
+# solve won but at m_th = 1 (and at (5, 8)'s m_th = 0.3).
 COMPLEX_LU_UNKNOWNS = 1000
-# The oracles: null_space_steady's relative cutoff of a zero singular value;
-# suggest_step's power-iteration steps and its margin below the RK4
-# stability limit; the ||L vec(rho)|| at which evolve_to_steady stops.
+# null_space_steady's relative cutoff of a zero singular value
 NULL_RCOND = 1e-9
-POWER_ITERS = 40
-STEP_SAFETY = 0.8
-DERIV_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -119,13 +106,13 @@ class SolveReport:
     the smallest over its q = n - m blocks, outside which the state is zero.
 
     For solve_steady_real, which solves the truncation check and the rows
-    above COMPLEX_LU_UNKNOWNS, lu_nnz counts the entries of the level factors
-    that precondition GMRES, summed over the groups of q levels (382k at
-    (12, 16), where the complete factor holds 6.55M; 146k at fig4's (10,
-    10) check, where it holds 1.55M), or of the complete LU when it falls
-    back to one, and refine_steps the steps of _refined (0 to MAX_REFINE)
-    on either path, whose residuals are summed in np.longdouble (plain
-    float64 where np.longdouble is float64: arm64 macOS, Windows).
+    above COMPLEX_LU_UNKNOWNS, lu_nnz counts the entries of the red and the
+    black factor that precondition GMRES (383k at (12, 16), where the
+    complete factor holds 6.55M; 127k at fig4's (10, 10) check, where it
+    holds 1.55M), or of the complete LU when it falls back to one, and
+    refine_steps the steps of _refined (1 to MAX_REFINE) on either path,
+    whose residuals are summed in np.longdouble (plain float64 where
+    np.longdouble is float64: arm64 macOS, Windows).
 
     A sweep's truncation check is not a row's diagnostic: the sweep keeps
     the check's one record as metadata["truncation_check"].
@@ -207,68 +194,63 @@ def _refined(
     modified: sp.csc_matrix, rhs: np.ndarray, solve: Callable[[np.ndarray], np.ndarray | None]
 ) -> tuple[np.ndarray, int] | None:
     """Solve modified y = rhs by `solve` and refine; return y and the
-    refinement steps taken, or None if a solve fails (returns None).
+    refinement steps taken, or None if a solve fails (returns None) or the
+    refinement does not converge.
 
     A solve stopped at a small relative residual can be off by up to the
     condition number times more.  Each step sums rhs - modified y in
     np.longdouble (float64 where it is float64: arm64 macOS, Windows) and
     adds the correction `solve` finds, until a correction no longer moves y
-    at working precision or after MAX_REFINE steps (Carson and Higham, SIAM
-    J. Sci. Comput. 40, A817 (2018)).  Real systems only: the cast to
+    at working precision (Carson and Higham, SIAM J. Sci. Comput. 40, A817
+    (2018)).  If the MAX_REFINE-th correction still moves it, y has not
+    converged and is not returned.  Real systems only: the cast to
     np.longdouble would drop an imaginary part.
     """
     wide = modified.astype(np.longdouble)  # the residuals are summed in it
-    y, steps = solve(rhs), 0
-    while y is not None and steps < MAX_REFINE:
-        correction = solve((rhs - wide @ y).astype(rhs.dtype))
+    y = solve(rhs)
+    for steps in range(1, MAX_REFINE + 1):
+        correction = None if y is None else solve((rhs - wide @ y).astype(rhs.dtype))
         if correction is None:
             return None
         y = y + correction
-        steps += 1
         if np.abs(correction).max() <= np.finfo(y.dtype).eps * np.abs(y).max():
-            break
-    return None if y is None else (y, steps)
+            return y, steps
+    return None
 
 
 def _level_sweep(
     modified: sp.csc_matrix, levels: tuple[np.ndarray, ...]
 ) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """One forward block Gauss-Seidel sweep over the q levels of modified,
-    and the entries its factors store.
+    """One red-black block Gauss-Seidel sweep over the q levels of
+    modified, and the entries its two factors store.
 
-    Ordered by levels (SectorTerms.levels), modified is block tridiagonal
-    but for its trace row, which sits in level 0 and reaches every level.
-    Consecutive levels are grouped to at least LEVEL_GROUP unknowns (the
-    last group may hold fewer), and each group's diagonal block D_g gets a
-    complete sparse LU (spla.splu, which raises RuntimeError on a singular
-    block).  The sweep solves x_g = D_g^-1 (r_g - sum_{h < g} A_gh x_h), g
-    ascending: the couplings A_gh below the diagonal are the previous
-    group's and the left part of the trace row.  The ordered copy is freed
-    before the sweep is returned.
+    modified couples each level (SectorTerms.levels) only to itself and
+    its neighbours, but for the trace row, which sits in level 0 and
+    reaches every level.  So levels whose distance from level 0 is even
+    (red) never couple to each other, nor do the odd ones (black), and each
+    colour's diagonal block is block diagonal, red's but for the trace row.
+    Each gets one complete sparse LU (spla.splu, which raises RuntimeError
+    on a singular block), and the sweep solves x_red = D_red^-1 r_red, then
+    x_black = D_black^-1 (r_black - C x_red), C the couplings from the red
+    columns into the black rows; those from the black columns into the red
+    rows are dropped (Young, Iterative Solution of Large Linear Systems,
+    1971).  Each slice of modified is freed before the next factorization.
     """
-    order = np.concatenate(levels)
-    bounds = [0]
-    for end in np.cumsum([level.size for level in levels]):
-        if end - bounds[-1] >= LEVEL_GROUP:
-            bounds.append(int(end))
-    if bounds[-1] < order.size:
-        bounds.append(order.size)
-    ordered = modified[order][:, order].tocsr()
-    groups = []
-    for start, stop in zip(bounds, bounds[1:]):
-        rows = ordered[start:stop]
-        groups.append((start, stop, spla.splu(rows[:, start:stop].tocsc()), rows[:, :start]))
-    del ordered, rows
+    trace = next(i for i, level in enumerate(levels) if level[0] == 0)
+    red, black = (np.concatenate(levels[(trace + c) % 2 :: 2]) for c in (0, 1))
+    columns = modified[:, red]
+    red_lu = spla.splu(columns[red].tocsc())
+    coupling = columns[black].tocsr()
+    del columns
+    black_lu = spla.splu(modified[:, black][black].tocsc())
 
     def sweep(r: np.ndarray) -> np.ndarray:
-        r, x = r[order], np.empty_like(r)
-        for start, stop, lu, below in groups:
-            x[start:stop] = lu.solve(r[start:stop] - below @ x[:start])
-        y = np.empty_like(x)
-        y[order] = x
-        return y
+        x = np.empty_like(r)
+        x[red] = red_lu.solve(r[red])
+        x[black] = black_lu.solve(r[black] - coupling @ x[red])
+        return x
 
-    return sweep, sum(int(lu.nnz) for _, _, lu, _ in groups)
+    return sweep, int(red_lu.nnz) + int(black_lu.nnz)
 
 
 def _preconditioned(
@@ -278,12 +260,14 @@ def _preconditioned(
     a level sweep (_level_sweep), refined by _refined; return y, the level
     factors' stored entries and the refinement steps taken.
 
-    A GMRES solve may take GMRES_ITERATIONS iterations in all.  spla.gmres
-    counts restart cycles by default, and ends a cycle early on its
-    preconditioned estimate; a callback of type "legacy" makes maxiter
-    count iterations.  If a level factor is singular, or a GMRES solve
-    misses GMRES_RTOL within its iterations, the complete LU solves the
-    system instead, refined the same way.
+    A GMRES solve stops at GMRES_RTOL and may take GMRES_ITERATIONS
+    iterations in all.  spla.gmres counts restart cycles by default, and
+    ends a cycle early on its preconditioned estimate; a callback of type
+    "legacy" makes maxiter count iterations.  If a level factor is
+    singular, a GMRES solve misses GMRES_RTOL within its iterations or the
+    refinement does not converge, the complete LU solves the system
+    instead, refined the same way; ConvergenceError if that refinement does
+    not converge either.
     """
     try:
         sweep, nnz = _level_sweep(modified, levels)
@@ -305,6 +289,10 @@ def _preconditioned(
     if solved is None:
         lu = _complete_lu(modified)
         solved, nnz = _refined(modified, rhs, lu.solve), int(lu.nnz)
+        if solved is None:
+            raise ConvergenceError(
+                f"solve_steady_real: no convergence in {MAX_REFINE} refinement steps"
+            )
     y, steps = solved
     return y, nnz, steps
 
@@ -460,95 +448,3 @@ def null_space_steady(liouvillian: sp.spmatrix, space: HilbertSpace) -> np.ndarr
     residual = float(np.linalg.norm(dense @ x))
     x, _ = _validated(x, transpose, (np.arange(x.size),), residual, "null_space_steady")
     return unvec(x, space.dim)
-
-
-def suggest_step(liouvillian: sp.spmatrix) -> float:
-    """Stable RK4 step from a power-iteration estimate of the spectral radius.
-
-    The classical RK4 stability region reaches |lambda h| = 2*sqrt(2) along
-    the imaginary axis, which is the binding constraint for weakly damped
-    Hamiltonian dynamics; STEP_SAFETY backs off from that limit and absorbs
-    the underestimate inherent in POWER_ITERS steps of power iteration.
-    """
-    lv = sp.csr_matrix(liouvillian)
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(lv.shape[0]) + 1j * rng.standard_normal(lv.shape[0])
-    v /= np.linalg.norm(v)
-    radius = 0.0
-    for _ in range(POWER_ITERS):
-        w = lv @ v
-        radius = float(np.linalg.norm(w))
-        if radius == 0.0:
-            return 1.0
-        v = w / radius
-    return STEP_SAFETY * 2.0 * np.sqrt(2.0) / radius
-
-
-def evolve_to_steady(
-    liouvillian: sp.spmatrix,
-    initial: np.ndarray,
-    t_max: float,
-    step: float | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Integrate d(rho)/dt = L rho with fixed-step RK4 until stationary.
-
-    Stops once ||L vec(rho)|| < DERIV_TOL, or fails with ConvergenceError if
-    t_max is exhausted first.  Returns the state and a dict of the steps
-    taken, the step, the final ||L vec(rho)|| and the largest trace drift.
-    The step defaults to suggest_step(), which is a stability bound, not an
-    accuracy bound: the trajectory is only a means to reach the fixed point,
-    and the fixed point itself is step-independent.
-    """
-    lv = sp.csr_matrix(liouvillian)
-    if step is None:
-        step = suggest_step(lv)
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    dim = initial.shape[0]
-    v = vec(np.asarray(initial, dtype=complex))
-    n_steps = int(np.ceil(t_max / step))
-    half = 0.5 * step
-    sixth = step / 6.0
-    deriv = float("inf")
-    divergence_cap = float("inf")
-    max_trace_drift = 0.0
-    taken = 0
-    for taken in range(1, n_steps + 1):
-        k1 = lv @ v
-        deriv = float(np.linalg.norm(k1))
-        if deriv < DERIV_TOL:
-            taken -= 1
-            break
-        if taken == 1:
-            # a stable trajectory may grow transiently (the generator is
-            # non-normal) but runaway exponential growth blows through any
-            # fixed factor within a handful of steps
-            divergence_cap = 1e8 * max(deriv, 1.0)
-        if not np.isfinite(deriv) or deriv > divergence_cap:
-            raise ConvergenceError(
-                f"integration diverged after {taken - 1} steps "
-                f"(||d rho/dt|| = {deriv:.3e}); step {step:.3e} is likely "
-                "outside the stability region"
-            )
-        k2 = lv @ (v + half * k1)
-        k3 = lv @ (v + half * k2)
-        k4 = lv @ (v + step * k3)
-        v = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = abs(v[np.arange(dim) * (dim + 1)].sum().real - 1.0)
-        max_trace_drift = max(max_trace_drift, drift)
-    else:
-        deriv = float(np.linalg.norm(lv @ v))
-    if deriv >= DERIV_TOL:
-        raise ConvergenceError(
-            f"not stationary by t_max={t_max:g}: ||d rho/dt|| = {deriv:.3e} "
-            f"(tolerance {DERIV_TOL:.0e})"
-        )
-    info = {"steps": taken, "step": step, "final_deriv": deriv, "max_trace_drift": max_trace_drift}
-    return unvec(v, dim), info
-
-
-def vacuum_state(space: HilbertSpace) -> np.ndarray:
-    """Density matrix of |g, 0, 0>, the default integration start."""
-    rho = np.zeros((space.dim, space.dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho

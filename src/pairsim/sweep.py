@@ -335,8 +335,8 @@ def _row_workers(config: SweepConfig, unknowns: int) -> int:
     peak grows with the workers.  12 workers instead of 6 raised a whole
     sweep's peak RSS from 89-91 to 97-99 MiB on fig6 and from 111-114 to
     124-127 MiB on fig5_weak (3 fresh processes each, one BLAS thread).  On
-    2 CPUs, a whole sweep peaks at 86 MiB on fig6, 75 MiB on fig2_weak and
-    102-104 MiB on fig5_weak, of which the import takes 62 MiB (5 fresh
+    2 CPUs, a whole sweep peaks at 83-85 MiB on fig6, 73-74 MiB on fig2_weak
+    and 96-99 MiB on fig5_weak, of which the import takes 62 MiB (3 fresh
     processes each).
     """
     if not config.strict_truncation:

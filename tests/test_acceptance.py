@@ -1,4 +1,5 @@
-"""Acceptance suite: ten numbered end-to-end criteria.
+"""Acceptance suite: ten numbered end-to-end criteria, and the shipped
+sweeps that bench/reference holds, row by row.
 
 Each test prints one "criterion NN PASS" line (visible with pytest -s; the
 -v test status line carries the same verdict).  Tolerances are pinned in
@@ -10,19 +11,35 @@ detuning sweeps, the coupling sweep, a mechanical-damping point from each
 coupling regime, and a thermal point.
 """
 
+import importlib
+import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import equal_damping_residual, in_weak_excitation_regime, resonance_locator
+from helpers import (
+    equal_damping_residual,
+    evolve_to_steady,
+    in_weak_excitation_regime,
+    resonance_locator,
+    vacuum_state,
+)
 from pairsim.analytics import pair_subspace_spectrum
 from pairsim.cli import CHECK_CASES, run_check
 from pairsim.model import SectorTerms, SystemParams, build_liouvillian, trace_functional
 from pairsim.observables import compute_observables
 from pairsim.operators import HilbertSpace
-from pairsim.steady import evolve_to_steady, null_space_steady, solve_steady, vacuum_state
-from pairsim.sweep import check_truncation, load_config, run_sweep, solve_point
+from pairsim.steady import null_space_steady, solve_steady
+from pairsim.sweep import (
+    check_truncation,
+    emit_csv,
+    emit_json,
+    load_config,
+    run_sweep,
+    solve_point,
+)
 
 SPACE = HilbertSpace(5, 5)
 
@@ -74,9 +91,11 @@ def solved_canonicals():
 
 @pytest.fixture(scope="module")
 def sweep_results():
-    """The shipped sweeps used by criteria 5, 6, and 8 (run once each)."""
+    """The shipped sweeps used by criteria 5, 6, and 8 and by the reference
+    comparison (run once each)."""
     out = {}
-    for name in ("fig4", "fig2_strong", "fig5_weak", "fig5_strong", "fig6"):
+    names = ("fig4", "fig2_strong", "fig5_weak", "fig5_strong", "fig6", "fig2_weak", "fig7")
+    for name in names:
         out[name] = run_sweep(shipped_config(name))
     return out
 
@@ -378,3 +397,22 @@ def test_criterion_10_structural_invariants(solved_canonicals):
     print("criterion 10 PASS: trace preservation, state invariants, parity, "
           "exchange symmetry, scale covariance, and (5,5)->(10,10) convergence "
           "at all six canonical points")
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("name", ["fig2_weak", "fig6", "fig7"])
+def test_shipped_sweep_matches_its_reference(name, sweep_results, tmp_path, monkeypatch):
+    # every row of the full grid, written as `pairsim sweep` writes it, is
+    # held to the benchmark's reference by the benchmark's own gate
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    reference = json.loads((BENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))
+    result = sweep_results[name]
+    csv_path, json_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+    emit_csv(result, str(csv_path))
+    emit_json(result, str(json_path))
+    failed, notes = workloads.check_outputs(csv_path, json_path, reference["rows"])
+    assert (failed, notes) == (0, [])
+    assert len(result.rows) == len(reference["rows"])

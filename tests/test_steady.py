@@ -4,6 +4,7 @@ truncation checking and failure modes."""
 import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,17 +28,15 @@ from pairsim.model import (
 )
 from pairsim.observables import SCALAR_KEYS, compute_observables
 from pairsim.operators import HilbertSpace, photon_lowering
+from helpers import evolve_to_steady, suggest_step, vacuum_state
 from pairsim.steady import (
     GMRES_ITERATIONS,
     MAX_REFINE,
     RESIDUAL_TOL,
     _validated,
-    evolve_to_steady,
     null_space_steady,
     solve_steady,
     solve_steady_real,
-    suggest_step,
-    vacuum_state,
 )
 from pairsim.sweep import TRUNCATION_TOL, _deviation, check_truncation, solve_point
 
@@ -569,6 +568,26 @@ def test_level_order_makes_the_sector_block_tridiagonal(levels, monkeypatch):
     assert set(level[trace_row.indices].tolist()) == set(level.tolist())
 
 
+def test_red_black_sweep_inverts_the_system_without_red_rows_black_columns(monkeypatch):
+    # levels at an even distance from level 0, which holds the trace row,
+    # are red; the sweep is the exact inverse of the system once the
+    # couplings from black columns into red rows are zeroed
+    terms = SectorTerms.build(HilbertSpace(5, 5))
+    red = sector_levels(terms) % 2 == 0
+    systems = level_sweeps(monkeypatch)
+    solve_steady_real(CANONICAL_POINTS[2][0], terms)
+    (real,) = systems
+    coo = real.tocoo()
+    dropped = red[coo.row] & ~red[coo.col]
+    assert dropped.any() and dropped[coo.row == 0].any()  # the trace row's too
+    kept = sp.csr_matrix(
+        (coo.data[~dropped], (coo.row[~dropped], coo.col[~dropped])), shape=real.shape
+    )
+    sweep, _ = pairsim.steady._level_sweep(real, terms.levels)
+    r = np.random.default_rng(5).standard_normal(real.shape[0])
+    assert np.abs(kept @ sweep(r) - r).max() <= 1e-12 * np.abs(r).max()
+
+
 def test_trace_replaces_the_vacuum_equation(monkeypatch):
     # the trace takes the place of rho[0, 0]'s equation, the vacuum's, in
     # the complex and the real solve; the level order permutes only inside
@@ -687,6 +706,43 @@ def test_truncation_check_falls_back_to_the_complete_lu(failure, monkeypatch):
     assert factors == [report["lu_nnz"]] and report["lu_nnz"] > wanted["lu_nnz"]
 
 
+def test_refinement_returns_nothing_when_corrections_never_shrink():
+    # a solve off by a factor 2 makes every correction as large as y
+    modified = sp.identity(4, format="csc")
+    rhs = np.arange(1.0, 5.0)
+    calls = []
+    assert pairsim.steady._refined(
+        modified, rhs, lambda b: calls.append(b) or 2.0 * b
+    ) is None
+    assert len(calls) == 1 + MAX_REFINE
+    # the exact solve stops on the first correction, which is zero
+    y, steps = pairsim.steady._refined(modified, rhs, lambda b: b.copy())
+    assert y.tolist() == rhs.tolist() and steps == 1
+
+
+def test_unconverged_refinement_falls_back_then_raises(monkeypatch):
+    # GMRES whose answers are doubled never refines: the complete LU takes
+    # over and gives the same state; if its refinement fails too, the
+    # solve raises instead of returning the last iterate
+    terms = SectorTerms.build(HilbertSpace(3, 3))
+    want, wanted = solve_steady_real(WEAK_POINT, terms)
+    gmres = spla.gmres
+    monkeypatch.setattr(spla, "gmres", lambda *a, **kw: (2.0 * gmres(*a, **kw)[0], 0))
+    factors = complete_lus(monkeypatch)
+    rho, report = solve_steady_real(WEAK_POINT, terms)
+    assert factors == [report.lu_nnz] and 1 <= report.refine_steps <= MAX_REFINE
+    assert_allclose(rho, want, rtol=0, atol=1e-15)
+    complete = pairsim.steady._complete_lu
+
+    def doubled(a):
+        lu = complete(a)
+        return SimpleNamespace(solve=lambda b: 2.0 * lu.solve(b), nnz=lu.nnz)
+
+    monkeypatch.setattr(pairsim.steady, "_complete_lu", doubled)
+    with pytest.raises(ConvergenceError, match="refinement"):
+        solve_steady_real(WEAK_POINT, terms)
+
+
 def complete_lu(monkeypatch, permc_spec):
     singular_preconditioner(monkeypatch)
     splu = spla.splu
@@ -707,10 +763,11 @@ def complete_lu(monkeypatch, permc_spec):
     ],
 )
 def test_real_solve_agrees_whichever_factor_solved_it(params, space, monkeypatch):
-    # the shipped LEVEL_GROUP grouping with GMRES, the complete COLAMD LU
-    # it falls back to, and a complete MMD_ATA LU agree to 1e-15 once
-    # refined.  Not every grouping does: _refined stops on a normwise test,
-    # and with LEVEL_GROUP = 1352 log_neg moves by 1.1e-12 at fig6's check
+    # the red-black level sweep with GMRES, the complete COLAMD LU it
+    # falls back to, and a complete MMD_ATA LU agree to 1e-15 once refined.
+    # Not every preconditioner need: _refined stops on a normwise test, and
+    # with consecutive levels grouped to 1352 unknowns, log_neg moved by
+    # 1.1e-12 at fig6's check
     terms = SectorTerms.build(space)
     values = []
     for fallback in (None, "COLAMD", "MMD_ATA"):
