@@ -86,7 +86,9 @@ GMRES_ITERATIONS = 300
 # real solve slower at m_th = 0.3 and 1, whose GMRES needs more iterations;
 # at (6, 8), 1316, 25.6-31.8 against 9.3-30.6 ms; at (6, 14), 2492, 83-108
 # against 16-82 ms.  Between, at (6, 6)'s 924 and (5, 8)'s 1016, the real
-# solve won but at m_th = 1 (and at (5, 8)'s m_th = 0.3).
+# solve won but at m_th = 1 (and at (5, 8)'s m_th = 0.3).  So the (5, 5)
+# rows keep the complex LU, which would also move 27 of fig2_weak's cells
+# past 1e-12 if refined.
 COMPLEX_LU_UNKNOWNS = 1000
 # null_space_steady's relative cutoff of a zero singular value
 NULL_RCOND = 1e-9
@@ -235,6 +237,12 @@ def _level_sweep(
     columns into the black rows; those from the black columns into the red
     rows are dropped (Young, Iterative Solution of Large Linear Systems,
     1971).  Each slice of modified is freed before the next factorization.
+
+    Red holds level 0, and so the trace row, whose black part is dropped.
+    Level 1 red instead took more GMRES iterations in all over the rows of
+    fig5_weak (951 against 926), fig6 (1501 against 1452) and fig7 (2187
+    against 2159) and at fig7's (12, 28) at m_th = 1 (212 against 188),
+    though fewer at fig6's (12, 16) check (19 against 27).
     """
     trace = next(i for i, level in enumerate(levels) if level[0] == 0)
     red, black = (np.concatenate(levels[(trace + c) % 2 :: 2]) for c in (0, 1))
