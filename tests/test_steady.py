@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+from helpers import evolve_to_steady, suggest_step, vacuum_state
 import pairsim.model
 import pairsim.steady
 import pairsim.sweep
@@ -28,7 +29,6 @@ from pairsim.model import (
 )
 from pairsim.observables import SCALAR_KEYS, compute_observables
 from pairsim.operators import HilbertSpace, photon_lowering
-from helpers import evolve_to_steady, suggest_step, vacuum_state
 from pairsim.steady import (
     GMRES_ITERATIONS,
     MAX_REFINE,
@@ -725,7 +725,7 @@ def test_unconverged_refinement_falls_back_then_raises(monkeypatch):
     # over and gives the same state; if its refinement fails too, the
     # solve raises instead of returning the last iterate
     terms = SectorTerms.build(HilbertSpace(3, 3))
-    want, wanted = solve_steady_real(WEAK_POINT, terms)
+    want, _ = solve_steady_real(WEAK_POINT, terms)
     gmres = spla.gmres
     monkeypatch.setattr(spla, "gmres", lambda *a, **kw: (2.0 * gmres(*a, **kw)[0], 0))
     factors = complete_lus(monkeypatch)
