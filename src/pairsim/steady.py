@@ -29,8 +29,8 @@ refinement does not converge, the complete LU solves the system instead,
 refined by the same routine, so the answer does not depend on which factor
 solved it.  A row's sector size picks its solver (sweep.solve_point): up to
 COMPLEX_LU_UNKNOWNS unknowns the complex solve and its complete LU,
-unrefined, which is the faster there; above, the real solve, the faster
-there and refined (solve_steady says how far apart the two are).
+unrefined (the constant's comment says why); above, the real solve, the
+faster there and refined (solve_steady says how far apart the two are).
 
 An independent oracle stays full-space, since its job is not to assume the
 symmetry: a dense null-space computation (null_space_steady).  The tests
