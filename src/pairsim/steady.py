@@ -113,8 +113,8 @@ class SolveReport:
     complete factor holds 6.55M; 127k at fig4's (10, 10) check, where it
     holds 1.55M), or of the complete LU when it falls back to one, and
     refine_steps the steps of _refined (1 to MAX_REFINE) on either path,
-    whose residuals are summed in np.longdouble (plain float64 where
-    np.longdouble is float64: arm64 macOS, Windows).
+    whose residuals are summed in np.longdouble (as a rule MAX_REFINE
+    steps where that is float64: arm64 macOS, Windows).
 
     A sweep's truncation check is not a row's diagnostic: the sweep keeps
     the check's one record as metadata["truncation_check"].
@@ -201,12 +201,13 @@ def _refined(
 
     A solve stopped at a small relative residual can be off by up to the
     condition number times more.  Each step sums rhs - modified y in
-    np.longdouble (float64 where it is float64: arm64 macOS, Windows) and
-    adds the correction `solve` finds, until a correction no longer moves y
-    at working precision (Carson and Higham, SIAM J. Sci. Comput. 40, A817
-    (2018)).  If the MAX_REFINE-th correction still moves it, y has not
-    converged and is not returned.  Real systems only: the cast to
-    np.longdouble would drop an imaginary part.
+    np.longdouble and adds the correction `solve` finds, until a correction
+    no longer moves y at working precision (Carson and Higham, SIAM J. Sci.
+    Comput. 40, A817 (2018)); if the MAX_REFINE-th still moves it, y has
+    not converged.  Where np.longdouble is float64 (arm64 macOS, Windows)
+    corrections stall near the condition number times eps, so y is
+    returned after MAX_REFINE steps for _validated's residual test to
+    judge.  Real systems only: np.longdouble would drop an imaginary part.
     """
     wide = modified.astype(np.longdouble)  # the residuals are summed in it
     y = solve(rhs)
@@ -217,7 +218,7 @@ def _refined(
         y = y + correction
         if np.abs(correction).max() <= np.finfo(y.dtype).eps * np.abs(y).max():
             return y, steps
-    return None
+    return None if np.finfo(wide.dtype).eps < np.finfo(y.dtype).eps else (y, MAX_REFINE)
 
 
 def _level_sweep(

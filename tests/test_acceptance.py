@@ -402,12 +402,29 @@ def test_criterion_10_structural_invariants(solved_canonicals):
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.mark.parametrize("name", ["fig2_weak", "fig6", "fig7"])
+# The benchmark gates its reference at 1e-12 relative plus 1e-15 absolute
+# on the machine that made it.  Elsewhere (another SuperLU ordering, BLAS
+# kernel or np.longdouble) a cell moves by its solver's forward error,
+# measured against bench/reference by solving every row of the three grids
+# another way, one BLAS thread: fig2_weak's rows, whose complex LU is not
+# refined, moved up to 1.5e-11 relative with MMD_ATA in place of COLAMD,
+# 29 cells past 1e-12; fig6's and fig7's rows, which the real solve
+# refines, stayed within 1e-12 relative with MMD_ATA, with the complete LU
+# and with float64 residuals, and the cells below 1e-3 moved up to 6.4e-16
+# absolute (fig7's log_neg of 1.27e-6 at m_th = 1).
+PORTABLE_REL_TOL = {"fig2_weak": 1e-10, "fig6": 1e-12, "fig7": 1e-12}
+PORTABLE_ABS_TOL = 1e-14
+
+
+@pytest.mark.parametrize("name", list(PORTABLE_REL_TOL))
 def test_shipped_sweep_matches_its_reference(name, sweep_results, tmp_path, monkeypatch):
     # every row of the full grid, written as `pairsim sweep` writes it, is
-    # held to the benchmark's reference by the benchmark's own gate
+    # held to the benchmark's reference by the benchmark's own check, at
+    # the tolerance its solver's forward error allows on another machine
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(workloads, "REL_TOL", PORTABLE_REL_TOL[name])
+    monkeypatch.setattr(workloads, "ABS_TOL", PORTABLE_ABS_TOL)
     reference = json.loads((BENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))
     result = sweep_results[name]
     csv_path, json_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"

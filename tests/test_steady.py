@@ -706,6 +706,15 @@ def test_truncation_check_falls_back_to_the_complete_lu(failure, monkeypatch):
     assert factors == [report["lu_nnz"]] and report["lu_nnz"] > wanted["lu_nnz"]
 
 
+# _refined gives up on an unconverged answer only where np.longdouble is
+# wider than float64 (test_refinement_in_float64_returns_its_last_iterate)
+extended_precision = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+    reason="np.longdouble is float64 here",
+)
+
+
+@extended_precision
 def test_refinement_returns_nothing_when_corrections_never_shrink():
     # a solve off by a factor 2 makes every correction as large as y
     modified = sp.identity(4, format="csc")
@@ -720,6 +729,29 @@ def test_refinement_returns_nothing_when_corrections_never_shrink():
     assert y.tolist() == rhs.tolist() and steps == 1
 
 
+def test_refinement_in_float64_returns_its_last_iterate(monkeypatch):
+    # where np.longdouble is float64 the corrections stall near the
+    # condition number times eps: the level factors' answer is kept after
+    # MAX_REFINE steps, for the residual test to judge, and agrees with
+    # the extended-precision one
+    space = HilbertSpace(6, 12)
+    terms = SectorTerms.build(space)
+    want, _ = solve_steady_real(FIG5_WEAK_LOW, terms)
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    factors = complete_lus(monkeypatch)
+    rho, report = solve_steady_real(FIG5_WEAK_LOW, terms)
+    assert factors == [] and report.residual_norm < RESIDUAL_TOL
+    got, ref = compute_observables(rho, space), compute_observables(want, space)
+    for key in SCALAR_KEYS:
+        assert _deviation(getattr(got, key), getattr(ref, key)) <= 1e-12, key
+    # there a solve that never converges also returns its last iterate
+    y, steps = pairsim.steady._refined(
+        sp.identity(4, format="csc"), np.arange(1.0, 5.0), lambda b: 2.0 * b
+    )
+    assert steps == MAX_REFINE and not np.allclose(y, np.arange(1.0, 5.0))
+
+
+@extended_precision
 def test_unconverged_refinement_falls_back_then_raises(monkeypatch):
     # GMRES whose answers are doubled never refines: the complete LU takes
     # over and gives the same state; if its refinement fails too, the
