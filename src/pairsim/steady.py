@@ -14,20 +14,24 @@ solve_steady_real solves the same sector in real arithmetic.  L preserves
 Hermiticity, so rho[j, i] is the conjugate of rho[i, j], and the sector,
 closed under transposition, has as many real unknowns as complex ones.  The
 truncation check solves its doubled space, the largest system of a sweep,
-this way, and not by a complete LU: GMRES solves it (_preconditioned),
-preconditioned by one red-black block Gauss-Seidel sweep over the levels of
-q = n - m (_level_sweep).  Ordered by the q that an entry's ket and bra
-share (SectorTerms.levels), the system is block tridiagonal but for the
-trace row, so levels of the same parity never couple, and each colour needs
-one complete sparse LU of a block-diagonal matrix; level reduction (Gaver,
-Jacobs and Latouche, Adv. Appl. Prob. 16, 715 (1984)) uses the same
-structure.  The two factors store a small fraction of a complete LU's
-entries (SolveReport gives the counts).  Each GMRES solve stops at a loose
-GMRES_RTOL, and refinement with residuals summed in extended precision
-(_refined) carries the accuracy.  If a factor is singular, or GMRES or its
-refinement does not converge, the complete LU solves the system instead,
-refined by the same routine, so the answer does not depend on which factor
-solved it.  A row's sector size picks its solver (sweep.solve_point): up to
+this way, and not by a complete LU: GMRES (_gmres) solves it
+(_preconditioned), right-preconditioned by one red-black block Gauss-Seidel
+sweep over the levels of q = n - m (_level_sweep).  Ordered by the q that
+an entry's ket and bra share (SectorTerms.levels), the system is block
+tridiagonal but for the trace row, so levels of the same parity never
+couple, and each colour needs one complete sparse LU of a block-diagonal
+matrix; level reduction (Gaver, Jacobs and Latouche, Adv. Appl. Prob. 16,
+715 (1984)) uses the same structure.  The two factors store a small
+fraction of a complete LU's entries (SolveReport gives the counts).  Each
+GMRES solve stops at a loose GMRES_RTOL, and refinement with residuals
+summed in extended precision (_refined) carries the accuracy.  A GMRES
+solve applies the sweep once per iteration and once per restart cycle; a
+real solve's three took 9 to 25 applications in all on the rows of
+fig5_weak and fig6, 15 to 120 on fig7's (120 at m_th = 1), and 11 to 30 at
+the shipped checks (20 at fig6's (12, 16), a solve of about 0.1 s).  If a
+factor is singular, or GMRES or its refinement does not converge, the
+complete LU solves the system instead, refined by the same routine, so the
+answer does not depend on which factor solved it.  A row's sector size picks its solver (sweep.solve_point): up to
 COMPLEX_LU_UNKNOWNS unknowns the complex solve and its complete LU,
 unrefined (the constant's comment says why); above, the real solve, the
 faster there and refined (solve_steady says how far apart the two are).
@@ -66,15 +70,17 @@ TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
 RESIDUAL_TOL = 1e-10
 MAX_REFINE = 3  # refinement steps after the first solve, at most
-# The real solve's preconditioned GMRES (_preconditioned): the relative
+# The real solve's preconditioned GMRES (_gmres): the relative true
 # residual at which each GMRES solve stops, the iterations between
 # restarts, and the iterations a solve may take in all, restarts included.
 # GMRES_RTOL is an inner tolerance: _refined carries the accuracy, and it is
 # the loosest decade at which every shipped row and check still stops by
 # _refined's correction test within MAX_REFINE - 1 steps with every
 # observable unchanged; at 1e-8 two fig5_weak rows (gamma_m 0.032 and 0.045)
-# took 3 steps.  A solve takes 2 to 12 iterations on the shipped rows and
-# checks, and fig7 at m_th = 1 up to 76 on (12, 28) and 79 on (12, 72).
+# took 3 steps.  A solve takes 2 to 8 iterations on the rows of fig5_weak
+# and fig6, 4 to 44 on fig7's (the most at m_th = 1) and 2 to 11 at the
+# shipped checks, and fig7 at m_th = 1 up to 82 on (12, 28) and 84 on
+# (12, 72), over two restart cycles.
 GMRES_RTOL = 1e-9
 GMRES_RESTART = 50
 GMRES_ITERATIONS = 300
@@ -262,39 +268,85 @@ def _level_sweep(
     return sweep, int(red_lu.nnz) + int(black_lu.nnz)
 
 
+def _gmres(
+    matrix: sp.csc_matrix, precond: Callable[[np.ndarray], np.ndarray], b: np.ndarray
+) -> np.ndarray | None:
+    """Solve matrix x = b by restarted GMRES, right-preconditioned by
+    precond; return x, or None if its residual is still above GMRES_RTOL
+    ||b|| after GMRES_ITERATIONS iterations in all, restarts included.
+
+    A cycle of at most GMRES_RESTART iterations builds an orthonormal basis
+    of the Krylov space of matrix precond by classical Gram-Schmidt with one
+    reorthogonalization, and reduces its Hessenberg matrix by Givens
+    rotations, which give the residual norm of the cycle's minimizer as it
+    grows (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)).
+    Preconditioned on the right, that norm is the true residual's in exact
+    arithmetic, so the cycle stops when it reaches the tolerance.  x then
+    takes one application of precond, and a new cycle starts from the true
+    residual unless that is within tolerance.
+    """
+    tol = GMRES_RTOL * float(np.linalg.norm(b))
+    basis = np.empty((GMRES_RESTART + 1, b.size))
+    triangle = np.zeros((GMRES_RESTART, GMRES_RESTART))
+    x, r, iterations = np.zeros_like(b), b, 0
+    while (beta := float(np.linalg.norm(r))) > tol:
+        if iterations == GMRES_ITERATIONS:
+            return None
+        basis[0] = r / beta
+        rotations, g = [], [beta]
+        for k in range(min(GMRES_RESTART, GMRES_ITERATIONS - iterations)):
+            w = matrix @ precond(basis[k])
+            h = basis[: k + 1] @ w
+            w -= h @ basis[: k + 1]
+            again = basis[: k + 1] @ w
+            w -= again @ basis[: k + 1]
+            column, norm = (h + again).tolist(), float(np.linalg.norm(w))
+            for j, (c, s) in enumerate(rotations):
+                top, bottom = column[j], column[j + 1]
+                column[j], column[j + 1] = c * top + s * bottom, c * bottom - s * top
+            diagonal = math.hypot(column[k], norm)
+            c, s = column[k] / diagonal, norm / diagonal
+            rotations.append((c, s))
+            column[k] = diagonal
+            g[k : k + 1] = c * g[k], -s * g[k]
+            triangle[: k + 1, k] = column
+            iterations += 1
+            if abs(g[k + 1]) <= tol:
+                break
+            basis[k + 1] = w / norm
+        y = scipy.linalg.solve_triangular(triangle[: k + 1, : k + 1], g[: k + 1])
+        x += precond(y @ basis[: k + 1])
+        r = b - matrix @ x
+    return x
+
+
 def _preconditioned(
     levels: tuple[np.ndarray, ...], modified: sp.csc_matrix, rhs: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
-    """Solve the real system modified y = rhs by GMRES preconditioned with
-    a level sweep (_level_sweep), refined by _refined; return y, the level
-    factors' stored entries and the refinement steps taken.
+    """Solve the real system modified y = rhs by GMRES (_gmres)
+    preconditioned with a level sweep (_level_sweep), refined by _refined;
+    return y, the level factors' stored entries and the refinement steps
+    taken.
 
-    A GMRES solve stops at GMRES_RTOL and may take GMRES_ITERATIONS
-    iterations in all.  spla.gmres counts restart cycles by default, and
-    ends a cycle early on its preconditioned estimate; a callback of type
-    "legacy" makes maxiter count iterations.  If a level factor is
-    singular, a GMRES solve misses GMRES_RTOL within its iterations or the
-    refinement does not converge, the complete LU solves the system
-    instead, refined the same way; ConvergenceError if that refinement does
-    not converge either.
+    At fig7's m_th = 1 on (6, 14) the three GMRES solves take 117
+    iterations and 120 sweep applications in all; scipy's gmres, which is
+    preconditioned on the left, applies the sweep twice to b before its
+    first iteration and ends a cycle on the preconditioned residual, took
+    131 and 139.  At fig6's (12, 16) check they take 17 and 20 against 27
+    and 35.
+
+    If a level factor is singular, a GMRES solve misses GMRES_RTOL within
+    its iterations or the refinement does not converge, the complete LU
+    solves the system instead, refined the same way; ConvergenceError if
+    that refinement does not converge either.
     """
     try:
         sweep, nnz = _level_sweep(modified, levels)
     except RuntimeError:  # "Factor is exactly singular"
         solved = None
     else:
-        precond = spla.LinearOperator(modified.shape, sweep, dtype=modified.dtype)
-
-        def gmres(b: np.ndarray) -> np.ndarray | None:
-            x, info = spla.gmres(
-                modified, b, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
-                maxiter=GMRES_ITERATIONS, M=precond, callback=lambda _: None,
-                callback_type="legacy",
-            )
-            return x if info == 0 else None
-
-        solved = _refined(modified, rhs, gmres)
-        del sweep, precond, gmres  # released before a complete LU is made
+        solved = _refined(modified, rhs, partial(_gmres, modified, sweep))
+        del sweep  # released before a complete LU is made
     if solved is None:
         lu = _complete_lu(modified)
         solved, nnz = _refined(modified, rhs, lu.solve), int(lu.nnz)

@@ -17,10 +17,13 @@ verdict, which run_sweep stores in the JSON metadata: a sweep whose check
 fails raises instead of returning rows.
 
 Every sweep solves its rows on a thread pool of _row_workers threads: the
-rows are independent, and SuperLU runs without the interpreter lock, though
-the real solve's GMRES loop holds it.  The worker count is bounded, which
-bounds memory.  A sweep without the check gets one worker, which solves its
-rows one at a time.  The rows and the check call a one-thread BLAS
+rows are independent.  Two threads ran complete sparse LU factorizations
+and the complex (5, 5) solve at 1.0 to 2.0 times one thread's throughput,
+but SuperLU's triangular solves, where the real solve's GMRES spends most
+of its time, at about half of it (README, "Concurrent rows", gives the
+measurements).  The worker count is bounded, which bounds memory.  A
+sweep without the check gets one worker, which solves its rows one at a
+time.  The rows and the check call a one-thread BLAS
 (_one_blas_thread): spinning BLAS threads would take the CPUs the other
 rows need, and one policy for every sweep makes each row's arithmetic that
 of a serial one-thread solve, whether or not the check runs, and the
@@ -328,7 +331,8 @@ def _row_workers(config: SweepConfig, unknowns: int) -> int:
     1 without the truncation check, so that its rows are solved one at a
     time: two concurrent (6, 14) rows of fig7 raised its peak RSS from
     74.4-74.6 to 78.3-79.6 MiB and did not finish sooner, since the real
-    solve's GMRES loop holds the interpreter lock.  With it, min(CPUs
+    solve's SuperLU triangular solves do not overlap on two threads (the
+    module docstring says so).  With it, min(CPUs
     available to the process, rows, doubled-sector unknowns // row-sector
     unknowns).  The ratio is 6 for every shipped config, and it bounds
     memory: each worker holds one row's factor and solve at a time, so the

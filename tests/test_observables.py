@@ -144,6 +144,19 @@ def test_log_negativity_of_pair_bell_state():
     assert compute_observables(mixed, SPACE).log_neg == pytest.approx(1.0, abs=1e-12)
 
 
+def test_log_negativity_of_a_weak_pair_coherence_keeps_its_digits():
+    # populations 1 - p and p on |0,0> and |1,1>, coherence c between them:
+    # the partial transpose has eigenvalues +-c on |1,0>, |0,1>, so
+    # E_N = log2(1 + 2c) exactly; log2 of the trace norm 1 + 2e-7 is
+    # 5.3e-10 off
+    p, c = 1e-6, 1e-7
+    rho = (1 - p) * projector(ket(SPACE, 0, 0, 0)) + p * projector(ket(SPACE, 0, 1, 1))
+    i, j = SPACE.index(0, 0, 0), SPACE.index(0, 1, 1)
+    rho[i, j] = rho[j, i] = c
+    value = compute_observables(rho, SPACE).log_neg
+    assert value == pytest.approx(np.log1p(2 * c) / np.log(2), rel=1e-14, abs=0)
+
+
 def test_log_negativity_vanishes_for_product_states():
     rng = np.random.default_rng(29)
     for _ in range(4):
@@ -174,6 +187,16 @@ def test_log_negativity_rejects_nonhermitian_input():
     reduced = np.zeros((d, d), dtype=complex)
     reduced[0, 1] = 1.0
     with pytest.raises(PairsimError):
+        log_negativity(reduced, SPACE)
+
+
+def test_log_negativity_rejects_a_coherence_outside_the_sector():
+    # |0,0> and |0,1> differ in n - m: their Hermitian coherence lands
+    # outside the n + m blocks of the partial transpose
+    d = SPACE.mode_dim
+    reduced = np.diag(np.full(d, 1.0 / d)).astype(complex)
+    reduced[0, 1] = reduced[1, 0] = 0.01
+    with pytest.raises(PairsimError, match="outside"):
         log_negativity(reduced, SPACE)
 
 

@@ -31,6 +31,8 @@ from pairsim.observables import SCALAR_KEYS, compute_observables
 from pairsim.operators import HilbertSpace, photon_lowering
 from pairsim.steady import (
     GMRES_ITERATIONS,
+    GMRES_RESTART,
+    GMRES_RTOL,
     MAX_REFINE,
     RESIDUAL_TOL,
     _validated,
@@ -683,8 +685,7 @@ def singular_preconditioner(monkeypatch):
 
 
 def unconverged_gmres(monkeypatch):
-    gmres = spla.gmres
-    monkeypatch.setattr(spla, "gmres", lambda *a, **kw: (gmres(*a, **kw)[0], 1))
+    monkeypatch.setattr(pairsim.steady, "_gmres", lambda *a: None)
 
 
 @pytest.mark.parametrize("failure", [singular_preconditioner, unconverged_gmres])
@@ -758,8 +759,8 @@ def test_unconverged_refinement_falls_back_then_raises(monkeypatch):
     # solve raises instead of returning the last iterate
     terms = SectorTerms.build(HilbertSpace(3, 3))
     want, _ = solve_steady_real(WEAK_POINT, terms)
-    gmres = spla.gmres
-    monkeypatch.setattr(spla, "gmres", lambda *a, **kw: (2.0 * gmres(*a, **kw)[0], 0))
+    gmres = pairsim.steady._gmres
+    monkeypatch.setattr(pairsim.steady, "_gmres", lambda *a: 2.0 * gmres(*a))
     factors = complete_lus(monkeypatch)
     rho, report = solve_steady_real(WEAK_POINT, terms)
     assert factors == [report.lu_nnz] and 1 <= report.refine_steps <= MAX_REFINE
@@ -817,23 +818,21 @@ def test_real_solve_agrees_whichever_factor_solved_it(params, space, monkeypatch
 
 
 def gmres_iterations(monkeypatch) -> list[int]:
-    """Record the iterations of every GMRES solve, counted by its callback."""
+    """Record the iterations of every GMRES solve that ends within its first
+    restart cycle: its preconditioner applications, one per iteration and
+    one to form x."""
     counts = []
-    gmres = spla.gmres
+    gmres = pairsim.steady._gmres
 
-    def counted(*args, callback, **kwargs):
+    def counted(matrix, precond, b):
         calls = []
+        x = gmres(matrix, lambda r: calls.append(r) or precond(r), b)
+        # a second cycle would take GMRES_RESTART + 3 applications at least
+        assert len(calls) <= GMRES_RESTART + 1
+        counts.append(len(calls) - 1)
+        return x
 
-        def counting(residual):
-            calls.append(residual)
-            callback(residual)
-
-        try:
-            return gmres(*args, callback=counting, **kwargs)
-        finally:
-            counts.append(len(calls))
-
-    monkeypatch.setattr(spla, "gmres", counted)
+    monkeypatch.setattr(pairsim.steady, "_gmres", counted)
     return counts
 
 
@@ -850,6 +849,32 @@ def test_gmres_cap_counts_iterations_not_restart_cycles(monkeypatch):
     monkeypatch.setattr(pairsim.steady, "GMRES_ITERATIONS", cap)
     solve_steady_real(FIG4_CHECK, terms)
     assert counts == [cap] and len(factors) == 1
+
+
+def test_gmres_converges_across_restarts_and_caps_their_iterations(monkeypatch):
+    # a small non-symmetric system, Jacobi preconditioned, which takes 11
+    # iterations unrestarted, restarted every 4
+    rng = np.random.default_rng(7)
+    dense = np.diag(np.linspace(1.0, 4.0, 40)) + 0.05 * rng.standard_normal((40, 40))
+    b = rng.standard_normal(40)
+    calls = []
+
+    def jacobi(r):
+        calls.append(r)
+        return r / np.diag(dense)
+
+    monkeypatch.setattr(pairsim.steady, "GMRES_RESTART", 4)
+    x = pairsim.steady._gmres(sp.csc_matrix(dense), jacobi, b)
+    assert len(calls) > 4 + 1  # more than one cycle
+    assert np.linalg.norm(b - dense @ x) <= GMRES_RTOL * np.linalg.norm(b)
+    want = np.linalg.solve(dense, b)
+    assert_allclose(x, want, rtol=0, atol=1e-8 * np.abs(want).max())
+    # a cap of 6 iterations, counted across cycles, ends the second cycle
+    # after 2, each cycle forming x once, and returns nothing
+    calls.clear()
+    monkeypatch.setattr(pairsim.steady, "GMRES_ITERATIONS", 6)
+    assert pairsim.steady._gmres(sp.csc_matrix(dense), jacobi, b) is None
+    assert len(calls) == 6 + 2
 
 
 def unvalidated_states(monkeypatch) -> list[np.ndarray]:
