@@ -116,11 +116,11 @@ def log_negativity(reduced: np.ndarray, space: HilbertSpace) -> float:
     transpose takes the entry at (n', m), (n, m') to (n, m), (n', m'), so
     the partial transpose is block diagonal in n + m.  It is Hermitian, so
     its trace norm is its trace plus 2 N, N the sum of the moduli of its
-    negative eigenvalues, found block by block, one stacked eigvalsh per
-    block size.  E_N = log2(1 + 2 N / trace) is taken by log1p: log2 of a
-    trace norm near 1 would lose the relative digits of a small E_N.  A
-    partial transpose that is not Hermitian, or not zero outside its
-    blocks, beyond tolerance indicates an upstream bug and raises.
+    negative eigenvalues, found block by block in one stacked eigvalsh.
+    E_N = log2(1 + 2 N / trace) is taken by log1p: log2 of a trace norm
+    near 1 would lose the relative digits of a small E_N.  A partial
+    transpose that is not Hermitian, or not zero outside its blocks, beyond
+    tolerance indicates an upstream bug and raises.
     """
     nc1, nm1 = space.n_c + 1, space.n_m + 1
     d = space.mode_dim
@@ -132,22 +132,29 @@ def log_negativity(reduced: np.ndarray, space: HilbertSpace) -> float:
         .reshape(d, d)
     )
     total = (np.arange(nc1)[:, None] + np.arange(nm1)).ravel()  # n + m of each state
-    herm_dev = float(np.abs(pt - pt.conj().T).max())
+    mirror = pt.conj().T
+    herm_dev = float(np.abs(pt - mirror).max())
     stray = float(np.abs(pt[total[:, None] != total]).max(initial=0.0))
     if herm_dev > 1e-8 or stray > 1e-8:
         raise PairsimError(
             f"partial transpose deviates from Hermitian by {herm_dev:.3e} "
             f"and holds {stray:.3e} outside its n + m blocks"
         )
-    pt = 0.5 * (pt + pt.conj().T)
-    # the states in order of n + m, and where each block starts among them
-    order, sizes = np.argsort(total, kind="stable"), np.bincount(total)
-    starts = np.cumsum(sizes) - sizes
-    negative = 0.0
-    for size in np.unique(sizes):
-        members = order[starts[sizes == size][:, None] + np.arange(size)]
-        values = np.linalg.eigvalsh(pt[members[:, :, None], members[:, None, :]])
-        negative -= float(values[values < 0.0].sum())
+    pt = 0.5 * (pt + mirror)
+    # block s holds the states (n, s - n), n from max(0, s - n_m) to
+    # min(s, n_c); a unit diagonal pads each to the longest, so that one
+    # eigvalsh takes them all, and adds only positive eigenvalues
+    s = np.arange(nc1 + nm1 - 1)[:, None]
+    n = np.maximum(s - (nm1 - 1), 0) + np.arange(min(nc1, nm1))
+    inside = n <= np.minimum(s, nc1 - 1)
+    states = np.where(inside, n * nm1 + s - n, 0)
+    blocks = np.where(
+        inside[:, :, None] & inside[:, None, :],
+        pt[states[:, :, None], states[:, None, :]],
+        np.eye(n.shape[1]),
+    )
+    values = np.linalg.eigvalsh(blocks)
+    negative = float(np.abs(values[values < 0.0]).sum())
     return math.log1p(2.0 * negative / float(np.trace(pt).real)) / math.log(2.0)
 
 
