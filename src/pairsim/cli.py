@@ -180,9 +180,9 @@ def _trace_of_l(case: CheckCase, space: HilbertSpace) -> tuple:
 
 def _sparse_vs_dense(case: CheckCase, space: HilbertSpace) -> tuple:
     terms = SectorTerms.build(space)
-    rho, _ = solve_steady(case.params, terms)
+    x, _ = solve_steady(case.params, terms)
     dense = null_space_steady(build_liouvillian(case.params, space), space)
-    return (float(np.abs(rho - dense).max()),)
+    return (float(np.abs(terms.density_matrix(x) - dense).max()),)
 
 
 _WEAK = SystemParams(delta=0.1, j_coupling=0.1, omega=1.0, gamma_c=10.0, gamma_m=10.0)

@@ -331,6 +331,13 @@ class SectorTerms:
         lv.eliminate_zeros()
         return lv
 
+    def density_matrix(self, x: np.ndarray) -> np.ndarray:
+        """The dim x dim state whose sector entries are x, zero elsewhere:
+        for the oracles that compare a sector state with a full-space one."""
+        full = np.zeros(self.space.dim**2, dtype=complex)
+        full[self.index] = x
+        return unvec(full, self.space.dim)
+
 
 def vec(rho: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""

@@ -1,6 +1,10 @@
 """Occupations, second-order correlations, named matrix elements, and
 entanglement of a steady state.
 
+The state is the sector vector x that the solvers return (steady.py): rho
+is zero outside the n - m sector, and everything here is read off x at
+sector positions, with no dim x dim array.
+
 All second-order correlators here are equal-time quantities.  They reduce to
 weighted sums over the diagonal populations because the relevant operator
 strings (a^dag a^dag a a, b^dag b^dag b b, a^dag b^dag b a) are diagonal in
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PairsimError
+from .model import SectorTerms
 from .operators import HilbertSpace
 
 __all__ = [
@@ -26,9 +31,7 @@ __all__ = [
     "G2_FLOOR",
     "SCALAR_KEYS",
     "ELEMENT_KEYS",
-    "partial_trace_atom",
     "log_negativity",
-    "named_elements",
     "compute_observables",
 ]
 
@@ -66,16 +69,6 @@ class ObservableRecord:
     elements: dict[str, float] = field(default_factory=dict)
 
 
-def _populations(rho: np.ndarray) -> np.ndarray:
-    """The diagonal of rho as real populations; an imaginary residue on it
-    marks an invalid state and raises."""
-    diag = np.diag(rho)
-    imag = float(np.abs(diag.imag).max()) if rho.size else 0.0
-    if imag > 1e-10:
-        raise PairsimError(f"diagonal of rho has imaginary residue {imag:.3e}")
-    return diag.real
-
-
 def _g2_auto(values: np.ndarray, pops: np.ndarray) -> float | None:
     """<o^dag o^dag o o> / <o^dag o>^2 of the mode whose Fock level in each
     basis state is `values`."""
@@ -93,19 +86,6 @@ def _g2_cross(nvals: np.ndarray, mvals: np.ndarray, pops: np.ndarray) -> float |
     if mean_n < G2_FLOOR or mean_m < G2_FLOOR:
         return None
     return float((nvals * mvals) @ pops) / (mean_n * mean_m)
-
-
-def partial_trace_atom(rho: np.ndarray, space: HilbertSpace) -> np.ndarray:
-    """Trace out the atom, leaving the joint photon-phonon state.
-
-    Under the basis contract the two atom blocks are contiguous, so this is
-    a sum of the two diagonal blocks of the 2x2 block structure.
-    """
-    d = space.mode_dim
-    if rho.shape != (space.dim, space.dim):
-        raise ValueError(f"state shape {rho.shape} does not match space dim {space.dim}")
-    blocks = rho.reshape(2, d, 2, d)
-    return blocks[0, :, 0, :] + blocks[1, :, 1, :]
 
 
 def log_negativity(reduced: np.ndarray, space: HilbertSpace) -> float:
@@ -158,22 +138,33 @@ def log_negativity(reduced: np.ndarray, space: HilbertSpace) -> float:
     return math.log1p(2.0 * negative / float(np.trace(pt).real)) / math.log(2.0)
 
 
-def named_elements(rho: np.ndarray, space: HilbertSpace) -> dict[str, float]:
+def _elements(x: np.ndarray, terms: SectorTerms, pops: np.ndarray) -> dict[str, float]:
     """Populations of the five low-excitation reference states plus the
-    moduli of the three coherences that track pair emission."""
+    moduli of the three coherences that track pair emission.  A coherence
+    outside the sector is zero by symmetry: abs_rho14's ket |g,0,0> has
+    n - m = 0 and its bra |g,1,0> has n - m = 1."""
+    space, index = terms.space, terms.index
     idx = [space.index(*state) for state in _NAMED_STATES]
-    out = {f"rho{k + 1}{k + 1}": float(rho[i, i].real) for k, i in enumerate(idx)}
-    out["abs_rho14"] = float(abs(rho[idx[0], idx[3]]))
-    out["abs_rho15"] = float(abs(rho[idx[0], idx[4]]))
-    out["abs_rho25"] = float(abs(rho[idx[1], idx[4]]))
+    out = {f"rho{k + 1}{k + 1}": float(pops[i]) for k, i in enumerate(idx)}
+    for name, ket, bra in (("abs_rho14", 0, 3), ("abs_rho15", 0, 4), ("abs_rho25", 1, 4)):
+        k = idx[ket] + idx[bra] * space.dim
+        p = int(index.searchsorted(k))
+        out[name] = float(abs(x[p])) if p < index.size and index[p] == k else 0.0
     return out
 
 
-def compute_observables(rho: np.ndarray, space: HilbertSpace) -> ObservableRecord:
-    """Evaluate the full record reported by sweeps, reading the diagonal
-    populations once."""
-    reduced = partial_trace_atom(rho, space)
-    pops = _populations(rho)
+def compute_observables(x: np.ndarray, terms: SectorTerms) -> ObservableRecord:
+    """Evaluate the full record reported by sweeps from the sector state x
+    on terms.  The populations are the entries that are their own partner,
+    in basis order.  The atom's two diagonal blocks of rho hold the same
+    n - m pattern in the same order, so tracing out the atom adds the
+    excited block's entries onto the ground block's."""
+    space, d = terms.space, terms.space.mode_dim
+    pops = x[terms.partner == np.arange(x.size)].real
+    bra, ket = np.divmod(terms.index, space.dim)
+    ground, excited = (ket < d) & (bra < d), (ket >= d) & (bra >= d)
+    reduced = np.zeros((d, d), dtype=complex)
+    reduced[ket[ground], bra[ground]] = x[ground] + x[excited]
     nvals = space.photon_values().astype(float)
     mvals = space.phonon_values().astype(float)
     return ObservableRecord(
@@ -183,5 +174,5 @@ def compute_observables(rho: np.ndarray, space: HilbertSpace) -> ObservableRecor
         g2_m=_g2_auto(mvals, pops),
         g2_nm=_g2_cross(nvals, mvals, pops),
         log_neg=log_negativity(reduced, space),
-        elements=named_elements(rho, space),
+        elements=_elements(x, terms, pops),
     )

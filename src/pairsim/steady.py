@@ -31,10 +31,15 @@ fig5_weak and fig6, 15 to 120 on fig7's (120 at m_th = 1), and 11 to 30 at
 the shipped checks (20 at fig6's (12, 16), a solve of about 0.1 s).  If a
 factor is singular, or GMRES or its refinement does not converge, the
 complete LU solves the system instead, refined by the same routine, so the
-answer does not depend on which factor solved it.  A row's sector size picks its solver (sweep.solve_point): up to
-COMPLEX_LU_UNKNOWNS unknowns the complex solve and its complete LU,
-unrefined (the constant's comment says why); above, the real solve, the
-faster there and refined (solve_steady says how far apart the two are).
+answer does not depend on which factor solved it.  A row's sector size
+picks its solver (sweep.solve_point): up to COMPLEX_LU_UNKNOWNS unknowns
+the complex solve and its complete LU, unrefined (the constant's comment
+says why); above, the real solve, the faster there and refined
+(solve_steady says how far apart the two are).
+
+Both return the Hermitized sector vector x, x[p] = rho[i, j] for
+terms.index[p] = i + j*dim, which is all of the state; observables reads it
+there, and terms.density_matrix(x) makes the dense state for an oracle.
 
 An independent oracle stays full-space, since its job is not to assume the
 symmetry: a dense null-space computation (null_space_steady).  The tests
@@ -382,7 +387,7 @@ def _solved(
     from system's CSR arrays, converted to CSC once and handed to `solve`
     (_factored or _preconditioned) with the right-hand side.  The residual
     reported is that of the sector operator `lv` on x.  x is validated level
-    by level, and only the Hermitized x is scattered into a dim^2 array.
+    by level and returned Hermitized.
     """
     space, dim = terms.space, terms.space.dim
     trace_cols = np.flatnonzero(terms.index % (dim + 1) == 0).astype(system.indices.dtype)
@@ -406,9 +411,7 @@ def _solved(
     x = y if expand is None else expand @ y
     norm = float(np.linalg.norm(lv @ x))
     x, min_eig = _validated(x, terms.partner, terms.levels, norm, where)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[terms.index % dim, terms.index // dim] = x
-    return rho, SolveReport(
+    return x, SolveReport(
         residual_norm=norm,
         levels_used=(space.n_c, space.n_m),
         unknowns=int(terms.index.size),
@@ -422,14 +425,14 @@ def solve_steady(params: SystemParams, terms: SectorTerms) -> tuple[np.ndarray, 
     """Solve L vec(rho) = 0 with unit trace in the n - m sector of terms,
     for L = terms.liouvillian(params).
 
-    Returns the Hermitized density matrix on terms.space and a report
-    carrying the residual of the unmodified L; a degenerate steady state
-    raises (see _solved).  Unrefined, it is the less accurate of the two
-    sector solvers: at fig5_weak on (6, 12), its g2_n differs from
-    solve_steady_real's by 2.5e-7 relative at gamma_m = 100, where the
-    real solve matches the 40-digit oracle (tests/test_oracle.py), and by
-    4.0e-10 at gamma_m = 0.01.  Rows take it only up to
-    COMPLEX_LU_UNKNOWNS unknowns, where it is the faster.
+    Returns the state's Hermitized sector vector x (terms.index.size
+    entries) and a report carrying the residual of the unmodified L; a
+    degenerate steady state raises (see _solved).  Unrefined, it is the
+    less accurate of the two sector solvers: at fig5_weak on (6, 12), its
+    g2_n differs from solve_steady_real's by 2.5e-7 relative at gamma_m =
+    100, where the real solve matches the 40-digit oracle
+    (tests/test_oracle.py), and by 4.0e-10 at gamma_m = 0.01.  Rows take it
+    only up to COMPLEX_LU_UNKNOWNS unknowns, where it is the faster.
     """
     lv = terms.liouvillian(params)
     return _solved(lv, lv, terms, None, "solve_steady", _factored)

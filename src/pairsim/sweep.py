@@ -21,13 +21,13 @@ rows are independent.  Two threads ran complete sparse LU factorizations
 and the complex (5, 5) solve at 1.0 to 2.0 times one thread's throughput,
 but SuperLU's triangular solves, where the real solve's GMRES spends most
 of its time, at about half of it (README, "Concurrent rows", gives the
-measurements).  The worker count is bounded, which bounds memory.  A
-sweep without the check gets one worker, which solves its rows one at a
-time.  The rows and the check call a one-thread BLAS
-(_one_blas_thread): spinning BLAS threads would take the CPUs the other
-rows need, and one policy for every sweep makes each row's arithmetic that
-of a serial one-thread solve, whether or not the check runs, and the
-check's record independent of the environment's thread count.
+measurements).  The worker count is bounded, which bounds memory.  Rows
+that take the real solve get one worker, which solves them one at a time.
+The rows and the check call a one-thread BLAS (_one_blas_thread):
+spinning BLAS threads would take the CPUs the other rows need, and one
+policy for every sweep makes each row's arithmetic that of a serial
+one-thread solve, whatever the worker count, and the check's record
+independent of the environment's thread count.
 
 Output contract: a CSV whose first line is a comment carrying version and
 timestamp (the only nondeterministic line), then a header, then one row per
@@ -285,8 +285,8 @@ def solve_point(params: SystemParams, terms: SectorTerms) -> tuple[ObservableRec
     here too.
     """
     solve = solve_steady if terms.index.size <= COMPLEX_LU_UNKNOWNS else solve_steady_real
-    rho, report = solve(params, terms)
-    return compute_observables(rho, terms.space), report
+    x, report = solve(params, terms)
+    return compute_observables(x, terms), report
 
 
 def _deviation(x: float | None, y: float | None) -> float:
@@ -314,8 +314,8 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
     if n_c < 2 or n_m < 2:
         raise ValueError(f"base truncation must be at least (2, 2), got {(n_c, n_m)}")
     terms = SectorTerms.build(HilbertSpace(2 * n_c, 2 * n_m))
-    rho, solved = solve_steady_real(params, terms)
-    doubled = compute_observables(rho, terms.space)
+    x, solved = solve_steady_real(params, terms)
+    doubled = compute_observables(x, terms)
     deviations = [_deviation(getattr(record, key), getattr(doubled, key)) for key in SCALAR_KEYS]
     deviations += [_deviation(record.elements[key], doubled.elements[key]) for key in ELEMENT_KEYS]
     return {
@@ -328,22 +328,20 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
 def _row_workers(config: SweepConfig, unknowns: int) -> int:
     """Threads that solve the rows of `config`, whose sector has `unknowns`.
 
-    1 without the truncation check, so that its rows are solved one at a
-    time: two concurrent (6, 14) rows of fig7 raised its peak RSS from
-    74.4-74.6 to 78.3-79.6 MiB and did not finish sooner, since the real
-    solve's SuperLU triangular solves do not overlap on two threads (the
-    module docstring says so).  With it, min(CPUs
-    available to the process, rows, doubled-sector unknowns // row-sector
-    unknowns).  The ratio is 6 for every shipped config, and it bounds
+    1 for rows of more than COMPLEX_LU_UNKNOWNS unknowns, which take the
+    real solve: its SuperLU triangular solves do not overlap on two threads
+    (the module docstring says so), so a second worker adds memory and no
+    speed.  Two concurrent (6, 14) rows of fig7 raised its peak RSS from
+    74.4-74.6 to 78.3-79.6 MiB and did not finish sooner.  Smaller rows,
+    checked or not, get min(CPUs available to the process, rows,
+    doubled-sector unknowns // row-sector unknowns).  The ratio is 6 for
+    every shipped config whose rows take the complex solve, and it bounds
     memory: each worker holds one row's factor and solve at a time, so the
-    peak grows with the workers.  12 workers instead of 6 raised a whole
-    sweep's peak RSS from 89-91 to 97-99 MiB on fig6 and from 111-114 to
-    124-127 MiB on fig5_weak (3 fresh processes each, one BLAS thread).  On
-    2 CPUs, a whole sweep peaks at 83-85 MiB on fig6, 73-74 MiB on fig2_weak
-    and 96-99 MiB on fig5_weak, of which the import takes 62 MiB (3 fresh
-    processes each).
+    peak grows with the workers; 12 workers instead of 6 raised fig6's peak
+    RSS from 89-91 to 97-99 MiB when its rows took the complex solve (3
+    fresh processes each, one BLAS thread; README gives whole-sweep peaks).
     """
-    if not config.strict_truncation:
+    if unknowns > COMPLEX_LU_UNKNOWNS:
         return 1
     n_c, n_m = config.truncation
     doubled = sector_index(HilbertSpace(2 * n_c, 2 * n_m)).size
@@ -406,11 +404,11 @@ def _one_blas_thread():
     LU calls a threaded BLAS run slower side by side than one after the
     other.  On a 2-vCPU machine, with OpenBLAS's default two threads, fig6's
     rows took about 5.5 s serially, 8 to 9 s on two workers and about 3 s on
-    two workers with one BLAS thread.  The one-worker rows of a sweep
-    without the check take it too, so that a row rounds the same whether or
-    not its sweep runs the check.  The check takes it too, so that its
-    record does not depend on the environment's thread count.  The count is process-wide: other
-    threads of the process get one BLAS thread meanwhile too.
+    two workers with one BLAS thread.  One-worker rows take it too, so that
+    a row rounds the same on any number of workers, and so does the check,
+    so that its record does not depend on the environment's thread count.
+    The count is process-wide: other threads of the process get one BLAS
+    thread meanwhile too.
 
     Holders may overlap, as two sweeps on two threads or a point solved
     during a sweep do: the first holder saves the counts and pins them, and
@@ -456,12 +454,13 @@ def run_sweep(
     terms are built once, so each point costs one weighted fill of their
     fixed pattern and one sector solve (solve_point).
 
-    The rows are solved on _row_workers threads, one without the check, with
-    every loaded OpenBLAS held at one thread while they and the check run
-    (_one_blas_thread), and restored after.  Rows come back in axis order,
-    and `progress(done, total)` is called from the calling thread after each
-    one.  An exception other than a PairsimError, or an interrupt, cancels
-    the rows not yet started and propagates once the running ones finish.
+    The rows are solved on _row_workers threads, one if they take the real
+    solve, with every loaded OpenBLAS held at one thread while they and the
+    check run (_one_blas_thread), and restored after.  Rows come back in
+    axis order, and `progress(done, total)` is called from the calling
+    thread after each one.  An exception other than a PairsimError, or an
+    interrupt, cancels the rows not yet started and propagates once the
+    running ones finish.
     """
     terms = SectorTerms.build(HilbertSpace(*config.truncation))
     values = config.axis_values

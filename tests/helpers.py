@@ -3,10 +3,13 @@
 Low-excitation rate-balance estimates for the occupations and the cross
 correlation, the weak-excitation regime test and closures behind the
 acceptance criteria, a resonance locator for sweep output, a reader
-that parses a sweep CSV back into typed rows, and a fixed-step RK4
+that parses a sweep CSV back into typed rows, a fixed-step RK4
 integration of the master equation (evolve_to_steady), the time-evolution
-oracle of the steady-state solvers.  The package never calls these; they
-are the independent side of the checks that use them.
+oracle of the steady-state solvers, and the dense reduction of a dim x dim
+state to its ObservableRecord (dense_observables), the oracle of
+observables.compute_observables, which reads the sector state.  The
+package never calls these; they are the independent side of the checks
+that use them.
 """
 
 from __future__ import annotations
@@ -16,9 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from pairsim.errors import ConfigError, ConvergenceError
-from pairsim.model import unvec, vec
-from pairsim.observables import ObservableRecord
+from pairsim.errors import ConfigError, ConvergenceError, PairsimError
+from pairsim.model import SectorTerms, unvec, vec
+from pairsim.observables import (
+    _NAMED_STATES,
+    ObservableRecord,
+    _g2_auto,
+    _g2_cross,
+    log_negativity,
+)
 from pairsim.operators import HilbertSpace
 from pairsim.sweep import ERROR_TOKEN, UNDEF_TOKEN
 
@@ -269,3 +278,65 @@ def vacuum_state(space: HilbertSpace) -> np.ndarray:
     rho = np.zeros((space.dim, space.dim), dtype=complex)
     rho[0, 0] = 1.0
     return rho
+
+
+def sector_state(rho: np.ndarray, terms: SectorTerms) -> np.ndarray:
+    """The sector vector x of a dense state, as the solvers return it; rho
+    must hold no weight outside the sector."""
+    full = vec(rho)
+    outside = np.ones(full.size, dtype=bool)
+    outside[terms.index] = False
+    assert not full[outside].any(), "state has weight outside the n - m sector"
+    return full[terms.index]
+
+
+def populations(rho: np.ndarray) -> np.ndarray:
+    """The diagonal of rho as real populations; an imaginary residue on it
+    marks an invalid state and raises."""
+    diag = np.diag(rho)
+    imag = float(np.abs(diag.imag).max()) if rho.size else 0.0
+    if imag > 1e-10:
+        raise PairsimError(f"diagonal of rho has imaginary residue {imag:.3e}")
+    return diag.real
+
+
+def partial_trace_atom(rho: np.ndarray, space: HilbertSpace) -> np.ndarray:
+    """Trace out the atom, leaving the joint photon-phonon state.
+
+    Under the basis contract the two atom blocks are contiguous, so this is
+    a sum of the two diagonal blocks of the 2x2 block structure.
+    """
+    d = space.mode_dim
+    if rho.shape != (space.dim, space.dim):
+        raise ValueError(f"state shape {rho.shape} does not match space dim {space.dim}")
+    blocks = rho.reshape(2, d, 2, d)
+    return blocks[0, :, 0, :] + blocks[1, :, 1, :]
+
+
+def named_elements(rho: np.ndarray, space: HilbertSpace) -> dict[str, float]:
+    """Populations of the five low-excitation reference states plus the
+    moduli of the three coherences that track pair emission."""
+    idx = [space.index(*state) for state in _NAMED_STATES]
+    out = {f"rho{k + 1}{k + 1}": float(rho[i, i].real) for k, i in enumerate(idx)}
+    out["abs_rho14"] = float(abs(rho[idx[0], idx[3]]))
+    out["abs_rho15"] = float(abs(rho[idx[0], idx[4]]))
+    out["abs_rho25"] = float(abs(rho[idx[1], idx[4]]))
+    return out
+
+
+def dense_observables(rho: np.ndarray, space: HilbertSpace) -> ObservableRecord:
+    """The ObservableRecord of a dense dim x dim state, read off it entry by
+    entry: the reference compute_observables is held to."""
+    reduced = partial_trace_atom(rho, space)
+    pops = populations(rho)
+    nvals = space.photon_values().astype(float)
+    mvals = space.phonon_values().astype(float)
+    return ObservableRecord(
+        mean_n=float(nvals @ pops),
+        mean_m=float(mvals @ pops),
+        g2_n=_g2_auto(nvals, pops),
+        g2_m=_g2_auto(mvals, pops),
+        g2_nm=_g2_cross(nvals, mvals, pops),
+        log_neg=log_negativity(reduced, space),
+        elements=named_elements(rho, space),
+    )

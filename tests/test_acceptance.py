@@ -84,8 +84,8 @@ def solved_canonicals():
     terms = SectorTerms.build(SPACE)
     for name, params in CANONICAL.items():
         lv = build_liouvillian(params, SPACE)
-        rho, report = solve_steady(params, terms)
-        out[name] = (lv, rho, report, compute_observables(rho, SPACE))
+        x, report = solve_steady(params, terms)
+        out[name] = (lv, terms.density_matrix(x), report, compute_observables(x, terms))
     return out
 
 
@@ -148,9 +148,9 @@ def test_criterion_02_exact_limit_fixed_points():
         delta=0.3, j_coupling=2.0, omega=0.0, gamma_c=1.0, gamma_m=1.0, m_th=0.0
     )
     terms = SectorTerms.build(space)
-    rho, _ = solve_steady(params, terms)
-    assert float(np.abs(rho - vacuum_state(space)).max()) < 1e-12
-    obs = compute_observables(rho, space)
+    x, _ = solve_steady(params, terms)
+    assert float(np.abs(terms.density_matrix(x) - vacuum_state(space)).max()) < 1e-12
+    obs = compute_observables(x, terms)
     assert obs.mean_n == 0.0 and obs.mean_m == 0.0 and obs.log_neg == 0.0
     assert obs.g2_n is None and obs.g2_m is None and obs.g2_nm is None
 
@@ -173,8 +173,8 @@ def test_criterion_02_exact_limit_fixed_points():
     ok, detail = run_check(case)
     assert ok, detail
     terms = SectorTerms.build(space)
-    rho_sparse, _ = solve_steady(case.params, terms)
-    assert float(np.abs(rho_sparse - rho_oracle).max()) < 1e-10
+    x, _ = solve_steady(case.params, terms)
+    assert float(np.abs(terms.density_matrix(x) - rho_oracle).max()) < 1e-10
     print("criterion  2 PASS: vacuum, thermal (<m>=0.5, g2_m=2), and driven-atom 4/9 limits")
 
 

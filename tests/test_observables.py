@@ -1,20 +1,30 @@
-"""Observable extraction tests on hand-built states with known values."""
+"""Observable extraction tests on hand-built states with known values, and
+the sector reduction held to the dense one on solved states."""
+
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import dense_observables, named_elements, partial_trace_atom, sector_state
+import pairsim
 from pairsim.errors import PairsimError
-from pairsim.observables import (
-    G2_FLOOR,
-    compute_observables,
-    log_negativity,
-    named_elements,
-    partial_trace_atom,
-)
+from pairsim.model import SectorTerms
+from pairsim.observables import G2_FLOOR, compute_observables, log_negativity
 from pairsim.operators import HilbertSpace
+from pairsim.steady import COMPLEX_LU_UNKNOWNS, solve_steady, solve_steady_real
+from pairsim.sweep import load_config, run_sweep
 
 SPACE = HilbertSpace(2, 2)
+TERMS = SectorTerms.build(SPACE)
+CONFIGS = Path(pairsim.__file__).parent / "configs"
+
+
+def observe(rho: np.ndarray, terms: SectorTerms = TERMS):
+    """compute_observables of a dense state that lies in the sector."""
+    return compute_observables(sector_state(rho, terms), terms)
 
 
 def ket(space: HilbertSpace, s: int, n: int, m: int) -> np.ndarray:
@@ -37,7 +47,7 @@ def diagonal_state(space: HilbertSpace, photon_pops, phonon_pops) -> np.ndarray:
 
 def test_vacuum_observables():
     rho = projector(ket(SPACE, 0, 0, 0))
-    obs = compute_observables(rho, SPACE)
+    obs = observe(rho)
     assert obs.mean_n == 0.0
     assert obs.mean_m == 0.0
     assert obs.g2_n is None
@@ -50,7 +60,7 @@ def test_vacuum_observables():
 
 def test_single_photon_fock_state():
     rho = projector(ket(SPACE, 0, 1, 0))
-    obs = compute_observables(rho, SPACE)
+    obs = observe(rho)
     assert obs.mean_n == pytest.approx(1.0)
     assert obs.g2_n == 0.0  # a Fock state has no two-photon component
     assert obs.mean_m == 0.0
@@ -61,14 +71,14 @@ def test_single_photon_fock_state():
 def test_g2_of_hand_computed_mixture():
     # phonon populations (0.7, 0.2, 0.1): <m> = 0.4, <m(m-1)> = 0.2
     rho = diagonal_state(SPACE, [1.0, 0.0, 0.0], [0.7, 0.2, 0.1])
-    obs = compute_observables(rho, SPACE)
+    obs = observe(rho)
     assert obs.mean_m == pytest.approx(0.4)
     assert obs.g2_m == pytest.approx(0.2 / 0.16)
 
 
 def test_cross_correlation_factorizes_for_product_states():
     rho = diagonal_state(SPACE, [0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
-    obs = compute_observables(rho, SPACE)
+    obs = observe(rho)
     assert obs.g2_nm == pytest.approx(1.0, abs=1e-14)
     assert obs.mean_n == pytest.approx(0.7)
     assert obs.mean_m == pytest.approx(0.5)
@@ -78,7 +88,7 @@ def test_cross_correlation_of_pair_mixture():
     # (1-p) vacuum + p |g,1,1>: <n> = <m> = p but <nm> = p, so g2_nm = 1/p
     p = 0.2
     rho = (1 - p) * projector(ket(SPACE, 0, 0, 0)) + p * projector(ket(SPACE, 0, 1, 1))
-    obs = compute_observables(rho, SPACE)
+    obs = observe(rho)
     assert obs.mean_n == pytest.approx(p)
     assert obs.mean_m == pytest.approx(p)
     assert obs.g2_nm == pytest.approx(1.0 / p)
@@ -92,20 +102,43 @@ def test_correlations_undefined_below_floor():
         return (1 - p) * projector(ket(SPACE, 0, 0, 0)) + p * projector(ket(SPACE, 0, 1, 1))
 
     assert G2_FLOOR == 1e-12
-    obs = compute_observables(pair_weight(1e-14), SPACE)
+    obs = observe(pair_weight(1e-14))
     assert obs.g2_n is None
     assert obs.g2_nm is None
     # an occupation above the fixed floor makes them defined
-    obs = compute_observables(pair_weight(1e-10), SPACE)
+    obs = observe(pair_weight(1e-10))
     assert obs.g2_n is not None
     assert obs.g2_nm is not None
 
 
-def test_observables_reject_a_complex_diagonal():
-    rho = projector(ket(SPACE, 0, 0, 0))
-    rho[1, 1] = 1e-3j
-    with pytest.raises(PairsimError, match="imaginary residue"):
-        compute_observables(rho, SPACE)
+def test_solved_populations_are_exactly_real():
+    # a diagonal entry is its own partner, so Hermitizing it, 0.5 (x +
+    # conj x), leaves no imaginary part to test for
+    params = load_config(str(CONFIGS / "fig7.yaml")).params_at(1.0)
+    terms = SectorTerms.build(HilbertSpace(3, 4))
+    diagonal = terms.partner == np.arange(terms.index.size)
+    for solve in (solve_steady, solve_steady_real):
+        x, _ = solve(params, terms)
+        assert np.count_nonzero(x[diagonal].imag) == 0, solve
+
+
+# the truncations of fig2_weak's, fig6's and fig7's rows and of the first
+# two's checks, each at the first, middle and last point of its grid
+@pytest.mark.parametrize(
+    "name, levels",
+    [("fig2_weak", (5, 5)), ("fig2_weak", (10, 10)), ("fig6", (6, 8)), ("fig6", (12, 16)),
+     ("fig7", (6, 14))],
+)
+def test_sector_reduction_equals_the_dense_one(name, levels):
+    config = load_config(str(CONFIGS / f"{name}.yaml"))
+    terms = SectorTerms.build(HilbertSpace(*levels))
+    solve = solve_steady if terms.index.size <= COMPLEX_LU_UNKNOWNS else solve_steady_real
+    values = config.axis_values
+    for value in (values[0], values[len(values) // 2], values[-1]):
+        x, _ = solve(config.params_at(value), terms)
+        assert x.shape == terms.index.shape
+        rho = terms.density_matrix(x)
+        assert compute_observables(x, terms) == dense_observables(rho, terms.space), value
 
 
 def test_partial_trace_recovers_mode_factor():
@@ -136,12 +169,12 @@ def test_log_negativity_of_pair_bell_state():
     # bit of entanglement
     psi = (ket(SPACE, 0, 0, 0) + ket(SPACE, 0, 1, 1)) / np.sqrt(2.0)
     rho = projector(psi)
-    obs = compute_observables(rho, SPACE)
+    obs = observe(rho)
     assert obs.log_neg == pytest.approx(1.0, abs=1e-12)
     # mixing the atom without touching the modes must not change it
     psi_e = (ket(SPACE, 1, 0, 0) + ket(SPACE, 1, 1, 1)) / np.sqrt(2.0)
     mixed = 0.5 * rho + 0.5 * projector(psi_e)
-    assert compute_observables(mixed, SPACE).log_neg == pytest.approx(1.0, abs=1e-12)
+    assert observe(mixed).log_neg == pytest.approx(1.0, abs=1e-12)
 
 
 def test_log_negativity_of_a_weak_pair_coherence_keeps_its_digits():
@@ -153,7 +186,7 @@ def test_log_negativity_of_a_weak_pair_coherence_keeps_its_digits():
     rho = (1 - p) * projector(ket(SPACE, 0, 0, 0)) + p * projector(ket(SPACE, 0, 1, 1))
     i, j = SPACE.index(0, 0, 0), SPACE.index(0, 1, 1)
     rho[i, j] = rho[j, i] = c
-    value = compute_observables(rho, SPACE).log_neg
+    value = observe(rho).log_neg
     assert value == pytest.approx(np.log1p(2 * c) / np.log(2), rel=1e-14, abs=0)
 
 
@@ -163,7 +196,7 @@ def test_log_negativity_vanishes_for_product_states():
         pc = rng.random(SPACE.n_c + 1)
         pm = rng.random(SPACE.n_m + 1)
         rho = diagonal_state(SPACE, pc / pc.sum(), pm / pm.sum())
-        assert compute_observables(rho, SPACE).log_neg <= 1e-10
+        assert observe(rho).log_neg <= 1e-10
 
 
 def test_log_negativity_same_for_either_transposed_party():
@@ -206,6 +239,7 @@ def test_log_negativity_rejects_wrong_shape():
 
 
 def test_named_elements_read_the_right_entries():
+    # the coherences a sector state can hold; abs_rho14's cannot be set
     space = HilbertSpace(3, 3)
     rho = np.zeros((space.dim, space.dim), dtype=complex)
     states = {
@@ -221,18 +255,30 @@ def test_named_elements_read_the_right_entries():
         rho[i, i] = pops[key]
     i11 = space.index(0, 0, 0)
     i22 = space.index(1, 0, 0)
-    i44 = space.index(0, 1, 0)
     i55 = space.index(0, 1, 1)
-    rho[i11, i44] = 0.01 - 0.02j
-    rho[i44, i11] = 0.01 + 0.02j
     rho[i11, i55] = 0.03j
     rho[i55, i11] = -0.03j
     rho[i22, i55] = -0.04
     rho[i55, i22] = -0.04
 
-    elements = named_elements(rho, space)
+    terms = SectorTerms.build(space)
+    elements = observe(rho, terms).elements
+    assert elements == named_elements(rho, space)
     for key, value in pops.items():
         assert elements[key] == pytest.approx(value)
-    assert elements["abs_rho14"] == pytest.approx(abs(0.01 - 0.02j))
+    assert elements["abs_rho14"] == 0.0
     assert elements["abs_rho15"] == pytest.approx(0.03)
     assert elements["abs_rho25"] == pytest.approx(0.04)
+
+
+def test_abs_rho14_is_zero_by_symmetry():
+    # |<g,0,0|rho|g,1,0>|: its ket has n - m = 0 and its bra n - m = 1, so
+    # no sector position holds it and every solved row reports exactly 0
+    space = HilbertSpace(3, 3)
+    ket, bra = space.index(0, 0, 0), space.index(0, 1, 0)
+    assert ket + bra * space.dim not in SectorTerms.build(space).index
+    for name in ("fig2_weak", "fig7"):
+        config = load_config(str(CONFIGS / f"{name}.yaml"))
+        rows = run_sweep(replace(config, strict_truncation=False)).rows
+        assert len(rows) == len(config.axis_values), name
+        assert all(row.record.elements["abs_rho14"] == 0.0 for row in rows), name

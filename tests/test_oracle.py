@@ -85,8 +85,8 @@ ORACLE = {
 
 
 def real_solve(params, terms):
-    rho, _ = solve_steady_real(params, terms)
-    return compute_observables(rho, terms.space)
+    x, _ = solve_steady_real(params, terms)
+    return compute_observables(x, terms)
 
 
 def row_solve(params, terms):

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from helpers import evolve_to_steady, suggest_step, vacuum_state
+from helpers import evolve_to_steady, sector_state, suggest_step, vacuum_state
 import pairsim.model
 import pairsim.steady
 import pairsim.sweep
@@ -72,8 +72,11 @@ def full_space_solve(lv, space: HilbertSpace) -> np.ndarray:
 
 
 def sector_solve(params: SystemParams, space: HilbertSpace):
-    """solve_steady on the sector terms of `space`, as solve_point does."""
-    return solve_steady(params, SectorTerms.build(space))
+    """solve_steady on the sector terms of `space`, as solve_point does,
+    with the dense state the oracles compare."""
+    terms = SectorTerms.build(space)
+    x, report = solve_steady(params, terms)
+    return terms.density_matrix(x), report
 
 
 def per_point_liouvillian(params: SystemParams, space: HilbertSpace):
@@ -186,16 +189,16 @@ def test_pattern_fill_reproduces_the_per_point_sum_bit_for_bit(levels, monkeypat
         assert_same_arrays(lv, oracle, ("data", "indices", "indptr"))
         want_modified, want_rho = per_point_solve(oracle, space)
         monkeypatch.setattr(spla, "splu", lambda a: factored.append(a) or splu(a))
-        rho, _ = solve_steady(params, terms)
+        x, _ = solve_steady(params, terms)
         monkeypatch.setattr(spla, "splu", splu)
         assert_same_arrays(factored.pop(), want_modified, ("data", "indices", "indptr"))
-        assert rho.tobytes() == want_rho.tobytes()
+        assert terms.density_matrix(x).tobytes() == want_rho.tobytes()
     # the fill and the LU assembly leave the shared template as built
     assert_same_arrays(terms, SectorTerms.build(space), SECTOR_FIELDS)
 
 
-def observable_values(rho, space: HilbertSpace) -> list[float]:
-    rec = compute_observables(rho, space)
+def observable_values(x, terms: SectorTerms) -> list[float]:
+    rec = compute_observables(x, terms)
     scalars = [rec.mean_n, rec.mean_m, rec.g2_n, rec.g2_m, rec.g2_nm, rec.log_neg]
     return scalars + list(rec.elements.values())
 
@@ -378,11 +381,12 @@ def test_sector_solve_matches_full_space_oracle(params, space):
     outside = np.ones(space.dim**2, dtype=bool)
     outside[sector_index(space)] = False
     assert np.count_nonzero(vec(rho_full)[outside]) == 0
-    rho, report = sector_solve(params, space)
+    terms = SectorTerms.build(space)
+    x, report = solve_steady(params, terms)
     assert report.unknowns == sector_index(space).size
     assert_allclose(
-        observable_values(rho, space),
-        observable_values(rho_full, space),
+        observable_values(x, terms),
+        observable_values(sector_state(rho_full, terms), terms),
         rtol=1e-12,
         atol=1e-15,
     )
@@ -490,9 +494,9 @@ REAL_SOLVE_POINTS = [
 def test_real_solve_matches_the_complex_solve(params, space):
     terms = SectorTerms.build(space)
     want, _ = solve_steady(params, terms)
-    rho, report = solve_steady_real(params, terms)
-    assert_allclose(rho, want, rtol=0, atol=1e-12)
-    assert_allclose(observable_values(rho, space), observable_values(want, space), rtol=1e-10)
+    x, report = solve_steady_real(params, terms)
+    assert_allclose(x, want, rtol=0, atol=1e-12)
+    assert_allclose(observable_values(x, terms), observable_values(want, terms), rtol=1e-10)
     assert report.residual_norm < RESIDUAL_TOL
     assert report.unknowns == terms.index.size
 
@@ -654,11 +658,11 @@ def test_real_solve_matches_a_refined_direct_solve(params, space, monkeypatch):
     terms = SectorTerms.build(space)
     with monkeypatch.context() as patch:
         factors = complete_lus(patch)
-        rho, _ = solve_steady_real(params, terms)
+        x, _ = solve_steady_real(params, terms)
     assert factors == []  # the level preconditioner's solve, not the complete LU's
     monkeypatch.setattr(pairsim.steady, "_preconditioned", direct_refined)
     want, _ = solve_steady_real(params, terms)
-    got, ref = compute_observables(rho, space), compute_observables(want, space)
+    got, ref = compute_observables(x, terms), compute_observables(want, terms)
     for key in SCALAR_KEYS:
         assert _deviation(getattr(got, key), getattr(ref, key)) <= 1e-13, key
 
@@ -740,9 +744,9 @@ def test_refinement_in_float64_returns_its_last_iterate(monkeypatch):
     want, _ = solve_steady_real(FIG5_WEAK_LOW, terms)
     monkeypatch.setattr(np, "longdouble", np.float64)
     factors = complete_lus(monkeypatch)
-    rho, report = solve_steady_real(FIG5_WEAK_LOW, terms)
+    x, report = solve_steady_real(FIG5_WEAK_LOW, terms)
     assert factors == [] and report.residual_norm < RESIDUAL_TOL
-    got, ref = compute_observables(rho, space), compute_observables(want, space)
+    got, ref = compute_observables(x, terms), compute_observables(want, terms)
     for key in SCALAR_KEYS:
         assert _deviation(getattr(got, key), getattr(ref, key)) <= 1e-12, key
     # there a solve that never converges also returns its last iterate
@@ -762,9 +766,9 @@ def test_unconverged_refinement_falls_back_then_raises(monkeypatch):
     gmres = pairsim.steady._gmres
     monkeypatch.setattr(pairsim.steady, "_gmres", lambda *a: 2.0 * gmres(*a))
     factors = complete_lus(monkeypatch)
-    rho, report = solve_steady_real(WEAK_POINT, terms)
+    x, report = solve_steady_real(WEAK_POINT, terms)
     assert factors == [report.lu_nnz] and 1 <= report.refine_steps <= MAX_REFINE
-    assert_allclose(rho, want, rtol=0, atol=1e-15)
+    assert_allclose(x, want, rtol=0, atol=1e-15)
     complete = pairsim.steady._complete_lu
 
     def doubled(a):
@@ -808,9 +812,9 @@ def test_real_solve_agrees_whichever_factor_solved_it(params, space, monkeypatch
             if fallback is not None:
                 complete_lu(patch, fallback)
             factors = complete_lus(patch)
-            rho, _ = solve_steady_real(params, terms)
+            x, _ = solve_steady_real(params, terms)
         assert len(factors) == (fallback is not None), fallback
-        values.append(compute_observables(rho, space))
+        values.append(compute_observables(x, terms))
     for other in values[1:]:
         for key in SCALAR_KEYS:
             x, y = getattr(values[0], key), getattr(other, key)
@@ -900,13 +904,14 @@ def test_blockwise_min_eigenvalue_matches_the_full_one(levels, monkeypatch):
     q = space.photon_values() - space.phonon_values()
     states = unvalidated_states(monkeypatch)
     for solve in (solve_steady, solve_steady_real):
-        rho, report = solve(params, terms)
+        solved, report = solve(params, terms)
         x = states.pop()
         full = np.zeros(space.dim**2, dtype=complex)
         full[terms.index] = x
         raw = unvec(full, space.dim)
         want = 0.5 * (raw + raw.conj().T)
-        assert rho.shape == want.shape and rho.tobytes() == want.tobytes(), solve
+        assert solved.shape == x.shape, solve
+        assert terms.density_matrix(solved).tobytes() == want.tobytes(), solve
         blockwise = min(
             float(np.linalg.eigvalsh(want[np.ix_(b, b)]).min())
             for b in (np.flatnonzero(q == value) for value in np.unique(q))
@@ -962,10 +967,10 @@ def test_null_space_oracle_rejects_an_indefinite_full_space_state():
         null_space_steady(lv, space)
 
 
-def test_validation_adds_one_dense_state_after_the_solve(monkeypatch):
+def test_validation_adds_no_dense_state_after_the_solve(monkeypatch):
     # from the level-preconditioned solve's return to solve_steady_real's,
-    # the state is validated in the sector, so the traced peak grows by
-    # the returned dense state and sector-sized temporaries only
+    # the state is validated and returned in the sector, so the traced peak
+    # grows by sector-sized temporaries at most, far below one dense state
     space = HilbertSpace(12, 16)  # fig6's truncation check
     terms = SectorTerms.build(space)
     preconditioned = pairsim.steady._preconditioned
@@ -984,5 +989,5 @@ def test_validation_adds_one_dense_state_after_the_solve(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    dense = space.dim**2 * np.dtype(complex).itemsize
-    assert peak - at_return[0] < 1.5 * dense
+    sector = terms.index.size * np.dtype(complex).itemsize
+    assert peak - at_return[0] < 4 * sector < space.dim**2 * np.dtype(complex).itemsize / 5

@@ -309,7 +309,7 @@ def test_readme_python_blocks_run(capsys):
         exec(compile(block, "README.md", "exec"), names)
     assert capsys.readouterr().out.split() == [
         *(str(getattr(names["obs"], key)) for key in ("g2_n", "g2_nm", "log_neg")),
-        "(72,", "72)", "584",
+        "(584,)", "(72,", "72)", "584",
     ]
     assert names["converged"] is True
 
@@ -354,8 +354,9 @@ def test_solve_point_picks_the_solver_by_sector_size(levels, solver):
     terms = SectorTerms.build(HilbertSpace(*levels))
     assert (terms.index.size <= COMPLEX_LU_UNKNOWNS) == (solver is solve_steady)
     params = BASE.with_value("gamma_m", 0.1)
-    rho, report = solver(params, terms)
-    assert solve_point(params, terms) == (compute_observables(rho, terms.space), report)
+    x, report = solver(params, terms)
+    assert x.shape == terms.index.shape
+    assert solve_point(params, terms) == (compute_observables(x, terms), report)
     if solver is solve_steady:
         assert report.refine_steps == 0
 
@@ -562,8 +563,8 @@ def test_sweep_metadata_records_the_truncation_check():
     (base,) = [row for row in result.rows if row.axis_value == check["axis_value"]]
     terms = SectorTerms.build(HilbertSpace(6, 6))
     with _one_blas_thread():
-        rho, real = solve_steady_real(config.params_at(base.axis_value), terms)
-    doubled = compute_observables(rho, terms.space)
+        x, real = solve_steady_real(config.params_at(base.axis_value), terms)
+    doubled = compute_observables(x, terms)
     assert {key: check[key] for key in ("observables", "report")} == point_json(doubled, real)
     assert check["max_deviation"] == max(
         *(_deviation(getattr(base.record, key), getattr(doubled, key)) for key in SCALAR_KEYS),
@@ -580,7 +581,7 @@ def test_truncation_check_compares_every_element(monkeypatch):
     rho55 = record.elements["rho55"]
     assert rho55 > 1e-9  # above _deviation's absolute floor
     moved = replace(record, elements={**record.elements, "rho55": rho55 * (1 + 2e-6)})
-    monkeypatch.setattr(pairsim.sweep, "compute_observables", lambda rho, space: moved)
+    monkeypatch.setattr(pairsim.sweep, "compute_observables", lambda x, terms: moved)
     check = check_truncation(BASE, (record, report))
     assert check["max_deviation"] == pytest.approx(2e-6, rel=1e-5)
     assert not check["max_deviation"] <= check["tolerance"]
@@ -620,16 +621,16 @@ def set_cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def solve_threads(monkeypatch) -> list[int]:
-    """Record the thread of every solve_steady call of a sweep's rows."""
+def solve_threads(monkeypatch, name: str = "solve_steady") -> list[int]:
+    """Record the thread of every call of the solver `name` by a sweep."""
     threads = []
-    original = pairsim.sweep.solve_steady
+    original = getattr(pairsim.sweep, name)
 
     def recording(*args, **kwargs):
         threads.append(threading.get_ident())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pairsim.sweep, "solve_steady", recording)
+    monkeypatch.setattr(pairsim.sweep, name, recording)
     return threads
 
 
@@ -649,6 +650,8 @@ def test_concurrent_rows_equal_the_calling_thread_rows(monkeypatch, tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert len(set(threads)) > 1 and threading.get_ident() not in threads
+    set_cpus(monkeypatch, 1)  # so that the serial sweep solves one row at a time
+    assert _row_workers(config, unknowns) == 1
     serial = run_sweep(config)
     assert [row.axis_value for row in pooled.rows] == list(config.axis_values)
     for a, b in zip(pooled.rows, serial.rows):
@@ -802,14 +805,22 @@ def test_openblas_under_a_path_with_a_space_is_pinned(tmp_path, monkeypatch):
         assert controls[0][0]() == 2
 
 
-def test_rows_without_the_check_run_on_one_worker_thread(monkeypatch):
+def test_real_solve_rows_run_on_one_worker_thread(monkeypatch):
+    # rows above COMPLEX_LU_UNKNOWNS take the real solve, whose triangular
+    # solves do not overlap on two threads: one worker, checked or not;
+    # smaller rows get the pool, checked or not
     set_cpus(monkeypatch, 64)
-    threads = solve_threads(monkeypatch)
-    config = make_config(axis_values=tuple(0.1 * k for k in range(8)))
-    assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size) == 1
+    threads = solve_threads(monkeypatch, "solve_steady_real")
+    config = make_config(axis_values=tuple(0.1 * k for k in range(8)), truncation=(6, 8))
+    unknowns = sector_index(HilbertSpace(6, 8)).size
+    assert unknowns > COMPLEX_LU_UNKNOWNS
+    for strict in (False, True):
+        assert _row_workers(replace(config, strict_truncation=strict), unknowns) == 1
     run_sweep(config)
     assert len(threads) == 8 and len(set(threads)) == 1
     assert threading.get_ident() not in threads
+    small = replace(config, truncation=(3, 3))
+    assert _row_workers(small, sector_index(HilbertSpace(3, 3)).size) == 5
 
 
 def test_worker_count_is_bounded_by_the_unknowns_ratio(monkeypatch):
@@ -827,14 +838,17 @@ def test_worker_count_is_bounded_by_the_unknowns_ratio(monkeypatch):
     assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size) == ratio == 5
     run_sweep(config)
     assert sizes == [ratio]
-    # the ratio caps the pool at 6 for every shipped config that runs the
-    # check, below its number of rows: more workers hold more row factors
-    # at once, and 12 raised fig6's peak memory by about 30 MiB
+    # the ratio caps the pool at 6 for every shipped config whose rows take
+    # the complex solve, below its number of rows: more workers hold more
+    # row factors at once, and 12 raised fig6's peak memory by about 30 MiB;
+    # the rows of the others take the real solve, on one worker
     for path in sorted((Path(pairsim.sweep.__file__).parent / "configs").glob("*.yaml")):
         shipped = load_config(str(path))
-        if shipped.strict_truncation:
-            unknowns = sector_index(HilbertSpace(*shipped.truncation)).size
+        unknowns = sector_index(HilbertSpace(*shipped.truncation)).size
+        if unknowns <= COMPLEX_LU_UNKNOWNS:
             assert _row_workers(shipped, unknowns) == 6 < len(shipped.axis_values), path.name
+        else:
+            assert _row_workers(shipped, unknowns) == 1, path.name
 
 
 # ---------------------------------------------------------------- CLI
