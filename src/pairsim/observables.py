@@ -2,8 +2,9 @@
 entanglement of a steady state.
 
 The state is the sector vector x that the solvers return (steady.py): rho
-is zero outside the n - m sector, and everything here is read off x at
-sector positions, with no dim x dim array.
+is zero outside the n - m sector, and everything here, the log negativity
+included, is read off x at sector positions.  Nothing larger than the
+sector is made: no dim x dim state, and no photon-phonon state either.
 
 All second-order correlators here are equal-time quantities.  They reduce to
 weighted sums over the diagonal populations because the relevant operator
@@ -24,7 +25,6 @@ import numpy as np
 
 from .errors import PairsimError
 from .model import SectorTerms
-from .operators import HilbertSpace
 
 __all__ = [
     "ObservableRecord",
@@ -88,54 +88,47 @@ def _g2_cross(nvals: np.ndarray, mvals: np.ndarray, pops: np.ndarray) -> float |
     return float((nvals * mvals) @ pops) / (mean_n * mean_m)
 
 
-def log_negativity(reduced: np.ndarray, space: HilbertSpace) -> float:
+def log_negativity(x: np.ndarray, terms: SectorTerms) -> float:
     """E_N = log2 of the trace norm of the partial transpose over the
-    photon indices, of the state normalized to unit trace.
+    photon indices of the atom-traced state x on terms, normalized to unit
+    trace.
 
-    The state couples only kets and bras that share n - m, and the photon
-    transpose takes the entry at (n', m), (n, m') to (n, m), (n', m'), so
-    the partial transpose is block diagonal in n + m.  It is Hermitian, so
-    its trace norm is its trace plus 2 N, N the sum of the moduli of its
-    negative eigenvalues, found block by block in one stacked eigvalsh.
-    E_N = log2(1 + 2 N / trace) is taken by log1p: log2 of a trace norm
-    near 1 would lose the relative digits of a small E_N.  A partial
-    transpose that is not Hermitian, or not zero outside its blocks, beyond
-    tolerance indicates an upstream bug and raises.
+    The atom's two diagonal blocks of rho hold the same n - m pattern in
+    the same order, so tracing out the atom adds the excited block's
+    entries onto the ground block's.  The reduced state couples only kets
+    and bras that share n - m, and the photon transpose takes its entry at
+    (n, m), (n', m') to (n', m), (n, m'), so the partial transpose is block
+    diagonal in n + m: the entry lands in block s = n' + m, at row n' - low
+    and column n - low, low = max(0, s - n_m).  Every block entry is a
+    sector entry, so the blocks are read straight off x and nothing larger
+    than the sector or the stacked blocks is made.  They are Hermitian, so
+    the trace norm is the trace plus 2 N, N the sum of the moduli of their
+    negative eigenvalues, found in one stacked eigvalsh.  E_N = log2(1 + 2 N
+    / trace) is taken by log1p: log2 of a trace norm near 1 would lose the
+    relative digits of a small E_N.  Blocks that are not Hermitian beyond
+    tolerance indicate an upstream bug and raise.
     """
-    nc1, nm1 = space.n_c + 1, space.n_m + 1
-    d = space.mode_dim
-    if reduced.shape != (d, d):
-        raise ValueError(f"reduced state shape {reduced.shape}, expected ({d}, {d})")
-    pt = (
-        reduced.reshape(nc1, nm1, nc1, nm1)
-        .transpose(2, 1, 0, 3)
-        .reshape(d, d)
-    )
-    total = (np.arange(nc1)[:, None] + np.arange(nm1)).ravel()  # n + m of each state
-    mirror = pt.conj().T
-    herm_dev = float(np.abs(pt - mirror).max())
-    stray = float(np.abs(pt[total[:, None] != total]).max(initial=0.0))
-    if herm_dev > 1e-8 or stray > 1e-8:
-        raise PairsimError(
-            f"partial transpose deviates from Hermitian by {herm_dev:.3e} "
-            f"and holds {stray:.3e} outside its n + m blocks"
-        )
-    pt = 0.5 * (pt + mirror)
-    # block s holds the states (n, s - n), n from max(0, s - n_m) to
-    # min(s, n_c); a unit diagonal pads each to the longest, so that one
-    # eigvalsh takes them all, and adds only positive eigenvalues
-    s = np.arange(nc1 + nm1 - 1)[:, None]
-    n = np.maximum(s - (nm1 - 1), 0) + np.arange(min(nc1, nm1))
-    inside = n <= np.minimum(s, nc1 - 1)
-    states = np.where(inside, n * nm1 + s - n, 0)
-    blocks = np.where(
-        inside[:, :, None] & inside[:, None, :],
-        pt[states[:, :, None], states[:, None, :]],
-        np.eye(n.shape[1]),
-    )
-    values = np.linalg.eigvalsh(blocks)
-    negative = float(np.abs(values[values < 0.0]).sum())
-    return math.log1p(2.0 * negative / float(np.trace(pt).real)) / math.log(2.0)
+    space = terms.space
+    n_c, n_m, d = space.n_c, space.n_m, space.mode_dim
+    bra, ket = np.divmod(terms.index, space.dim)
+    ground, excited = (ket < d) & (bra < d), (ket >= d) & (bra >= d)
+    values = x[ground] + x[excited]
+    ket, bra = ket[ground], bra[ground]
+    (n, m), n2 = np.divmod(ket, n_m + 1), bra // (n_m + 1)
+    s = n2 + m
+    low = np.maximum(s - n_m, 0)
+    # a unit diagonal pads each block to the longest, so that one eigvalsh
+    # takes them all, and adds only positive eigenvalues; every entry inside
+    # a block is written, its diagonal included
+    blocks = np.tile(np.eye(min(n_c, n_m) + 1, dtype=complex), (n_c + n_m + 1, 1, 1))
+    blocks[s, n2 - low, n - low] = values
+    herm_dev = float(np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max())
+    if herm_dev > 1e-8:
+        raise PairsimError(f"partial transpose deviates from Hermitian by {herm_dev:.3e}")
+    eigenvalues = np.linalg.eigvalsh(blocks)
+    negative = float(np.abs(eigenvalues[eigenvalues < 0.0]).sum())
+    trace = float(values[ket == bra].sum().real)
+    return math.log1p(2.0 * negative / trace) / math.log(2.0)
 
 
 def _elements(x: np.ndarray, terms: SectorTerms, pops: np.ndarray) -> dict[str, float]:
@@ -155,16 +148,10 @@ def _elements(x: np.ndarray, terms: SectorTerms, pops: np.ndarray) -> dict[str, 
 
 def compute_observables(x: np.ndarray, terms: SectorTerms) -> ObservableRecord:
     """Evaluate the full record reported by sweeps from the sector state x
-    on terms.  The populations are the entries that are their own partner,
-    in basis order.  The atom's two diagonal blocks of rho hold the same
-    n - m pattern in the same order, so tracing out the atom adds the
-    excited block's entries onto the ground block's."""
-    space, d = terms.space, terms.space.mode_dim
+    on terms, with no array larger than the sector.  The populations are
+    the entries that are their own partner, in basis order."""
+    space = terms.space
     pops = x[terms.partner == np.arange(x.size)].real
-    bra, ket = np.divmod(terms.index, space.dim)
-    ground, excited = (ket < d) & (bra < d), (ket >= d) & (bra >= d)
-    reduced = np.zeros((d, d), dtype=complex)
-    reduced[ket[ground], bra[ground]] = x[ground] + x[excited]
     nvals = space.photon_values().astype(float)
     mvals = space.phonon_values().astype(float)
     return ObservableRecord(
@@ -173,6 +160,6 @@ def compute_observables(x: np.ndarray, terms: SectorTerms) -> ObservableRecord:
         g2_n=_g2_auto(nvals, pops),
         g2_m=_g2_auto(mvals, pops),
         g2_nm=_g2_cross(nvals, mvals, pops),
-        log_neg=log_negativity(reduced, space),
+        log_neg=log_negativity(x, terms),
         elements=_elements(x, terms, pops),
     )

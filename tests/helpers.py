@@ -7,13 +7,17 @@ that parses a sweep CSV back into typed rows, a fixed-step RK4
 integration of the master equation (evolve_to_steady), the time-evolution
 oracle of the steady-state solvers, and the dense reduction of a dim x dim
 state to its ObservableRecord (dense_observables), the oracle of
-observables.compute_observables, which reads the sector state.  The
-package never calls these; they are the independent side of the checks
-that use them.
+observables.compute_observables, which reads the sector state.  The dense
+reduction takes the log negativity from the mode_dim x mode_dim
+atom-traced state and its dense partial transpose (dense_log_negativity),
+the oracle of observables.log_negativity, which reads its n + m blocks off
+the sector vector.  The package never calls these; they are the
+independent side of the checks that use them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +25,7 @@ import scipy.sparse as sp
 
 from pairsim.errors import ConfigError, ConvergenceError, PairsimError
 from pairsim.model import SectorTerms, unvec, vec
-from pairsim.observables import (
-    _NAMED_STATES,
-    ObservableRecord,
-    _g2_auto,
-    _g2_cross,
-    log_negativity,
-)
+from pairsim.observables import _NAMED_STATES, ObservableRecord, _g2_auto, _g2_cross
 from pairsim.operators import HilbertSpace
 from pairsim.sweep import ERROR_TOKEN, UNDEF_TOKEN
 
@@ -324,6 +322,56 @@ def named_elements(rho: np.ndarray, space: HilbertSpace) -> dict[str, float]:
     return out
 
 
+def dense_log_negativity(reduced: np.ndarray, space: HilbertSpace) -> float:
+    """E_N = log2 of the trace norm of the partial transpose over the
+    photon indices, of the state normalized to unit trace.
+
+    The state couples only kets and bras that share n - m, and the photon
+    transpose takes the entry at (n', m), (n, m') to (n, m), (n', m'), so
+    the partial transpose is block diagonal in n + m.  It is Hermitian, so
+    its trace norm is its trace plus 2 N, N the sum of the moduli of its
+    negative eigenvalues, found block by block in one stacked eigvalsh.
+    E_N = log2(1 + 2 N / trace) is taken by log1p: log2 of a trace norm
+    near 1 would lose the relative digits of a small E_N.  A partial
+    transpose that is not Hermitian, or not zero outside its blocks, beyond
+    tolerance indicates an upstream bug and raises.
+    """
+    nc1, nm1 = space.n_c + 1, space.n_m + 1
+    d = space.mode_dim
+    if reduced.shape != (d, d):
+        raise ValueError(f"reduced state shape {reduced.shape}, expected ({d}, {d})")
+    pt = (
+        reduced.reshape(nc1, nm1, nc1, nm1)
+        .transpose(2, 1, 0, 3)
+        .reshape(d, d)
+    )
+    total = (np.arange(nc1)[:, None] + np.arange(nm1)).ravel()  # n + m of each state
+    mirror = pt.conj().T
+    herm_dev = float(np.abs(pt - mirror).max())
+    stray = float(np.abs(pt[total[:, None] != total]).max(initial=0.0))
+    if herm_dev > 1e-8 or stray > 1e-8:
+        raise PairsimError(
+            f"partial transpose deviates from Hermitian by {herm_dev:.3e} "
+            f"and holds {stray:.3e} outside its n + m blocks"
+        )
+    pt = 0.5 * (pt + mirror)
+    # block s holds the states (n, s - n), n from max(0, s - n_m) to
+    # min(s, n_c); a unit diagonal pads each to the longest, so that one
+    # eigvalsh takes them all, and adds only positive eigenvalues
+    s = np.arange(nc1 + nm1 - 1)[:, None]
+    n = np.maximum(s - (nm1 - 1), 0) + np.arange(min(nc1, nm1))
+    inside = n <= np.minimum(s, nc1 - 1)
+    states = np.where(inside, n * nm1 + s - n, 0)
+    blocks = np.where(
+        inside[:, :, None] & inside[:, None, :],
+        pt[states[:, :, None], states[:, None, :]],
+        np.eye(n.shape[1]),
+    )
+    values = np.linalg.eigvalsh(blocks)
+    negative = float(np.abs(values[values < 0.0]).sum())
+    return math.log1p(2.0 * negative / float(np.trace(pt).real)) / math.log(2.0)
+
+
 def dense_observables(rho: np.ndarray, space: HilbertSpace) -> ObservableRecord:
     """The ObservableRecord of a dense dim x dim state, read off it entry by
     entry: the reference compute_observables is held to."""
@@ -337,6 +385,6 @@ def dense_observables(rho: np.ndarray, space: HilbertSpace) -> ObservableRecord:
         g2_n=_g2_auto(nvals, pops),
         g2_m=_g2_auto(mvals, pops),
         g2_nm=_g2_cross(nvals, mvals, pops),
-        log_neg=log_negativity(reduced, space),
+        log_neg=dense_log_negativity(reduced, space),
         elements=named_elements(rho, space),
     )

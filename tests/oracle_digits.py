@@ -1,8 +1,9 @@
 """Extended-precision digits for tests/test_oracle.py.
 
 Solves the steady state of the (3, 4) truncation in 40 significant digits
-with mpmath and prints the pair statistics that the Tier-1 oracle test
-stores.  The Liouvillian is assembled here from the model's definition,
+with mpmath and prints the pair statistics and the log negativity that the
+Tier-1 oracle test stores.  The Liouvillian is assembled here from the
+model's definition,
 
     L = -i[H, .] + kappa D[sigma-] + gamma_c D[a]
         + gamma_m (m_th + 1) D[b] + gamma_m m_th D[b^dag],
@@ -12,8 +13,10 @@ stores.  The Liouvillian is assembled here from the model's definition,
 not from pairsim's own assembly; pairsim only supplies each point's parameters,
 whose float64 values are taken exactly.  Only the entries rho[i, j] whose
 ket and bra share n - m are unknowns (240 at (3, 4)), since L maps that
-sector into itself, and the trace replaces the vacuum's equation.  Each
-point takes about 30 s on a 2-vCPU Xeon guest.
+sector into itself, and the trace replaces the vacuum's equation.  The log
+negativity is taken densely: the atom is traced out, the photon indices of
+the 20 x 20 photon-phonon state are transposed, and mp.eighe gives its
+eigenvalues.  Each point takes 30 to 60 s on a 2-vCPU Xeon guest.
 
 Not collected by pytest.  It needs mpmath (the `oracle` extra):
 
@@ -37,7 +40,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "src", "pairsim", "
 # (config, index into its grid): fig5_weak's weakest drive, fig4's
 # truncation-check point, fig7's hottest bath and fig6's slowest phonon
 POINTS = (("fig5_weak", -1), ("fig4", 82), ("fig7", -1), ("fig6", 0))
-KEYS = ("mean_n", "mean_m", "g2_n", "g2_m", "g2_nm")
+KEYS = ("mean_n", "mean_m", "g2_n", "g2_m", "g2_nm", "log_neg")
 
 
 def operators(n_c, n_m, params):
@@ -92,8 +95,9 @@ def product(x, y):
     return out
 
 
-def populations(n_c, n_m, params):
-    """The diagonal of the steady state, in the order of `states`."""
+def steady_state(n_c, n_m, params):
+    """The basis states and the steady state's sector entries, as
+    {(i, j): rho[i, j]} with i and j in the order of `states`."""
     states, h, jumps = operators(n_c, n_m, params)
     dim = len(states)
     q = [n - m for _, n, m in states]
@@ -118,10 +122,27 @@ def populations(n_c, n_m, params):
     for p in range(len(unknowns)):
         matrix[vacuum, p] = 1 if unknowns[p][0] == unknowns[p][1] else 0
     x = mp.lu_solve(matrix, rhs)
-    return states, [mpmath.re(x[column[i, i]]) for i in range(dim)]
+    return states, {entry: x[p] for p, entry in enumerate(unknowns)}
 
 
-def statistics(states, pops):
+def log_negativity(states, rho):
+    """log2 of the trace norm of the photon partial transpose of the
+    atom-traced state, over its trace."""
+    modes = sorted({state[1:] for state in states})
+    where = {mode: k for k, mode in enumerate(modes)}
+    pt = mp.zeros(len(modes), len(modes))
+    for (i, j), value in rho.items():
+        (s, n, m), (s2, n2, m2) = states[i], states[j]
+        if s == s2:  # <n, m| rho |n2, m2> goes to <n2, m| pt |n, m2>
+            pt[where[n2, m], where[n, m2]] += value
+    pt = (pt + pt.H) / 2
+    trace = mp.fsum(mpmath.re(pt[k, k]) for k in range(len(modes)))
+    norm = mp.fsum(abs(e) for e in mp.eighe(pt, eigvals_only=True))
+    return mp.log(norm / trace, 2)
+
+
+def statistics(states, rho):
+    pops = [mpmath.re(rho[i, i]) for i in range(len(states))]
     n = [state[1] for state in states]
     m = [state[2] for state in states]
     mean_n = mp.fsum(a * p for a, p in zip(n, pops))
@@ -132,6 +153,7 @@ def statistics(states, pops):
         "g2_n": mp.fsum(a * (a - 1) * p for a, p in zip(n, pops)) / mean_n**2,
         "g2_m": mp.fsum(a * (a - 1) * p for a, p in zip(m, pops)) / mean_m**2,
         "g2_nm": mp.fsum(a * b * p for a, b, p in zip(n, m, pops)) / (mean_n * mean_m),
+        "log_neg": log_negativity(states, rho),
     }
 
 
@@ -142,7 +164,7 @@ def main():
         value = config.axis_values[position]
         params = config.params_at(value)
         start = time.perf_counter()
-        values = statistics(*populations(*TRUNCATION, params))
+        values = statistics(*steady_state(*TRUNCATION, params))
         seconds = time.perf_counter() - start
         print(f"# {name}, {config.axis} = {value!r} at {TRUNCATION}: {seconds:.0f} s")
         print(f"{params!r}")

@@ -27,6 +27,11 @@ def observe(rho: np.ndarray, terms: SectorTerms = TERMS):
     return compute_observables(sector_state(rho, terms), terms)
 
 
+def negativity(rho: np.ndarray, terms: SectorTerms = TERMS) -> float:
+    """log_negativity of a dense state that lies in the sector."""
+    return log_negativity(sector_state(rho, terms), terms)
+
+
 def ket(space: HilbertSpace, s: int, n: int, m: int) -> np.ndarray:
     v = np.zeros(space.dim, dtype=complex)
     v[space.index(s, n, m)] = 1.0
@@ -123,11 +128,13 @@ def test_solved_populations_are_exactly_real():
 
 
 # the truncations of fig2_weak's, fig6's and fig7's rows and of the first
-# two's checks, each at the first, middle and last point of its grid
+# two's checks, each at the first, middle and last point of its grid; and
+# two whose n + m blocks of the log negativity pad otherwise: one with
+# n_c > n_m, and the smallest space
 @pytest.mark.parametrize(
     "name, levels",
     [("fig2_weak", (5, 5)), ("fig2_weak", (10, 10)), ("fig6", (6, 8)), ("fig6", (12, 16)),
-     ("fig7", (6, 14))],
+     ("fig7", (6, 14)), ("fig7", (7, 2)), ("fig2_weak", (1, 1))],
 )
 def test_sector_reduction_equals_the_dense_one(name, levels):
     config = load_config(str(CONFIGS / f"{name}.yaml"))
@@ -169,12 +176,11 @@ def test_log_negativity_of_pair_bell_state():
     # bit of entanglement
     psi = (ket(SPACE, 0, 0, 0) + ket(SPACE, 0, 1, 1)) / np.sqrt(2.0)
     rho = projector(psi)
-    obs = observe(rho)
-    assert obs.log_neg == pytest.approx(1.0, abs=1e-12)
+    assert negativity(rho) == pytest.approx(1.0, abs=1e-12)
     # mixing the atom without touching the modes must not change it
     psi_e = (ket(SPACE, 1, 0, 0) + ket(SPACE, 1, 1, 1)) / np.sqrt(2.0)
     mixed = 0.5 * rho + 0.5 * projector(psi_e)
-    assert observe(mixed).log_neg == pytest.approx(1.0, abs=1e-12)
+    assert negativity(mixed) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_log_negativity_of_a_weak_pair_coherence_keeps_its_digits():
@@ -186,7 +192,7 @@ def test_log_negativity_of_a_weak_pair_coherence_keeps_its_digits():
     rho = (1 - p) * projector(ket(SPACE, 0, 0, 0)) + p * projector(ket(SPACE, 0, 1, 1))
     i, j = SPACE.index(0, 0, 0), SPACE.index(0, 1, 1)
     rho[i, j] = rho[j, i] = c
-    value = observe(rho).log_neg
+    value = negativity(rho)
     assert value == pytest.approx(np.log1p(2 * c) / np.log(2), rel=1e-14, abs=0)
 
 
@@ -196,46 +202,33 @@ def test_log_negativity_vanishes_for_product_states():
         pc = rng.random(SPACE.n_c + 1)
         pm = rng.random(SPACE.n_m + 1)
         rho = diagonal_state(SPACE, pc / pc.sum(), pm / pm.sum())
-        assert observe(rho).log_neg <= 1e-10
+        assert negativity(rho) <= 1e-10
 
 
 def test_log_negativity_same_for_either_transposed_party():
     # transposing the photon or the phonon indices gives the same trace norm
     psi = (ket(SPACE, 0, 0, 0) + ket(SPACE, 0, 1, 1)) / np.sqrt(2.0)
     rho = 0.7 * projector(psi) + 0.3 * projector(ket(SPACE, 0, 1, 0))
-    reduced = partial_trace_atom(rho, SPACE)
+    x = sector_state(rho, TERMS)
+    reduced = partial_trace_atom(TERMS.density_matrix(x), SPACE)
     nc1, nm1 = SPACE.n_c + 1, SPACE.n_m + 1
     d = SPACE.mode_dim
     pt_phonon = (
         reduced.reshape(nc1, nm1, nc1, nm1).transpose(0, 3, 2, 1).reshape(d, d)
     )
     norm_phonon = float(np.abs(np.linalg.eigvalsh(pt_phonon)).sum())
-    assert log_negativity(reduced, SPACE) == pytest.approx(
-        np.log2(norm_phonon), abs=1e-12
-    )
+    assert log_negativity(x, TERMS) == pytest.approx(np.log2(norm_phonon), abs=1e-12)
 
 
 def test_log_negativity_rejects_nonhermitian_input():
-    d = SPACE.mode_dim
-    reduced = np.zeros((d, d), dtype=complex)
-    reduced[0, 1] = 1.0
-    with pytest.raises(PairsimError):
-        log_negativity(reduced, SPACE)
-
-
-def test_log_negativity_rejects_a_coherence_outside_the_sector():
-    # |0,0> and |0,1> differ in n - m: their Hermitian coherence lands
-    # outside the n + m blocks of the partial transpose
-    d = SPACE.mode_dim
-    reduced = np.diag(np.full(d, 1.0 / d)).astype(complex)
-    reduced[0, 1] = reduced[1, 0] = 0.01
-    with pytest.raises(PairsimError, match="outside"):
-        log_negativity(reduced, SPACE)
-
-
-def test_log_negativity_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        log_negativity(np.eye(4, dtype=complex), SPACE)
+    # the coherence <g,0,0|rho|g,1,1> without its mirror entry: it lands in
+    # the partial transpose's n + m = 1 block, which is then not Hermitian
+    rho = np.diag(np.full(SPACE.dim, 1.0 / SPACE.dim)).astype(complex)
+    rho[SPACE.index(0, 0, 0), SPACE.index(0, 1, 1)] = 0.01
+    x = sector_state(rho, TERMS)
+    assert np.count_nonzero(x != x[TERMS.partner].conj()) == 2
+    with pytest.raises(PairsimError, match="Hermitian"):
+        log_negativity(x, TERMS)
 
 
 def test_named_elements_read_the_right_entries():

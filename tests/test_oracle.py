@@ -1,16 +1,18 @@
-"""Pair statistics against 40-digit steady states.
+"""Pair statistics and the log negativity against 40-digit steady states.
 
 tests/oracle_digits.py solves the (3, 4) truncation of each point below in
 40 significant digits with mpmath, from the model's definition and the
 parameters' float64 values, and prints the digits stored here, so this test
-needs no mpmath.  At (3, 4) both solvers must reproduce them to 1e-13
-relative.
+needs no mpmath.  Its log negativity comes from the dense photon partial
+transpose of the atom-traced state, not from the n + m blocks that
+observables.log_negativity reads off the sector vector.  At (3, 4) both
+solvers must reproduce the digits to 1e-13 relative.
 
 fig5_weak at gamma_m = 100 is the weakest drive of the shipped sweeps: <m> =
 1.6e-6 and g2_m = 1.6e-3, so its two-phonon population is about 2e-15 of
 the vacuum's.  At its shipped (6, 12) and at (6, 14) its statistics sit at
-most 3.6e-13 from the (3, 4) digits, so there the digits hold the solves to
-1e-11.  There a row's sector (2100 and 2492 unknowns) is above
+most 3.6e-13 from the (3, 4) digits, and its log negativity 5.8e-15, so
+there the digits hold the solves to 1e-11.  There a row's sector (2100 and 2492 unknowns) is above
 steady.COMPLEX_LU_UNKNOWNS, so solve_point solves it with solve_steady_real
 too; the unrefined complex LU would miss the bound, its g2_n 2.5e-7 off at
 (6, 12) and its g2_m 1.1e-5 off at (6, 14).
@@ -38,6 +40,7 @@ ORACLE = {
             "g2_n": 0.07540609389421407019980405,
             "g2_m": 0.001603382209463588294744289,
             "g2_nm": 56541.25802340529565670825,
+            "log_neg": 0.001162408422579309135214002,
         },
     ),
     # the row that fig4's truncation check doubles
@@ -52,6 +55,7 @@ ORACLE = {
             "g2_n": 0.3598875716248076749671754,
             "g2_m": 0.3598894426061477351366793,
             "g2_nm": 28.67018058357002099109814,
+            "log_neg": 0.2297913524512242201291782,
         },
     ),
     # fig7's hottest bath
@@ -66,6 +70,7 @@ ORACLE = {
             "g2_n": 0.5605478852897591568545148,
             "g2_m": 1.463062083365194855116755,
             "g2_nm": 1.230786012129212162353072,
+            "log_neg": 0.00000120719136105517806482827,
         },
     ),
     # fig6's slowest phonon
@@ -79,6 +84,7 @@ ORACLE = {
             "g2_n": 13.66591101349963250413847,
             "g2_m": 0.5866081289042691250450279,
             "g2_nm": 1.178422883622714828584378,
+            "log_neg": 0.0002848238308353525422187231,
         },
     ),
 }

@@ -991,3 +991,18 @@ def test_validation_adds_no_dense_state_after_the_solve(monkeypatch):
         tracemalloc.stop()
     sector = terms.index.size * np.dtype(complex).itemsize
     assert peak - at_return[0] < 4 * sector < space.dim**2 * np.dtype(complex).itemsize / 5
+
+
+def test_observables_add_no_dense_state():
+    # the log negativity reads its n + m blocks off the sector vector, so
+    # the traced peak of compute_observables is a few sector vectors; with a
+    # dense mode_dim x mode_dim state and its partial transpose it was 27
+    terms = SectorTerms.build(HilbertSpace(12, 16))  # fig6's truncation check
+    x, _ = solve_steady_real(CANONICAL_POINTS[1][0], terms)
+    tracemalloc.start()
+    try:
+        compute_observables(x, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * x.nbytes
