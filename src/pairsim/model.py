@@ -184,7 +184,7 @@ def build_liouvillian(params: SystemParams, space: HilbertSpace) -> sp.csr_matri
     L = -i[H, .] + kappa D[sigma-] + gamma_c D[a]
         + gamma_m (m_th + 1) D[b] + gamma_m m_th D[b^dag]
 
-    The solvers work on the n - m sector (SectorTerms); this full operator
+    The solver works on the n - m sector (SectorTerms); this full operator
     serves the oracles and the tests.
     """
     terms = (term for _, term in _generator_terms(space))

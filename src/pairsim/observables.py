@@ -1,7 +1,7 @@
 """Occupations, second-order correlations, named matrix elements, and
 entanglement of a steady state.
 
-The state is the sector vector x that the solvers return (steady.py): rho
+The state is the sector vector x that the solver returns (steady.py): rho
 is zero outside the n - m sector, and everything here, the log negativity
 included, is read off x at sector positions.  Nothing larger than the
 sector is made: no dim x dim state, and no photon-phonon state either.

@@ -1,49 +1,48 @@
 """Steady-state solvers.
 
-The complex path, solve_steady(params, terms), solves L vec(rho) = 0 on
-the n - m sector of a model.SectorTerms, which owns that sector: its index,
-the generator terms restricted to it, and the check, made when the terms are
-built, that no term leaves it (model.sector_index says why solving there is
-exact).  The solvers take the point, not an operator: L is the terms' own
-weighted fill for params (SectorTerms.liouvillian), so it cannot come from
-another truncation.  The row of the diagonal element rho[0, 0] is replaced
-by the trace functional, which trace preservation makes linearly dependent
-on the other diagonal rows, and one unrefined sparse LU solves the system.
+solve_steady(params, terms) solves L vec(rho) = 0 on the n - m sector of a
+model.SectorTerms, which owns that sector: its index, the generator terms
+restricted to it, and the check, made when the terms are built, that no
+term leaves it (model.sector_index says why solving there is exact).  The
+solver takes the point, not an operator: L is the terms' own weighted fill
+for params (SectorTerms.liouvillian), so it cannot come from another
+truncation.  The row of the diagonal element rho[0, 0] is replaced by the
+trace functional, which trace preservation makes linearly dependent on the
+other diagonal rows.  It is the one sector solver: sweep rows, the
+truncation check, the command line and library callers all call it, and
+it alone picks the factor, by the sector's size.  Up to
+COMPLEX_LU_UNKNOWNS unknowns (the constant's comment says why there) one
+unrefined complete sparse LU of the complex system solves it.
 
-solve_steady_real solves the same sector in real arithmetic.  L preserves
-Hermiticity, so rho[j, i] is the conjugate of rho[i, j], and the sector,
-closed under transposition, has as many real unknowns as complex ones.  The
-truncation check solves its doubled space, the largest system of a sweep,
-this way, and not by a complete LU: GMRES (_gmres) solves it
-(_preconditioned), right-preconditioned by one red-black block Gauss-Seidel
-sweep over the levels of q = n - m (_level_sweep).  Ordered by the q that
-an entry's ket and bra share (SectorTerms.levels), the system is block
-tridiagonal but for the trace row, so levels of the same parity never
-couple, and each colour needs one complete sparse LU of a block-diagonal
-matrix; level reduction (Gaver, Jacobs and Latouche, Adv. Appl. Prob. 16,
-715 (1984)) uses the same structure.  The two factors store a small
-fraction of a complete LU's entries (SolveReport gives the counts).  Each
-GMRES solve stops at a loose GMRES_RTOL, and refinement with residuals
-summed in extended precision (_refined) carries the accuracy.  A GMRES
-solve applies the sweep once per iteration and once per restart cycle; a
-real solve's three took 9 to 25 applications in all on the rows of
-fig5_weak and fig6, 15 to 120 on fig7's (120 at m_th = 1), and 11 to 30 at
-the shipped checks (20 at fig6's (12, 16), a solve of about 0.1 s).  If a
-factor is singular, or GMRES or its refinement does not converge, the
-complete LU solves the system instead, refined by the same routine, so the
-answer does not depend on which factor solved it.  A row's sector size
-picks its solver (sweep.solve_point): up to COMPLEX_LU_UNKNOWNS unknowns
-the complex solve and its complete LU, unrefined (the constant's comment
-says why); above, the real solve, the faster there and refined
-(solve_steady says how far apart the two are).
+A larger sector is solved in real arithmetic.  L preserves Hermiticity, so
+rho[j, i] is the conjugate of rho[i, j], and the sector, closed under
+transposition, has as many real unknowns as complex ones.  The real system
+is not factored completely: GMRES (_gmres) solves it (_preconditioned),
+right-preconditioned by one red-black block Gauss-Seidel sweep over the
+levels of q = n - m (_level_sweep).  Ordered by the q that an entry's ket
+and bra share (SectorTerms.levels), the system is block tridiagonal but for
+the trace row, so levels of the same parity never couple, and each colour
+needs one complete sparse LU of a block-diagonal matrix; level reduction
+(Gaver, Jacobs and Latouche, Adv. Appl. Prob. 16, 715 (1984)) uses the same
+structure.  The two factors store a small fraction of a complete LU's
+entries (SolveReport gives the counts).  Each GMRES solve stops at a loose
+GMRES_RTOL, and refinement with residuals summed in extended precision
+(_refined) carries the accuracy.  A GMRES solve applies the sweep once per
+iteration and once per restart cycle; a real solve's three took 9 to 25
+applications in all on the rows of fig5_weak and fig6, 15 to 120 on fig7's
+(120 at m_th = 1), and 11 to 30 at the shipped checks (20 at fig6's (12,
+16), a solve of about 0.1 s).  If a factor is singular, or GMRES or its
+refinement does not converge, the complete LU solves the system instead,
+refined by the same routine, so the answer does not depend on which factor
+solved it.
 
-Both return the Hermitized sector vector x, x[p] = rho[i, j] for
+It returns the Hermitized sector vector x, x[p] = rho[i, j] for
 terms.index[p] = i + j*dim, which is all of the state; observables reads it
 there, and terms.density_matrix(x) makes the dense state for an oracle.
 
 An independent oracle stays full-space, since its job is not to assume the
 symmetry: a dense null-space computation (null_space_steady).  The tests
-hold the sector solvers to it and to a fixed-step RK4 integration of the
+hold the sector solver to it and to a fixed-step RK4 integration of the
 master equation (tests/helpers.py).
 """
 
@@ -66,7 +65,6 @@ from .operators import HilbertSpace
 __all__ = [
     "SolveReport",
     "solve_steady",
-    "solve_steady_real",
     "null_space_steady",
 ]
 
@@ -89,8 +87,8 @@ MAX_REFINE = 3  # refinement steps after the first solve, at most
 GMRES_RTOL = 1e-9
 GMRES_RESTART = 50
 GMRES_ITERATIONS = 300
-# The most unknowns a row's sector may have for sweep.solve_point to solve it
-# by solve_steady's complete complex LU; a larger one takes solve_steady_real.
+# The most unknowns a sector may have for solve_steady to solve it by its
+# complete complex LU; a larger one takes the real solve.
 # Best of 15 interleaved solves, one BLAS thread, L's fill included, complex
 # against real, at fig7's m_th = 0.001, 0.03, 0.3 and 1 and fig5_weak's
 # gamma_m = 1: at (5, 5), 584 unknowns, 5.8-7.2 against 5.5-14.9 ms, the
@@ -113,19 +111,18 @@ class SolveReport:
     the entries SuperLU stores for its LU factors, supernodal padding
     included: 60897 at a (5, 5) point whose L and U hold 53286 nonzeros.
     refine_steps counts the iterative-refinement steps taken after the
-    first solve: 0 for solve_steady, which does not refine, and so for a
-    row of at most COMPLEX_LU_UNKNOWNS unknowns.  min_eigenvalue
-    is the smallest eigenvalue of the Hermitized state (at least EIG_FLOOR),
-    the smallest over its q = n - m blocks, outside which the state is zero.
+    first solve: 0 for a sector of at most COMPLEX_LU_UNKNOWNS unknowns,
+    whose complete complex LU is not refined.  min_eigenvalue is the
+    smallest eigenvalue of the Hermitized state (at least EIG_FLOOR), the
+    smallest over its q = n - m blocks, outside which the state is zero.
 
-    For solve_steady_real, which solves the truncation check and the rows
-    above COMPLEX_LU_UNKNOWNS, lu_nnz counts the entries of the red and the
-    black factor that precondition GMRES (383k at (12, 16), where the
-    complete factor holds 6.55M; 127k at fig4's (10, 10) check, where it
-    holds 1.55M), or of the complete LU when it falls back to one, and
-    refine_steps the steps of _refined (1 to MAX_REFINE) on either path,
-    whose residuals are summed in np.longdouble (as a rule MAX_REFINE
-    steps where that is float64: arm64 macOS, Windows).
+    For a larger sector, solved in real arithmetic, lu_nnz counts the
+    entries of the red and the black factor that precondition GMRES (383k
+    at (12, 16), where the complete factor holds 6.55M; 127k at fig4's (10,
+    10) check, where it holds 1.55M), or of the complete LU when it falls
+    back to one, and refine_steps the steps of _refined (1 to MAX_REFINE)
+    on either path, whose residuals are summed in np.longdouble (as a rule
+    MAX_REFINE steps where that is float64: arm64 macOS, Windows).
 
     A sweep's truncation check is not a row's diagnostic: the sweep keeps
     the check's one record as metadata["truncation_check"].
@@ -194,13 +191,6 @@ def _complete_lu(modified: sp.csc_matrix) -> spla.SuperLU:
             f"trace-replaced Liouvillian is singular ({exc}); "
             "the steady state is not unique"
         ) from exc
-
-
-def _factored(modified: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Solve modified y = rhs by one complete sparse LU, unrefined; return
-    y, the factor's stored entries and 0 refinement steps."""
-    lu = _complete_lu(modified)
-    return lu.solve(rhs), int(lu.nnz), 0
 
 
 def _refined(
@@ -357,39 +347,59 @@ def _preconditioned(
         solved, nnz = _refined(modified, rhs, lu.solve), int(lu.nnz)
         if solved is None:
             raise ConvergenceError(
-                f"solve_steady_real: no convergence in {MAX_REFINE} refinement steps"
+                f"solve_steady: no convergence in {MAX_REFINE} refinement steps"
             )
     y, steps = solved
     return y, nnz, steps
 
 
-def _solved(
-    lv: sp.csr_matrix,
-    system: sp.csr_matrix,
-    terms: SectorTerms,
-    expand: sp.csr_matrix | None,
-    where: str,
-    solve: Callable[[sp.csc_matrix, np.ndarray], tuple[np.ndarray, int, int]],
-) -> tuple[np.ndarray, SolveReport]:
-    """Solve `system` y = 0 for unit trace and return the validated state
-    x = expand @ y (x = y without a map) on terms.space, with its report.
+def solve_steady(params: SystemParams, terms: SectorTerms) -> tuple[np.ndarray, SolveReport]:
+    """Solve L vec(rho) = 0 with unit trace in the n - m sector of terms,
+    for L = terms.liouvillian(params).
 
-    Row 0 of `system`, rho[0, 0] (index[0] = 0), is replaced by the trace
+    Returns the state's Hermitized sector vector x (terms.index.size
+    entries) and a report carrying the residual of the unmodified L; a
+    degenerate steady state raises DegenerateSteadyStateError.  The sector's
+    size picks the factor, by the measurements in COMPLEX_LU_UNKNOWNS'
+    comment.  Up to that many unknowns one complete complex LU of L solves
+    the system, unrefined.  A larger sector is solved in real arithmetic
+    (_preconditioned) and refined, which is also the more accurate: at
+    fig5_weak on (6, 12), 2100 unknowns, the complex LU's g2_n differs from
+    the real solve's by 2.5e-7 relative at gamma_m = 100, where the real
+    solve matches the 40-digit oracle (tests/test_oracle.py), and by
+    4.0e-10 at gamma_m = 0.01.
+
+    The real unknowns are y with x = T y (_hermitian_map): as many real
+    numbers as complex ones, since the sector is closed under transposition.
+    The equations are the real parts of the rows i <= j of L T and, at each
+    position i > j, the imaginary part of its partner row.  Every stored
+    complex entry of L T keeps a real and an imaginary entry, zero or not,
+    so the pattern keeps its 2 x 2 blocks and COLAMD orders it as well as
+    the complex one; real SuperLU then stores about half the bytes.  The
+    residual is that of the complex L on x, so a generator that does not
+    preserve Hermiticity fails validation instead of returning a state.
+
+    Row 0 of the system, rho[0, 0] (index[0] = 0), is replaced by the trace
     functional: 1 at the diagonal entries rho[i, i] (k = i (dim + 1)),
     which are unknowns of the complex and of the real system alike.  The
     replaced equation must be the vacuum's, |g, 0, 0>'s.  Trace preservation
     makes any one diagonal equation depend on the others, but not in
-    rounding: solved as solve_steady_real solves, replacing another one
-    moved g2_m by up to 1.8e-7 at (3, 4), where a 40-digit solve agrees with
-    this one to float64 rounding, and by up to 7.4e-6 at (12, 16).
-    _level_sweep orders the unknowns by level only inside the
-    preconditioner, so the equations stay these.  The result is assembled
-    from system's CSR arrays, converted to CSC once and handed to `solve`
-    (_factored or _preconditioned) with the right-hand side.  The residual
-    reported is that of the sector operator `lv` on x.  x is validated level
-    by level and returned Hermitized.
+    rounding: solved on the real path, replacing another one moved g2_m by
+    up to 1.8e-7 at (3, 4), where a 40-digit solve agrees with this one to
+    float64 rounding, and by up to 7.4e-6 at (12, 16).  _level_sweep orders
+    the unknowns by level only inside the preconditioner, so the equations
+    stay these.  The result is assembled from the system's CSR arrays and
+    converted to CSC once.  x is validated level by level and returned
+    Hermitized.
     """
+    lv = terms.liouvillian(params)
     space, dim = terms.space, terms.space.dim
+    real = terms.index.size > COMPLEX_LU_UNKNOWNS
+    if real:
+        expand, lower = _hermitian_map(terms.partner)
+        system = _real_system(lv, expand, lower, terms.partner)
+    else:
+        system = lv
     trace_cols = np.flatnonzero(terms.index % (dim + 1) == 0).astype(system.indices.dtype)
     start = system.indptr[1]
     modified = sp.csr_matrix(
@@ -402,15 +412,20 @@ def _solved(
     ).tocsc()
     rhs = np.zeros(system.shape[0], dtype=system.dtype)
     rhs[0] = 1.0
-    del system  # freed here if no caller holds it, as the real solve does not
+    del system  # the real system is freed here; L stays for the residual
 
-    # the factor is released on return, before validation allocates, so
-    # that its pages can be reused instead of adding to the peak
-    y, lu_nnz, steps = solve(modified, rhs)
+    # the factor is released before validation allocates, so that its
+    # pages can be reused instead of adding to the peak
+    if real:
+        y, lu_nnz, steps = _preconditioned(terms.levels, modified, rhs)
+    else:
+        lu = _complete_lu(modified)
+        y, lu_nnz, steps = lu.solve(rhs), int(lu.nnz), 0
+        del lu
     del modified
-    x = y if expand is None else expand @ y
+    x = expand @ y if real else y
     norm = float(np.linalg.norm(lv @ x))
-    x, min_eig = _validated(x, terms.partner, terms.levels, norm, where)
+    x, min_eig = _validated(x, terms.partner, terms.levels, norm, "solve_steady")
     return x, SolveReport(
         residual_norm=norm,
         levels_used=(space.n_c, space.n_m),
@@ -419,23 +434,6 @@ def _solved(
         refine_steps=steps,
         min_eigenvalue=min_eig,
     )
-
-
-def solve_steady(params: SystemParams, terms: SectorTerms) -> tuple[np.ndarray, SolveReport]:
-    """Solve L vec(rho) = 0 with unit trace in the n - m sector of terms,
-    for L = terms.liouvillian(params).
-
-    Returns the state's Hermitized sector vector x (terms.index.size
-    entries) and a report carrying the residual of the unmodified L; a
-    degenerate steady state raises (see _solved).  Unrefined, it is the
-    less accurate of the two sector solvers: at fig5_weak on (6, 12), its
-    g2_n differs from solve_steady_real's by 2.5e-7 relative at gamma_m =
-    100, where the real solve matches the 40-digit oracle
-    (tests/test_oracle.py), and by 4.0e-10 at gamma_m = 0.01.  Rows take it
-    only up to COMPLEX_LU_UNKNOWNS unknowns, where it is the faster.
-    """
-    lv = terms.liouvillian(params)
-    return _solved(lv, lv, terms, None, "solve_steady", _factored)
 
 
 def _hermitian_map(partner: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -457,37 +455,11 @@ def _hermitian_map(partner: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     ), lower
 
 
-def solve_steady_real(params: SystemParams, terms: SectorTerms) -> tuple[np.ndarray, SolveReport]:
-    """solve_steady in real arithmetic, for a generator that preserves
-    Hermiticity.
-
-    The unknowns are y with x = T y (_hermitian_map): as many real numbers
-    as complex ones, since the sector is closed under transposition.  The
-    equations are the real parts of the rows i <= j of L T and, at each
-    position i > j, the imaginary part of its partner row.  Every stored
-    complex entry of L T keeps a real and an imaginary entry, zero or not,
-    so the pattern keeps its 2 x 2 blocks and COLAMD orders it as well as
-    the complex one; real SuperLU then stores about half the bytes.
-
-    The residual is that of the complex L on x, so a generator that does not
-    preserve Hermiticity fails validation instead of returning a state.
-    """
-    lv = terms.liouvillian(params)
-    expand, lower = _hermitian_map(terms.partner)
-    solve = partial(_preconditioned, terms.levels)
-    # the real system is handed over as a temporary, which _solved frees
-    # once its trace-replaced copy exists
-    return _solved(
-        lv, _real_system(lv, expand, lower, terms.partner), terms, expand,
-        "solve_steady_real", solve,
-    )
-
-
 def _real_system(
     lv: sp.csr_matrix, expand: sp.csr_matrix, lower: np.ndarray, partner: np.ndarray
 ) -> sp.csr_matrix:
-    """The real equations of solve_steady_real in CSR: rows of L T, the real
-    part at i <= j and the imaginary part of the partner row at i > j."""
+    """The real equations of solve_steady in CSR: rows of L T, the real part
+    at i <= j and the imaginary part of the partner row at i > j."""
     rows = (lv @ expand)[np.where(lower, partner, np.arange(lower.size))]
     parts = np.where(np.repeat(lower, np.diff(rows.indptr)), rows.data.imag, rows.data.real)
     return sp.csr_matrix((parts, rows.indices, rows.indptr), shape=lv.shape)

@@ -6,15 +6,16 @@ observable set per point.  Points that fail to solve are recorded with an
 error marker; they are never interpolated over or silently dropped.
 
 solve_point(params, terms) is the one per-point pipeline (sector solve,
-then reduction to an ObservableRecord); sweeps and the CLI go through it.
-The truncation check, check_truncation(params, base), solves the doubled
-space with solve_steady_real, in real arithmetic by GMRES preconditioned
-level by level in q = n - m (steady.py says how).  So does a row whose
-sector has more than steady.COMPLEX_LU_UNKNOWNS unknowns; a smaller row
-keeps the complex solve_steady and its complete LU (solve_point).  The
-check returns one record, the doubled point as a row holds it plus the
-verdict, which run_sweep stores in the JSON metadata: a sweep whose check
-fails raises instead of returning rows.
+then reduction to an ObservableRecord); sweeps, the truncation check and the
+CLI go through it.  The sector solve is steady.solve_steady, which picks its
+factor by the sector's size (steady.py says how): a row or a check of more
+than steady.COMPLEX_LU_UNKNOWNS unknowns is solved in real arithmetic, by
+GMRES preconditioned level by level in q = n - m, and a smaller one by a
+complete complex LU.  The truncation check, check_truncation(params, base),
+solves the doubled space as a row there would be solved, and returns one
+record, the doubled point as a row holds it plus the verdict, which
+run_sweep stores in the JSON metadata: a sweep whose check fails raises
+instead of returning rows.
 
 Every sweep solves its rows on a thread pool of _row_workers threads: the
 rows are independent.  Two threads ran complete sparse LU factorizations
@@ -59,7 +60,7 @@ from .errors import ConfigError, PairsimError, TruncationError
 from .model import SectorTerms, SystemParams, build_liouvillian, sector_index  # noqa: F401
 from .observables import ELEMENT_KEYS, SCALAR_KEYS, ObservableRecord, compute_observables
 from .operators import HilbertSpace
-from .steady import COMPLEX_LU_UNKNOWNS, SolveReport, solve_steady, solve_steady_real
+from .steady import COMPLEX_LU_UNKNOWNS, SolveReport, solve_steady
 
 __all__ = [
     "AXES",
@@ -180,7 +181,7 @@ class SweepRow:
 
     @property
     def converged(self) -> bool:
-        """True when the point solved: either sector solver enforces the
+        """True when the point solved: the sector solver enforces the
         residual tolerance, and a sweep whose truncation check fails returns
         no rows."""
         return self.error is None
@@ -276,16 +277,12 @@ def load_config(path: str) -> SweepConfig:
 def solve_point(params: SystemParams, terms: SectorTerms) -> tuple[ObservableRecord, SolveReport]:
     """Solve the steady state on terms.space and reduce it to its record.
 
-    A sector of at most COMPLEX_LU_UNKNOWNS unknowns is solved by
-    solve_steady's complete complex LU, unrefined; a larger one by
-    solve_steady_real, refined, which is faster there (steady.py gives the
-    measurements).  The solvers and compute_observables are looked up in
-    this module, so wrapping them here (as the benchmark's tracer does)
-    sees every row's solve; check_truncation looks up solve_steady_real
-    here too.
+    solve_steady picks the factor by the sector's size.  It and
+    compute_observables are looked up in this module, so wrapping them here
+    (as the benchmark's tracer does) sees every row's solve and the
+    truncation check's.
     """
-    solve = solve_steady if terms.index.size <= COMPLEX_LU_UNKNOWNS else solve_steady_real
-    x, report = solve(params, terms)
+    x, report = solve_steady(params, terms)
     return compute_observables(x, terms), report
 
 
@@ -302,20 +299,18 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
     """Compare a solved point against the same point at doubled levels.
 
     `base` is the record and report of solve_point at report.levels_used;
-    only the doubled space is solved here, by solve_steady_real.  Returns
-    the check's record: the doubled point's "observables" and "report" as a
-    row holds them (point_json), the largest relative deviation of a
-    reported column, scalar or density-matrix element, from the base record
-    and the tolerance.  The truncation has converged iff max_deviation <=
-    tolerance (TRUNCATION_TOL).
+    only the doubled space is solved here, by solve_point.  Returns the
+    check's record: the doubled point's "observables" and "report" as a row
+    at the doubled levels holds them (point_json), the largest relative
+    deviation of a reported column, scalar or density-matrix element, from
+    the base record and the tolerance.  The truncation has converged iff
+    max_deviation <= tolerance (TRUNCATION_TOL).
     """
     record, report = base
     n_c, n_m = report.levels_used
     if n_c < 2 or n_m < 2:
         raise ValueError(f"base truncation must be at least (2, 2), got {(n_c, n_m)}")
-    terms = SectorTerms.build(HilbertSpace(2 * n_c, 2 * n_m))
-    x, solved = solve_steady_real(params, terms)
-    doubled = compute_observables(x, terms)
+    doubled, solved = solve_point(params, SectorTerms.build(HilbertSpace(2 * n_c, 2 * n_m)))
     deviations = [_deviation(getattr(record, key), getattr(doubled, key)) for key in SCALAR_KEYS]
     deviations += [_deviation(record.elements[key], doubled.elements[key]) for key in ELEMENT_KEYS]
     return {

@@ -279,7 +279,7 @@ def vacuum_state(space: HilbertSpace) -> np.ndarray:
 
 
 def sector_state(rho: np.ndarray, terms: SectorTerms) -> np.ndarray:
-    """The sector vector x of a dense state, as the solvers return it; rho
+    """The sector vector x of a dense state, as the solver returns it; rho
     must hold no weight outside the sector."""
     full = vec(rho)
     outside = np.ones(full.size, dtype=bool)

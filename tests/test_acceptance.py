@@ -13,7 +13,6 @@ coupling regime, and a thermal point.
 
 import importlib
 import json
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +31,7 @@ from pairsim.model import SectorTerms, SystemParams, build_liouvillian, trace_fu
 from pairsim.observables import compute_observables
 from pairsim.operators import HilbertSpace
 from pairsim.steady import null_space_steady, solve_steady
-from pairsim.sweep import (
-    check_truncation,
-    emit_csv,
-    emit_json,
-    load_config,
-    run_sweep,
-    solve_point,
-)
+from pairsim.sweep import check_truncation, emit_csv, emit_json, solve_point
 
 SPACE = HilbertSpace(5, 5)
 
@@ -70,12 +62,6 @@ def observe(params: SystemParams, space: HilbertSpace = SPACE):
     return solve_point(params, SectorTerms.build(space))[0]
 
 
-def shipped_config(name: str):
-    path = resources.files("pairsim").joinpath(f"configs/{name}.yaml")
-    with resources.as_file(path) as p:
-        return load_config(str(p))
-
-
 @pytest.fixture(scope="module")
 def solved_canonicals():
     """Sparse steady state, Liouvillian, and observables at every canonical
@@ -86,17 +72,6 @@ def solved_canonicals():
         lv = build_liouvillian(params, SPACE)
         x, report = solve_steady(params, terms)
         out[name] = (lv, terms.density_matrix(x), report, compute_observables(x, terms))
-    return out
-
-
-@pytest.fixture(scope="module")
-def sweep_results():
-    """The shipped sweeps used by criteria 5, 6, and 8 and by the reference
-    comparison (run once each)."""
-    out = {}
-    names = ("fig4", "fig2_strong", "fig5_weak", "fig5_strong", "fig6", "fig2_weak", "fig7")
-    for name in names:
-        out[name] = run_sweep(shipped_config(name))
     return out
 
 

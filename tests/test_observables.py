@@ -1,7 +1,6 @@
 """Observable extraction tests on hand-built states with known values, and
 the sector reduction held to the dense one on solved states."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +13,8 @@ from pairsim.errors import PairsimError
 from pairsim.model import SectorTerms
 from pairsim.observables import G2_FLOOR, compute_observables, log_negativity
 from pairsim.operators import HilbertSpace
-from pairsim.steady import COMPLEX_LU_UNKNOWNS, solve_steady, solve_steady_real
-from pairsim.sweep import load_config, run_sweep
+from pairsim.steady import solve_steady
+from pairsim.sweep import load_config
 
 SPACE = HilbertSpace(2, 2)
 TERMS = SectorTerms.build(SPACE)
@@ -116,15 +115,19 @@ def test_correlations_undefined_below_floor():
     assert obs.g2_nm is not None
 
 
-def test_solved_populations_are_exactly_real():
+def test_solved_populations_are_exactly_real(request):
     # a diagonal entry is its own partner, so Hermitizing it, 0.5 (x +
-    # conj x), leaves no imaginary part to test for
+    # conj x), leaves no imaginary part to test for, on the complex path
+    # and on the real one
     params = load_config(str(CONFIGS / "fig7.yaml")).params_at(1.0)
     terms = SectorTerms.build(HilbertSpace(3, 4))
     diagonal = terms.partner == np.arange(terms.index.size)
-    for solve in (solve_steady, solve_steady_real):
-        x, _ = solve(params, terms)
-        assert np.count_nonzero(x[diagonal].imag) == 0, solve
+    for real in (False, True):
+        if real:
+            request.getfixturevalue("real_path")
+        x, report = solve_steady(params, terms)
+        assert (report.refine_steps > 0) == real
+        assert np.count_nonzero(x[diagonal].imag) == 0, real
 
 
 # the truncations of fig2_weak's, fig6's and fig7's rows and of the first
@@ -139,10 +142,9 @@ def test_solved_populations_are_exactly_real():
 def test_sector_reduction_equals_the_dense_one(name, levels):
     config = load_config(str(CONFIGS / f"{name}.yaml"))
     terms = SectorTerms.build(HilbertSpace(*levels))
-    solve = solve_steady if terms.index.size <= COMPLEX_LU_UNKNOWNS else solve_steady_real
     values = config.axis_values
     for value in (values[0], values[len(values) // 2], values[-1]):
-        x, _ = solve(config.params_at(value), terms)
+        x, _ = solve_steady(config.params_at(value), terms)
         assert x.shape == terms.index.shape
         rho = terms.density_matrix(x)
         assert compute_observables(x, terms) == dense_observables(rho, terms.space), value
@@ -264,7 +266,7 @@ def test_named_elements_read_the_right_entries():
     assert elements["abs_rho25"] == pytest.approx(0.04)
 
 
-def test_abs_rho14_is_zero_by_symmetry():
+def test_abs_rho14_is_zero_by_symmetry(sweep_results):
     # |<g,0,0|rho|g,1,0>|: its ket has n - m = 0 and its bra n - m = 1, so
     # no sector position holds it and every solved row reports exactly 0
     space = HilbertSpace(3, 3)
@@ -272,6 +274,6 @@ def test_abs_rho14_is_zero_by_symmetry():
     assert ket + bra * space.dim not in SectorTerms.build(space).index
     for name in ("fig2_weak", "fig7"):
         config = load_config(str(CONFIGS / f"{name}.yaml"))
-        rows = run_sweep(replace(config, strict_truncation=False)).rows
+        rows = sweep_results[name].rows
         assert len(rows) == len(config.axis_values), name
         assert all(row.record.elements["abs_rho14"] == 0.0 for row in rows), name

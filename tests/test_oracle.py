@@ -5,17 +5,19 @@ tests/oracle_digits.py solves the (3, 4) truncation of each point below in
 parameters' float64 values, and prints the digits stored here, so this test
 needs no mpmath.  Its log negativity comes from the dense photon partial
 transpose of the atom-traced state, not from the n + m blocks that
-observables.log_negativity reads off the sector vector.  At (3, 4) both
-solvers must reproduce the digits to 1e-13 relative.
+observables.log_negativity reads off the sector vector.  At (3, 4), 240
+unknowns, a row takes solve_steady's complete complex LU; the real path is
+held there too (the real_path fixture).  Both must reproduce the digits to
+1e-13 relative.
 
 fig5_weak at gamma_m = 100 is the weakest drive of the shipped sweeps: <m> =
 1.6e-6 and g2_m = 1.6e-3, so its two-phonon population is about 2e-15 of
 the vacuum's.  At its shipped (6, 12) and at (6, 14) its statistics sit at
 most 3.6e-13 from the (3, 4) digits, and its log negativity 5.8e-15, so
-there the digits hold the solves to 1e-11.  There a row's sector (2100 and 2492 unknowns) is above
-steady.COMPLEX_LU_UNKNOWNS, so solve_point solves it with solve_steady_real
-too; the unrefined complex LU would miss the bound, its g2_n 2.5e-7 off at
-(6, 12) and its g2_m 1.1e-5 off at (6, 14).
+there the digits hold the solves to 1e-11.  There a row's sector (2100 and
+2492 unknowns) is above steady.COMPLEX_LU_UNKNOWNS, so solve_steady takes
+the real path; the unrefined complex LU would miss the bound, its g2_n
+2.5e-7 off at (6, 12) and its g2_m 1.1e-5 off at (6, 14).
 """
 
 import pytest
@@ -24,7 +26,7 @@ from numpy.testing import assert_allclose
 from pairsim.model import SectorTerms, SystemParams
 from pairsim.observables import compute_observables
 from pairsim.operators import HilbertSpace
-from pairsim.steady import solve_steady_real
+from pairsim.steady import solve_steady
 from pairsim.sweep import solve_point
 
 # name: (parameters, digits of the (3, 4) steady state)
@@ -91,7 +93,9 @@ ORACLE = {
 
 
 def real_solve(params, terms):
-    x, _ = solve_steady_real(params, terms)
+    """solve_steady's record, on its real path: above COMPLEX_LU_UNKNOWNS
+    unknowns, and at (3, 4) under the real_path fixture."""
+    x, _ = solve_steady(params, terms)
     return compute_observables(x, terms)
 
 
@@ -109,7 +113,9 @@ def assert_digits(solver, name: str, levels: tuple[int, int], rtol: float) -> No
 
 @pytest.mark.parametrize("solver", [real_solve, row_solve])
 @pytest.mark.parametrize("name", ORACLE)
-def test_the_oracle_truncation_matches_its_digits(name, solver):
+def test_the_oracle_truncation_matches_its_digits(name, solver, request):
+    if solver is real_solve:
+        request.getfixturevalue("real_path")
     assert_digits(solver, name, (3, 4), 1e-13)
 
 

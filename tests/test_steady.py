@@ -38,7 +38,6 @@ from pairsim.steady import (
     _validated,
     null_space_steady,
     solve_steady,
-    solve_steady_real,
 )
 from pairsim.sweep import TRUNCATION_TOL, _deviation, check_truncation, solve_point
 
@@ -181,6 +180,9 @@ def test_sector_terms_build_never_forms_full_space_terms():
 def test_pattern_fill_reproduces_the_per_point_sum_bit_for_bit(levels, monkeypatch):
     space = HilbertSpace(*levels)
     terms = SectorTerms.build(space)
+    # the complete complex LU at every size, (6, 14)'s too, whose rows take
+    # the real path
+    monkeypatch.setattr(pairsim.steady, "COMPLEX_LU_UNKNOWNS", terms.index.size)
     factored = []
     splu = spla.splu
     for params in ZERO_PATTERNS + ZERO_PATTERNS[::-1]:
@@ -450,15 +452,14 @@ def test_truncation_check_reuses_the_base_solution(monkeypatch):
     record, report = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(3, 3)))
     before = replace(report)
     solved = []
-    for name, solver in (("solve_steady", solve_steady), ("solve_steady_real", solve_steady_real)):
 
-        def counting(params, terms, _name=name, _solver=solver):
-            solved.append((_name, terms.space.n_c, terms.space.n_m))
-            return _solver(params, terms)
+    def counting(params, terms):
+        solved.append((terms.space.n_c, terms.space.n_m))
+        return solve_steady(params, terms)
 
-        monkeypatch.setattr(pairsim.sweep, name, counting)
+    monkeypatch.setattr(pairsim.sweep, "solve_steady", counting)
     check = check_truncation(WEAK_POINT, (record, report))
-    assert solved == [("solve_steady_real", 6, 6)]
+    assert solved == [(6, 6)]
     assert list(check) == ["observables", "report", "max_deviation", "tolerance"]
     doubled = check["report"]
     assert doubled["levels_used"] == (6, 6)
@@ -491,17 +492,18 @@ REAL_SOLVE_POINTS = [
 
 
 @pytest.mark.parametrize("params, space", REAL_SOLVE_POINTS)
-def test_real_solve_matches_the_complex_solve(params, space):
+def test_real_solve_matches_the_complex_solve(params, space, real_path):
     terms = SectorTerms.build(space)
-    want, _ = solve_steady(params, terms)
-    x, report = solve_steady_real(params, terms)
+    _, rho = per_point_solve(terms.liouvillian(params), space)
+    want = sector_state(rho, terms)
+    x, report = solve_steady(params, terms)
     assert_allclose(x, want, rtol=0, atol=1e-12)
     assert_allclose(observable_values(x, terms), observable_values(want, terms), rtol=1e-10)
     assert report.residual_norm < RESIDUAL_TOL
     assert report.unknowns == terms.index.size
 
 
-def test_real_solve_rejects_a_generator_that_breaks_hermiticity(monkeypatch):
+def test_real_solve_rejects_a_generator_that_breaks_hermiticity(monkeypatch, real_path):
     # i times the delta piece conserves n - m, so the sector terms build,
     # but -i[i H_delta, rho] maps Hermitian states to anti-Hermitian ones
     original = pairsim.model._operators
@@ -513,7 +515,7 @@ def test_real_solve_rejects_a_generator_that_breaks_hermiticity(monkeypatch):
     monkeypatch.setattr(pairsim.model, "_operators", non_hermitian)
     terms = SectorTerms.build(HilbertSpace(3, 3))
     with pytest.raises(ConvergenceError):
-        solve_steady_real(WEAK_POINT, terms)
+        solve_steady(WEAK_POINT, terms)
 
 
 def level_sweeps(monkeypatch) -> list:
@@ -527,12 +529,12 @@ def level_sweeps(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("levels, stored", [((2, 3), 1017), ((5, 5), 6545)])
-def test_real_system_keeps_the_block_pattern(levels, stored, monkeypatch):
+def test_real_system_keeps_the_block_pattern(levels, stored, monkeypatch, real_path):
     # a real and an imaginary entry for every complex entry of L T, zeros
     # included: pruning the zeros hides the 2 x 2 blocks from COLAMD
     terms = SectorTerms.build(HilbertSpace(*levels))
     factored = level_sweeps(monkeypatch)
-    solve_steady_real(WEAK_POINT, terms)
+    solve_steady(WEAK_POINT, terms)
     (real,) = factored
     assert real.dtype == np.float64
     assert real.nnz == stored
@@ -554,7 +556,7 @@ def sector_levels(terms: SectorTerms) -> np.ndarray:
 
 
 @pytest.mark.parametrize("levels", [(3, 4), (5, 5), (6, 8)])
-def test_level_order_makes_the_sector_block_tridiagonal(levels, monkeypatch):
+def test_level_order_makes_the_sector_block_tridiagonal(levels, monkeypatch, real_path):
     # the premise of the level preconditioner: ordered by q, the complex L
     # and the trace-replaced real system couple each level to itself and
     # its neighbours only; the trace row, in level 0, is the one exception
@@ -562,7 +564,7 @@ def test_level_order_makes_the_sector_block_tridiagonal(levels, monkeypatch):
     level = sector_levels(terms)
     params = CANONICAL_POINTS[2][0]  # every term on, m_th > 0 included
     systems = level_sweeps(monkeypatch)
-    solve_steady_real(params, terms)
+    solve_steady(params, terms)
     (real,) = systems
     for matrix, skip in ((terms.liouvillian(params), None), (real, 0)):
         coo = matrix.tocoo()
@@ -574,14 +576,16 @@ def test_level_order_makes_the_sector_block_tridiagonal(levels, monkeypatch):
     assert set(level[trace_row.indices].tolist()) == set(level.tolist())
 
 
-def test_red_black_sweep_inverts_the_system_without_red_rows_black_columns(monkeypatch):
+def test_red_black_sweep_inverts_the_system_without_red_rows_black_columns(
+    monkeypatch, real_path
+):
     # levels at an even distance from level 0, which holds the trace row,
     # are red; the sweep is the exact inverse of the system once the
     # couplings from black columns into red rows are zeroed
     terms = SectorTerms.build(HilbertSpace(5, 5))
     red = sector_levels(terms) % 2 == 0
     systems = level_sweeps(monkeypatch)
-    solve_steady_real(CANONICAL_POINTS[2][0], terms)
+    solve_steady(CANONICAL_POINTS[2][0], terms)
     (real,) = systems
     coo = real.tocoo()
     dropped = red[coo.row] & ~red[coo.col]
@@ -594,7 +598,7 @@ def test_red_black_sweep_inverts_the_system_without_red_rows_black_columns(monke
     assert np.abs(kept @ sweep(r) - r).max() <= 1e-12 * np.abs(r).max()
 
 
-def test_trace_replaces_the_vacuum_equation(monkeypatch):
+def test_trace_replaces_the_vacuum_equation(monkeypatch, request):
     # the trace takes the place of rho[0, 0]'s equation, the vacuum's, in
     # the complex and the real solve; the level order permutes only inside
     # the preconditioner, so the replaced equation stays the same
@@ -602,19 +606,19 @@ def test_trace_replaces_the_vacuum_equation(monkeypatch):
     terms = SectorTerms.build(space)
     assert space.index(0, 0, 0) == 0 and terms.index[0] == 0
     diagonal = np.flatnonzero(terms.index % (space.dim + 1) == 0)
-    systems, modified = [], []
-    solved, complete = pairsim.steady._solved, pairsim.steady._complete_lu
+    params = replace(FIG5_WEAK_LOW, gamma_m=100.0)
+    systems, modified = [terms.liouvillian(params)], []  # the complex system is L
+    real_system, complete = pairsim.steady._real_system, pairsim.steady._complete_lu
     monkeypatch.setattr(
-        pairsim.steady, "_solved", lambda lv, system, *rest: systems.append(system)
-        or solved(lv, system, *rest)
+        pairsim.steady, "_real_system", lambda *a: systems.append(real_system(*a)) or systems[-1]
     )
     monkeypatch.setattr(
         pairsim.steady, "_complete_lu", lambda a: modified.append(a) or complete(a)
     )
     real = level_sweeps(monkeypatch)
-    params = replace(FIG5_WEAK_LOW, gamma_m=100.0)
     solve_steady(params, terms)
-    solve_steady_real(params, terms)
+    request.getfixturevalue("real_path")
+    solve_steady(params, terms)
     for system, factored in zip(systems, modified + real, strict=True):
         rows, kept = factored.tocsr(), system[1:]
         assert rows[0].indices.tolist() == diagonal.tolist()
@@ -654,14 +658,14 @@ FIG4_CHECK = SystemParams(
         (FIG5_WEAK_LOW, HilbertSpace(6, 12)),
     ],
 )
-def test_real_solve_matches_a_refined_direct_solve(params, space, monkeypatch):
+def test_real_solve_matches_a_refined_direct_solve(params, space, monkeypatch, real_path):
     terms = SectorTerms.build(space)
     with monkeypatch.context() as patch:
         factors = complete_lus(patch)
-        x, _ = solve_steady_real(params, terms)
+        x, _ = solve_steady(params, terms)
     assert factors == []  # the level preconditioner's solve, not the complete LU's
     monkeypatch.setattr(pairsim.steady, "_preconditioned", direct_refined)
-    want, _ = solve_steady_real(params, terms)
+    want, _ = solve_steady(params, terms)
     got, ref = compute_observables(x, terms), compute_observables(want, terms)
     for key in SCALAR_KEYS:
         assert _deviation(getattr(got, key), getattr(ref, key)) <= 1e-13, key
@@ -694,7 +698,8 @@ def unconverged_gmres(monkeypatch):
 
 @pytest.mark.parametrize("failure", [singular_preconditioner, unconverged_gmres])
 def test_truncation_check_falls_back_to_the_complete_lu(failure, monkeypatch):
-    base = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(3, 3)))
+    # the (6, 8) check, 1316 unknowns, takes the real path
+    base = solve_point(WEAK_POINT, SectorTerms.build(HilbertSpace(3, 4)))
     want = check_truncation(WEAK_POINT, base)
     failure(monkeypatch)
     factors = complete_lus(monkeypatch)
@@ -741,10 +746,10 @@ def test_refinement_in_float64_returns_its_last_iterate(monkeypatch):
     # the extended-precision one
     space = HilbertSpace(6, 12)
     terms = SectorTerms.build(space)
-    want, _ = solve_steady_real(FIG5_WEAK_LOW, terms)
+    want, _ = solve_steady(FIG5_WEAK_LOW, terms)
     monkeypatch.setattr(np, "longdouble", np.float64)
     factors = complete_lus(monkeypatch)
-    x, report = solve_steady_real(FIG5_WEAK_LOW, terms)
+    x, report = solve_steady(FIG5_WEAK_LOW, terms)
     assert factors == [] and report.residual_norm < RESIDUAL_TOL
     got, ref = compute_observables(x, terms), compute_observables(want, terms)
     for key in SCALAR_KEYS:
@@ -757,16 +762,16 @@ def test_refinement_in_float64_returns_its_last_iterate(monkeypatch):
 
 
 @extended_precision
-def test_unconverged_refinement_falls_back_then_raises(monkeypatch):
+def test_unconverged_refinement_falls_back_then_raises(monkeypatch, real_path):
     # GMRES whose answers are doubled never refines: the complete LU takes
     # over and gives the same state; if its refinement fails too, the
     # solve raises instead of returning the last iterate
     terms = SectorTerms.build(HilbertSpace(3, 3))
-    want, _ = solve_steady_real(WEAK_POINT, terms)
+    want, _ = solve_steady(WEAK_POINT, terms)
     gmres = pairsim.steady._gmres
     monkeypatch.setattr(pairsim.steady, "_gmres", lambda *a: 2.0 * gmres(*a))
     factors = complete_lus(monkeypatch)
-    x, report = solve_steady_real(WEAK_POINT, terms)
+    x, report = solve_steady(WEAK_POINT, terms)
     assert factors == [report.lu_nnz] and 1 <= report.refine_steps <= MAX_REFINE
     assert_allclose(x, want, rtol=0, atol=1e-15)
     complete = pairsim.steady._complete_lu
@@ -777,7 +782,7 @@ def test_unconverged_refinement_falls_back_then_raises(monkeypatch):
 
     monkeypatch.setattr(pairsim.steady, "_complete_lu", doubled)
     with pytest.raises(ConvergenceError, match="refinement"):
-        solve_steady_real(WEAK_POINT, terms)
+        solve_steady(WEAK_POINT, terms)
 
 
 def complete_lu(monkeypatch, permc_spec):
@@ -799,7 +804,7 @@ def complete_lu(monkeypatch, permc_spec):
         (FIG4_CHECK, HilbertSpace(10, 10)),
     ],
 )
-def test_real_solve_agrees_whichever_factor_solved_it(params, space, monkeypatch):
+def test_real_solve_agrees_whichever_factor_solved_it(params, space, monkeypatch, real_path):
     # the red-black level sweep with GMRES, the complete COLAMD LU it
     # falls back to, and a complete MMD_ATA LU agree to 1e-15 once refined.
     # Not every preconditioner need: _refined stops on a normwise test, and
@@ -812,7 +817,7 @@ def test_real_solve_agrees_whichever_factor_solved_it(params, space, monkeypatch
             if fallback is not None:
                 complete_lu(patch, fallback)
             factors = complete_lus(patch)
-            x, _ = solve_steady_real(params, terms)
+            x, _ = solve_steady(params, terms)
         assert len(factors) == (fallback is not None), fallback
         values.append(compute_observables(x, terms))
     for other in values[1:]:
@@ -844,14 +849,14 @@ def test_gmres_cap_counts_iterations_not_restart_cycles(monkeypatch):
     # at fig4's check every GMRES solve converges within the cap
     terms = SectorTerms.build(HilbertSpace(10, 10))
     counts, factors = gmres_iterations(monkeypatch), complete_lus(monkeypatch)
-    solve_steady_real(FIG4_CHECK, terms)
+    solve_steady(FIG4_CHECK, terms)
     assert factors == [] and 0 < max(counts) <= GMRES_ITERATIONS
     # a cap one below the first solve's iterations stops it after exactly
     # that many, within its first restart cycle, and the complete LU solves
     cap = counts[0] - 1
     counts.clear()
     monkeypatch.setattr(pairsim.steady, "GMRES_ITERATIONS", cap)
-    solve_steady_real(FIG4_CHECK, terms)
+    solve_steady(FIG4_CHECK, terms)
     assert counts == [cap] and len(factors) == 1
 
 
@@ -895,7 +900,7 @@ def unvalidated_states(monkeypatch) -> list[np.ndarray]:
 
 
 @pytest.mark.parametrize("levels", [(5, 5), (6, 14)])
-def test_blockwise_min_eigenvalue_matches_the_full_one(levels, monkeypatch):
+def test_blockwise_min_eigenvalue_matches_the_full_one(levels, monkeypatch, request):
     # validated in the sector, level by level, the state and its smallest
     # eigenvalue are those of the dense Hermitized state, block by block
     params = CANONICAL_POINTS[2][0]
@@ -903,21 +908,23 @@ def test_blockwise_min_eigenvalue_matches_the_full_one(levels, monkeypatch):
     terms = SectorTerms.build(space)
     q = space.photon_values() - space.phonon_values()
     states = unvalidated_states(monkeypatch)
-    for solve in (solve_steady, solve_steady_real):
-        solved, report = solve(params, terms)
+    for real in (False, True):  # (6, 14) takes the real path either way
+        if real:
+            request.getfixturevalue("real_path")
+        solved, report = solve_steady(params, terms)
         x = states.pop()
         full = np.zeros(space.dim**2, dtype=complex)
         full[terms.index] = x
         raw = unvec(full, space.dim)
         want = 0.5 * (raw + raw.conj().T)
-        assert solved.shape == x.shape, solve
-        assert terms.density_matrix(solved).tobytes() == want.tobytes(), solve
+        assert solved.shape == x.shape, real
+        assert terms.density_matrix(solved).tobytes() == want.tobytes(), real
         blockwise = min(
             float(np.linalg.eigvalsh(want[np.ix_(b, b)]).min())
             for b in (np.flatnonzero(q == value) for value in np.unique(q))
         )
-        assert report.min_eigenvalue == blockwise, solve
-        assert abs(report.min_eigenvalue - np.linalg.eigvalsh(want).min()) <= 1e-15, solve
+        assert report.min_eigenvalue == blockwise, real
+        assert abs(report.min_eigenvalue - np.linalg.eigvalsh(want).min()) <= 1e-15, real
 
 
 def level_state(terms: SectorTerms, block: np.ndarray) -> np.ndarray:
@@ -968,7 +975,7 @@ def test_null_space_oracle_rejects_an_indefinite_full_space_state():
 
 
 def test_validation_adds_no_dense_state_after_the_solve(monkeypatch):
-    # from the level-preconditioned solve's return to solve_steady_real's,
+    # from the level-preconditioned solve's return to solve_steady's,
     # the state is validated and returned in the sector, so the traced peak
     # grows by sector-sized temporaries at most, far below one dense state
     space = HilbertSpace(12, 16)  # fig6's truncation check
@@ -985,7 +992,7 @@ def test_validation_adds_no_dense_state_after_the_solve(monkeypatch):
     monkeypatch.setattr(pairsim.steady, "_preconditioned", marked)
     tracemalloc.start()
     try:
-        solve_steady_real(CANONICAL_POINTS[1][0], terms)
+        solve_steady(CANONICAL_POINTS[1][0], terms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -998,7 +1005,7 @@ def test_observables_add_no_dense_state():
     # the traced peak of compute_observables is a few sector vectors; with a
     # dense mode_dim x mode_dim state and its partial transpose it was 27
     terms = SectorTerms.build(HilbertSpace(12, 16))  # fig6's truncation check
-    x, _ = solve_steady_real(CANONICAL_POINTS[1][0], terms)
+    x, _ = solve_steady(CANONICAL_POINTS[1][0], terms)
     tracemalloc.start()
     try:
         compute_observables(x, terms)

@@ -38,7 +38,6 @@ from pairsim.steady import (
     RESIDUAL_TOL,
     SolveReport,
     solve_steady,
-    solve_steady_real,
 )
 from pairsim.sweep import (
     TRUNCATION_TOL,
@@ -345,20 +344,28 @@ def test_sweep_rows_match_direct_solves():
     assert result.metadata["config"]["axis"] == "delta"
 
 
-@pytest.mark.parametrize(
-    "levels, solver", [((5, 5), solve_steady), ((6, 8), solve_steady_real)]
-)
-def test_solve_point_picks_the_solver_by_sector_size(levels, solver):
-    # (5, 5)'s 584 unknowns keep the unrefined complete complex LU, (6, 8)'s
-    # 1316 take the refined real solve; each row is that solver's, bit for bit
+@pytest.mark.parametrize("levels, real", [((5, 5), False), ((6, 8), True)])
+def test_solve_steady_picks_its_factor_by_sector_size(levels, real, monkeypatch):
+    # (5, 5)'s 584 unknowns take the unrefined complete complex LU, whose
+    # entries the report gives, (6, 8)'s 1316 the refined real solve on its
+    # level factors; a row is solve_steady's, bit for bit
     terms = SectorTerms.build(HilbertSpace(*levels))
-    assert (terms.index.size <= COMPLEX_LU_UNKNOWNS) == (solver is solve_steady)
+    assert (terms.index.size > COMPLEX_LU_UNKNOWNS) == real
+    factors = []
+    complete = pairsim.steady._complete_lu
+    monkeypatch.setattr(
+        pairsim.steady, "_complete_lu", lambda a: factors.append(lu := complete(a)) or lu
+    )
     params = BASE.with_value("gamma_m", 0.1)
-    x, report = solver(params, terms)
+    x, report = solve_steady(params, terms)
     assert x.shape == terms.index.shape
+    if real:
+        assert report.refine_steps >= 1 and factors == []
+    else:
+        (lu,) = factors
+        assert report.refine_steps == 0 and report.lu_nnz == lu.nnz
+        assert lu.L.dtype == np.complex128
     assert solve_point(params, terms) == (compute_observables(x, terms), report)
-    if solver is solve_steady:
-        assert report.refine_steps == 0
 
 
 def test_failed_points_become_error_rows(tmp_path):
@@ -520,7 +527,7 @@ def test_benchmark_hooks_see_every_layer_call(monkeypatch):
     for name in ("build_liouvillian", "solve_steady", "compute_observables", "check_truncation"):
         assert callable(getattr(pairsim.sweep, name))
     calls = []  # appended to, since rows may finish together on two threads
-    for name in ("solve_steady", "solve_steady_real", "compute_observables", "check_truncation"):
+    for name in ("solve_steady", "compute_observables", "check_truncation"):
         original = getattr(pairsim.sweep, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -528,14 +535,19 @@ def test_benchmark_hooks_see_every_layer_call(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(pairsim.sweep, name, counting)
-    run_sweep(make_config(strict_truncation=True))
-    # the check solves its doubled space with the real solve, not solve_steady
-    assert Counter(calls) == {
-        "solve_steady": 3,
-        "solve_steady_real": 1,
-        "compute_observables": 3 + 1,
-        "check_truncation": 1,
-    }
+    # the rows and the check solve through solve_point, on the complex path
+    # at (3, 3) and its (6, 6) check, on the real one at (6, 8) and (12, 16)
+    for truncation, real in (((3, 3), False), ((6, 8), True)):
+        calls.clear()
+        result = run_sweep(make_config(truncation=truncation, strict_truncation=True))
+        assert Counter(calls) == {
+            "solve_steady": 3 + 1,
+            "compute_observables": 3 + 1,
+            "check_truncation": 1,
+        }
+        steps = [row.report.refine_steps for row in result.rows]
+        steps.append(result.metadata["truncation_check"]["report"]["refine_steps"])
+        assert all((step > 0) == real for step in steps), truncation
 
 
 def test_benchmark_self_test_passes():
@@ -563,16 +575,26 @@ def test_sweep_metadata_records_the_truncation_check():
     (base,) = [row for row in result.rows if row.axis_value == check["axis_value"]]
     terms = SectorTerms.build(HilbertSpace(6, 6))
     with _one_blas_thread():
-        x, real = solve_steady_real(config.params_at(base.axis_value), terms)
-    doubled = compute_observables(x, terms)
-    assert {key: check[key] for key in ("observables", "report")} == point_json(doubled, real)
+        doubled, solved = solve_point(config.params_at(base.axis_value), terms)
+    assert {key: check[key] for key in ("observables", "report")} == point_json(doubled, solved)
     assert check["max_deviation"] == max(
         *(_deviation(getattr(base.record, key), getattr(doubled, key)) for key in SCALAR_KEYS),
         *(_deviation(base.record.elements[key], doubled.elements[key]) for key in ELEMENT_KEYS),
     )
     assert 0 < check["max_deviation"] <= check["tolerance"] == TRUNCATION_TOL
-    assert real.residual_norm < RESIDUAL_TOL and real.min_eigenvalue >= EIG_FLOOR
+    assert solved.residual_norm < RESIDUAL_TOL and solved.min_eigenvalue >= EIG_FLOOR
     assert run_sweep(make_config()).metadata["truncation_check"] is None
+
+
+@pytest.mark.parametrize("levels", [(3, 3), (5, 5)])
+def test_truncation_check_records_the_doubled_row(levels):
+    # the check is a row at doubled levels: (6, 6)'s 924 unknowns take the
+    # complete complex LU, (10, 10)'s 3564 the real solve, as rows do
+    base = solve_point(BASE, SectorTerms.build(HilbertSpace(*levels)))
+    check = check_truncation(BASE, base)
+    assert check.pop("tolerance") >= check.pop("max_deviation")
+    doubled = SectorTerms.build(HilbertSpace(2 * levels[0], 2 * levels[1]))
+    assert check == point_json(*solve_point(BASE, doubled))
 
 
 def test_truncation_check_compares_every_element(monkeypatch):
@@ -621,16 +643,16 @@ def set_cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def solve_threads(monkeypatch, name: str = "solve_steady") -> list[int]:
-    """Record the thread of every call of the solver `name` by a sweep."""
+def solve_threads(monkeypatch) -> list[int]:
+    """Record the thread of every sector solve of a sweep."""
     threads = []
-    original = getattr(pairsim.sweep, name)
+    original = pairsim.sweep.solve_steady
 
     def recording(*args, **kwargs):
         threads.append(threading.get_ident())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pairsim.sweep, name, recording)
+    monkeypatch.setattr(pairsim.sweep, "solve_steady", recording)
     return threads
 
 
@@ -649,7 +671,10 @@ def test_concurrent_rows_equal_the_calling_thread_rows(monkeypatch, tmp_path):
         pooled = run_sweep(strict)
     finally:
         sys.setswitchinterval(interval)
-    assert len(set(threads)) > 1 and threading.get_ident() not in threads
+    # the check solves last, on the calling thread
+    *rows, check = threads
+    assert len(rows) == len(config.axis_values) and check == threading.get_ident()
+    assert len(set(rows)) > 1 and check not in rows
     set_cpus(monkeypatch, 1)  # so that the serial sweep solves one row at a time
     assert _row_workers(config, unknowns) == 1
     serial = run_sweep(config)
@@ -702,14 +727,14 @@ def test_concurrent_rows_hold_blas_at_one_thread(monkeypatch):
     if not controls:
         pytest.skip("no OpenBLAS found in this process")
     set_cpus(monkeypatch, 2)
-    seen, checked = [], []
-    for name, log in (("solve_steady", seen), ("solve_steady_real", checked)):
+    seen = []
+    original = pairsim.sweep.solve_steady
 
-        def recording(*args, _original=getattr(pairsim.sweep, name), _log=log, **kwargs):
-            _log.append([get() for get, _ in controls])
-            return _original(*args, **kwargs)
+    def recording(*args, **kwargs):
+        seen.append([get() for get, _ in controls])
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(pairsim.sweep, name, recording)
+    monkeypatch.setattr(pairsim.sweep, "solve_steady", recording)
     counts = [get() for get, _ in controls]
     try:
         for _, put in controls:
@@ -722,9 +747,9 @@ def test_concurrent_rows_hold_blas_at_one_thread(monkeypatch):
         for (_, put), count in zip(controls, counts):
             put(count)
     ones, twos = [1] * len(controls), [2] * len(controls)
-    # the pooled rows, the calling-thread rows and the truncation check alike
-    # see one thread, and the count is restored after each sweep
-    assert (seen, checked, after_pool, after_serial) == ([ones] * 6, [ones], twos, twos)
+    # the rows of both sweeps and the truncation check alike see one
+    # thread, and the count is restored after each sweep
+    assert (seen, after_pool, after_serial) == ([ones] * (3 + 1 + 3), twos, twos)
 
 
 @contextmanager
@@ -810,7 +835,7 @@ def test_real_solve_rows_run_on_one_worker_thread(monkeypatch):
     # solves do not overlap on two threads: one worker, checked or not;
     # smaller rows get the pool, checked or not
     set_cpus(monkeypatch, 64)
-    threads = solve_threads(monkeypatch, "solve_steady_real")
+    threads = solve_threads(monkeypatch)
     config = make_config(axis_values=tuple(0.1 * k for k in range(8)), truncation=(6, 8))
     unknowns = sector_index(HilbertSpace(6, 8)).size
     assert unknowns > COMPLEX_LU_UNKNOWNS
