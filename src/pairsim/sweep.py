@@ -17,13 +17,18 @@ record, the doubled point as a row holds it plus the verdict, which
 run_sweep stores in the JSON metadata: a sweep whose check fails raises
 instead of returning rows.
 
-Every sweep solves its rows on a thread pool of _row_workers threads: the
-rows are independent.  Two threads ran complete sparse LU factorizations
-and the complex (5, 5) solve at 1.0 to 2.0 times one thread's throughput,
-but SuperLU's triangular solves, where the real solve's GMRES spends most
-of its time, at about half of it (README, "Concurrent rows", gives the
-measurements).  The worker count is bounded, which bounds memory.  Rows
-that take the real solve get one worker, which solves them one at a time.
+Every sweep solves its rows on forked worker processes, one pool of
+_row_workers processes for every row: the rows are independent, and
+processes overlap the real solve's SuperLU triangular solves, which two
+threads ran slower than one (README, "Concurrent rows", gives the
+measurements).  The worker count is bounded,
+which bounds memory.  The pool hands out the grid in ROW_RUNS contiguous
+runs, fixed by the grid alone, and the workers inherit the sweep's config
+and sector terms from the calling process instead of receiving them.
+Rows run serially in the calling process where forking is not safe or
+gains nothing: off Linux, with one worker, or while another Python thread
+is alive, since a forked child gets a copy of every lock another thread
+holds and none of the threads that would release it.
 The rows and the check call a one-thread BLAS (_one_blas_thread):
 spinning BLAS threads would take the CPUs the other rows need, and one
 policy for every sweep makes each row's arithmetic that of a serial
@@ -42,8 +47,8 @@ import ctypes
 import json
 import math
 import os
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -60,7 +65,7 @@ from .errors import ConfigError, PairsimError, TruncationError
 from .model import SectorTerms, SystemParams, build_liouvillian, sector_index  # noqa: F401
 from .observables import ELEMENT_KEYS, SCALAR_KEYS, ObservableRecord, compute_observables
 from .operators import HilbertSpace
-from .steady import COMPLEX_LU_UNKNOWNS, SolveReport, solve_steady
+from .steady import SolveReport, solve_steady
 
 __all__ = [
     "AXES",
@@ -84,6 +89,10 @@ ERROR_TOKEN = "error"
 # The largest relative change of a reported observable that the
 # truncation-doubling check accepts.
 TRUNCATION_TOL = 1e-6
+
+# The number of contiguous runs in which a sweep's worker processes take
+# its grid, whatever their number: runs of ceil(rows / ROW_RUNS) rows.
+ROW_RUNS = 8
 
 _CSV_COLUMNS = ("axis", *SCALAR_KEYS, *ELEMENT_KEYS, "residual", "converged")
 
@@ -321,23 +330,17 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
 
 
 def _row_workers(config: SweepConfig, unknowns: int) -> int:
-    """Threads that solve the rows of `config`, whose sector has `unknowns`.
+    """Processes that solve the rows of `config`, whose sector has `unknowns`.
 
-    1 for rows of more than COMPLEX_LU_UNKNOWNS unknowns, which take the
-    real solve: its SuperLU triangular solves do not overlap on two threads
-    (the module docstring says so), so a second worker adds memory and no
-    speed.  Two concurrent (6, 14) rows of fig7 raised its peak RSS from
-    74.4-74.6 to 78.3-79.6 MiB and did not finish sooner.  Smaller rows,
-    checked or not, get min(CPUs available to the process, rows,
-    doubled-sector unknowns // row-sector unknowns).  The ratio is 6 for
-    every shipped config whose rows take the complex solve, and it bounds
-    memory: each worker holds one row's factor and solve at a time, so the
-    peak grows with the workers; 12 workers instead of 6 raised fig6's peak
-    RSS from 89-91 to 97-99 MiB when its rows took the complex solve (3
-    fresh processes each, one BLAS thread; README gives whole-sweep peaks).
+    min(CPUs available to the process, rows, doubled-sector unknowns //
+    row-sector unknowns), for rows of either solve, checked or not.  The
+    ratio is 6 for every shipped config, and it bounds memory: each worker
+    holds one row's factor and solve at a time, so the sweep's memory grows
+    with the workers.  Each forked worker of a shipped sweep peaked at 49-54
+    MiB RSS on a 2-vCPU machine, which counts in full the pages it shares
+    with the calling process since the fork; 6-10 MiB of it was the
+    worker's own (README, "Concurrent rows", gives the peaks).
     """
-    if unknowns > COMPLEX_LU_UNKNOWNS:
-        return 1
     n_c, n_m = config.truncation
     doubled = sector_index(HilbertSpace(2 * n_c, 2 * n_m)).size
     try:
@@ -398,12 +401,13 @@ def _one_blas_thread():
     need it: OpenBLAS threads spin while they wait for work, so rows whose
     LU calls a threaded BLAS run slower side by side than one after the
     other.  On a 2-vCPU machine, with OpenBLAS's default two threads, fig6's
-    rows took about 5.5 s serially, 8 to 9 s on two workers and about 3 s on
-    two workers with one BLAS thread.  One-worker rows take it too, so that
-    a row rounds the same on any number of workers, and so does the check,
-    so that its record does not depend on the environment's thread count.
-    The count is process-wide: other threads of the process get one BLAS
-    thread meanwhile too.
+    rows took about 5.5 s serially, 8 to 9 s on two worker threads and about
+    3 s on two worker threads with one BLAS thread.  Serial rows take it
+    too, so that a row rounds the same on any number of workers, and so
+    does the check, so that its record does not depend on the environment's
+    thread count.  The count is process-wide: other threads of the process
+    get one BLAS thread meanwhile too.  A worker process forked under a
+    hold starts with the pin and holds it again around each row.
 
     Holders may overlap, as two sweeps on two threads or a point solved
     during a sweep do: the first holder saves the counts and pins them, and
@@ -435,6 +439,21 @@ def _solve_row(config: SweepConfig, terms: SectorTerms, value: float) -> SweepRo
     return SweepRow(axis_value=value, record=record, report=report)
 
 
+# the sweep that a forked worker process solves rows of, set once by
+# _start_worker from the calling process's objects, which fork shares
+_worker_sweep: tuple[SweepConfig, SectorTerms] | None = None
+
+
+def _start_worker(config: SweepConfig, terms: SectorTerms) -> None:
+    global _worker_sweep
+    _worker_sweep = (config, terms)
+
+
+def _worker_row(value: float) -> SweepRow:
+    with _one_blas_thread():
+        return _solve_row(*_worker_sweep, value)
+
+
 def run_sweep(
     config: SweepConfig, progress: Callable[[int, int], None] | None = None
 ) -> SweepResult:
@@ -449,29 +468,53 @@ def run_sweep(
     terms are built once, so each point costs one weighted fill of their
     fixed pattern and one sector solve (solve_point).
 
-    The rows are solved on _row_workers threads, one if they take the real
-    solve, with every loaded OpenBLAS held at one thread while they and the
-    check run (_one_blas_thread), and restored after.  Rows come back in
-    axis order, and `progress(done, total)` is called from the calling
-    thread after each one.  An exception other than a PairsimError, or an
-    interrupt, cancels the rows not yet started and propagates once the
-    running ones finish.
+    The rows are solved on _row_workers forked processes, which take the
+    grid in ROW_RUNS contiguous runs and inherit the config and the sector
+    terms.  They run serially in this process instead off Linux (fork is
+    the default start method only there, and Python 3.14 moves even Linux
+    to forkserver), with one worker, or while another Python thread is
+    alive (a second sweep, or a _one_blas_thread holder, on another
+    thread).  Rows and check alike are solved with every loaded OpenBLAS
+    held at one thread (_one_blas_thread), restored after, and the check
+    runs here after the rows.  Rows come back in axis order, and
+    `progress(done, total)` is called from the calling thread after each
+    one; pooled rows arrive a run at a time.  An exception other than a
+    PairsimError, or an interrupt, cancels the runs not yet handed to a
+    worker and propagates once the handed ones finish; a worker that dies
+    raises BrokenProcessPool.  No worker outlives the call.
     """
     terms = SectorTerms.build(HilbertSpace(*config.truncation))
     values = config.axis_values
     rows: list[SweepRow] = []
     truncation_check = None
     with _one_blas_thread():
-        pool = ThreadPoolExecutor(_row_workers(config, terms.index.size))
+        workers = _row_workers(config, terms.index.size)
+        pool = None
+        if workers > 1 and sys.platform == "linux" and threading.active_count() == 1:
+            # imported here, so that loading a config does not pay for them
+            import multiprocessing
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker,
+                initargs=(config, terms),
+            )
         try:
-            for row in pool.map(partial(_solve_row, config, terms), values):
+            if pool is None:
+                results = map(partial(_solve_row, config, terms), values)
+            else:
+                results = pool.map(_worker_row, values, chunksize=-(-len(values) // ROW_RUNS))
+            for row in results:
                 rows.append(row)
                 if progress is not None:
                     progress(len(rows), len(values))
         finally:
-            # Executor.map submits every row up front; without the cancel,
+            # Executor.map submits every run up front; without the cancel,
             # an exception would wait for all of them to be solved
-            pool.shutdown(cancel_futures=True)
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
         solved = [row for row in rows if row.record is not None]
         if config.strict_truncation and solved:

@@ -15,14 +15,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 @pytest.fixture
 def real_path(monkeypatch):
     """Send every sector solve to solve_steady's real path, whatever its
-    size: the one threshold that solve_steady and sweep._row_workers read,
-    steady.COMPLEX_LU_UNKNOWNS, set to 0 under both names, so that a row's
-    solve and its worker count cannot disagree."""
+    size: steady.COMPLEX_LU_UNKNOWNS, the threshold it reads, set to 0.
+    Forked sweep workers inherit the setting."""
     import pairsim.steady
-    import pairsim.sweep
 
-    for module in (pairsim.steady, pairsim.sweep):
-        monkeypatch.setattr(module, "COMPLEX_LU_UNKNOWNS", 0)
+    monkeypatch.setattr(pairsim.steady, "COMPLEX_LU_UNKNOWNS", 0)
 
 
 @pytest.fixture(scope="session")

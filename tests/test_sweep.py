@@ -1,9 +1,11 @@
 """Sweep configuration, execution, serialization, and CLI tests."""
 
+import concurrent.futures.process
 import importlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import pkgutil
 import re
@@ -11,7 +13,9 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
@@ -523,10 +527,13 @@ def test_strict_truncation_abort_names_the_deviation():
 
 def test_benchmark_hooks_see_every_layer_call(monkeypatch):
     # the sweep benchmark traces these names on pairsim.sweep, and its
-    # reference generator replaces check_truncation there
+    # reference generator replaces check_truncation there; the tracer wraps
+    # them in the calling process, where forked workers' calls never come
+    # back, so the rows run serially here, on one CPU
+    set_cpus(monkeypatch, 1)
     for name in ("build_liouvillian", "solve_steady", "compute_observables", "check_truncation"):
         assert callable(getattr(pairsim.sweep, name))
-    calls = []  # appended to, since rows may finish together on two threads
+    calls = []
     for name in ("solve_steady", "compute_observables", "check_truncation"):
         original = getattr(pairsim.sweep, name)
 
@@ -643,41 +650,49 @@ def set_cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def solve_threads(monkeypatch) -> list[int]:
-    """Record the thread of every sector solve of a sweep."""
-    threads = []
+def solve_log(monkeypatch, path: Path, line=lambda *args: os.getpid(), pause: float = 0.0):
+    """Append line(params, terms) to `path` at every sector solve of a
+    sweep, then pause (so that a run outlasts the start of every worker);
+    return a reader of the lines, none before the first solve.  A file,
+    since a forked worker shares no list with the test."""
     original = pairsim.sweep.solve_steady
 
-    def recording(*args, **kwargs):
-        threads.append(threading.get_ident())
+    def logged(*args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line(*args, **kwargs)) + "\n")
+        time.sleep(pause)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pairsim.sweep, "solve_steady", recording)
-    return threads
+    def read() -> list:
+        return [json.loads(text) for text in path.read_text().splitlines()] if path.exists() else []
+
+    monkeypatch.setattr(pairsim.sweep, "solve_steady", logged)
+    return read
 
 
 def test_concurrent_rows_equal_the_calling_thread_rows(monkeypatch, tmp_path):
-    # more workers than this machine may have cores, and a short switch
-    # interval, so that threads interleave within every row
+    # more workers than this machine may have cores
     set_cpus(monkeypatch, 8)
-    threads = solve_threads(monkeypatch)
+    solves = solve_log(
+        monkeypatch, tmp_path / "pids", lambda params, terms: [os.getpid(), params.delta], 0.02
+    )
     config = make_config(axis_values=tuple(0.05 * k - 0.3 for k in range(13)))
     strict = replace(config, strict_truncation=True)
     unknowns = sector_index(HilbertSpace(3, 3)).size
     assert _row_workers(strict, unknowns) == 5
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        pooled = run_sweep(strict)
-    finally:
-        sys.setswitchinterval(interval)
-    # the check solves last, on the calling thread
-    *rows, check = threads
-    assert len(rows) == len(config.axis_values) and check == threading.get_ident()
-    assert len(set(rows)) > 1 and check not in rows
-    set_cpus(monkeypatch, 1)  # so that the serial sweep solves one row at a time
+    pooled = run_sweep(strict)
+    # the rows solve in several worker processes, the check last, here
+    *rows, (check, _) = solves()
+    pids = {delta: pid for pid, delta in rows}
+    assert len(rows) == len(config.axis_values) and check == os.getpid()
+    assert len(set(pids.values())) > 1 and check not in pids.values()
+    # each worker takes runs of ceil(13 / ROW_RUNS) = 2 neighbouring rows
+    for start in range(0, len(config.axis_values), 2):
+        assert len({pids[value] for value in config.axis_values[start : start + 2]}) == 1
+    set_cpus(monkeypatch, 1)  # so that the serial sweep solves in this process
     assert _row_workers(config, unknowns) == 1
     serial = run_sweep(config)
+    assert [pid for pid, _ in solves()[len(rows) + 1 :]] == [os.getpid()] * len(rows)
     assert [row.axis_value for row in pooled.rows] == list(config.axis_values)
     for a, b in zip(pooled.rows, serial.rows):
         assert (a.axis_value, a.error, a.record) == (b.axis_value, b.error, b.record)
@@ -697,59 +712,132 @@ def test_concurrent_progress_runs_in_order_on_the_calling_thread(monkeypatch):
     assert calls == [(done, 5, threading.get_ident()) for done in range(1, 6)]
 
 
-def test_concurrent_failure_cancels_the_rows_not_started(monkeypatch):
+def test_concurrent_failure_cancels_the_rows_not_started(monkeypatch, tmp_path):
     set_cpus(monkeypatch, 2)
     config = make_config(
-        axis_values=tuple(0.02 * k for k in range(12)), truncation=(2, 2), strict_truncation=True
+        axis_values=tuple(0.02 * k for k in range(40)), truncation=(2, 2), strict_truncation=True
     )
     workers = _row_workers(config, sector_index(HilbertSpace(2, 2)).size)
     assert workers == 2
-    k = 3  # the failing row, counted from 1
+    run = len(config.axis_values) // pairsim.sweep.ROW_RUNS  # 5 rows a run
+    k = 3  # the failing row, counted from 1, in the first run
     failing = config.params_at(config.axis_values[k - 1])
-    started = []
+    started = tmp_path / "started"
     original = pairsim.sweep.solve_steady
 
     def failing_at_row_k(params, terms):
-        started.append(params)
+        with open(started, "a", encoding="utf-8") as fh:
+            fh.write("row\n")
         if params == failing:
             raise RuntimeError("row k")
-        time.sleep(0.05)  # the other rows outlast the cancellation
+        # the rows after the first run outlast the cancellation
+        time.sleep(0.05 if params.delta >= config.axis_values[run] else 0)
         return original(params, terms)
 
     monkeypatch.setattr(pairsim.sweep, "solve_steady", failing_at_row_k)
     with pytest.raises(RuntimeError, match="row k"):
         run_sweep(config)
-    assert k <= len(started) <= k + workers < len(config.axis_values)
+    # the failing run stops at row k; besides it, only the runs handed out
+    # start: the other worker's, the pool's queue of workers + 1 and the one
+    # that refills the queue when the failed worker takes the next
+    count = len(started.read_text().splitlines())
+    assert k <= count <= k + (2 * workers + 1) * run < len(config.axis_values)
+    assert multiprocessing.active_children() == []
+    # an exception in the calling process, here from progress at the first
+    # row, cancels the runs not handed out too: handed out are the first
+    # run, the workers' next two and the queue of workers + 1
+    started.unlink()
+    failing = None
+
+    def stop(done, total):
+        raise RuntimeError("progress")
+
+    with pytest.raises(RuntimeError, match="progress"):
+        run_sweep(config, stop)
+    count = len(started.read_text().splitlines())
+    assert run <= count <= (2 * workers + 2) * run < len(config.axis_values)
+    assert multiprocessing.active_children() == []
 
 
-def test_concurrent_rows_hold_blas_at_one_thread(monkeypatch):
+def test_no_worker_outlives_the_sweep(monkeypatch, tmp_path):
+    # after a sweep, after a failing row and after a worker that dies: the
+    # last raises BrokenProcessPool at once instead of waiting for the row
+    set_cpus(monkeypatch, 2)
+    config = make_config(axis_values=tuple(0.02 * k for k in range(8)), truncation=(2, 2))
+    run_sweep(config)
+    assert multiprocessing.active_children() == []
+    here = os.getpid()
+
+    def failing(params, terms):
+        raise RuntimeError("failing row")
+
+    def dying(params, terms):
+        if os.getpid() == here:  # never end the test's own process
+            raise AssertionError("rows ran in the calling process")
+        os._exit(1)
+
+    for solve, error in ((failing, RuntimeError), (dying, BrokenProcessPool)):
+        with monkeypatch.context() as patch:
+            patch.setattr(pairsim.sweep, "solve_steady", solve)
+            start = time.monotonic()
+            with pytest.raises(error):
+                run_sweep(config)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+
+def test_pooled_sweep_forks_no_process_with_other_threads(monkeypatch, tmp_path):
+    # Python 3.12 and later warn when a process with other threads forks
+    set_cpus(monkeypatch, 2)
+    solves = solve_log(monkeypatch, tmp_path / "pids")
+    config = make_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        pooled = run_sweep(config)
+    assert os.getpid() not in solves()
+    # off Linux, or while another thread is alive, the rows run serially
+    # here, and equal the pooled ones
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with_thread = run_sweep(config)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "platform", "darwin")
+        off_linux = run_sweep(config)
+    assert solves()[len(config.axis_values) :] == [os.getpid()] * 2 * len(config.axis_values)
+    for serial in (with_thread, off_linux):
+        assert [(row.record, row.report) for row in serial.rows] == [
+            (row.record, row.report) for row in pooled.rows
+        ]
+
+
+def test_concurrent_rows_hold_blas_at_one_thread(monkeypatch, tmp_path):
     controls = pairsim.sweep._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS found in this process")
     set_cpus(monkeypatch, 2)
-    seen = []
-    original = pairsim.sweep.solve_steady
-
-    def recording(*args, **kwargs):
-        seen.append([get() for get, _ in controls])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(pairsim.sweep, "solve_steady", recording)
+    seen = solve_log(monkeypatch, tmp_path / "counts", lambda *args: [get() for get, _ in controls])
     counts = [get() for get, _ in controls]
     try:
         for _, put in controls:
             put(2)
         run_sweep(make_config(strict_truncation=True))
         after_pool = [get() for get, _ in controls]
+        set_cpus(monkeypatch, 1)
         run_sweep(make_config())
         after_serial = [get() for get, _ in controls]
     finally:
         for (_, put), count in zip(controls, counts):
             put(count)
     ones, twos = [1] * len(controls), [2] * len(controls)
-    # the rows of both sweeps and the truncation check alike see one
-    # thread, and the count is restored after each sweep
-    assert (seen, after_pool, after_serial) == ([ones] * (3 + 1 + 3), twos, twos)
+    # the pooled rows in their workers, the check, and the serial rows
+    # alike see one thread, and the count is restored after each sweep
+    assert (seen(), after_pool, after_serial) == ([ones] * (3 + 1 + 3), twos, twos)
 
 
 @contextmanager
@@ -830,20 +918,20 @@ def test_openblas_under_a_path_with_a_space_is_pinned(tmp_path, monkeypatch):
         assert controls[0][0]() == 2
 
 
-def test_real_solve_rows_run_on_one_worker_thread(monkeypatch):
+def test_real_solve_rows_run_on_worker_processes(monkeypatch, tmp_path):
     # rows above COMPLEX_LU_UNKNOWNS take the real solve, whose triangular
-    # solves do not overlap on two threads: one worker, checked or not;
-    # smaller rows get the pool, checked or not
+    # solves overlap in processes as the complex rows do: the same bound on
+    # workers for either solve, checked or not
     set_cpus(monkeypatch, 64)
-    threads = solve_threads(monkeypatch)
+    solves = solve_log(monkeypatch, tmp_path / "pids", pause=0.02)
     config = make_config(axis_values=tuple(0.1 * k for k in range(8)), truncation=(6, 8))
     unknowns = sector_index(HilbertSpace(6, 8)).size
     assert unknowns > COMPLEX_LU_UNKNOWNS
     for strict in (False, True):
-        assert _row_workers(replace(config, strict_truncation=strict), unknowns) == 1
+        assert _row_workers(replace(config, strict_truncation=strict), unknowns) == 6
     run_sweep(config)
-    assert len(threads) == 8 and len(set(threads)) == 1
-    assert threading.get_ident() not in threads
+    assert len(solves()) == 8 and len(set(solves())) > 1
+    assert os.getpid() not in solves()
     small = replace(config, truncation=(3, 3))
     assert _row_workers(small, sector_index(HilbertSpace(3, 3)).size) == 5
 
@@ -852,28 +940,23 @@ def test_worker_count_is_bounded_by_the_unknowns_ratio(monkeypatch):
     set_cpus(monkeypatch, 64)
     sizes = []
 
-    class Recording(pairsim.sweep.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+    class Recording(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(pairsim.sweep, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
     config = make_config(axis_values=tuple(0.02 * k for k in range(10)), strict_truncation=True)
     ratio = sector_index(HilbertSpace(6, 6)).size // sector_index(HilbertSpace(3, 3)).size
     assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size) == ratio == 5
     run_sweep(config)
     assert sizes == [ratio]
-    # the ratio caps the pool at 6 for every shipped config whose rows take
-    # the complex solve, below its number of rows: more workers hold more
-    # row factors at once, and 12 raised fig6's peak memory by about 30 MiB;
-    # the rows of the others take the real solve, on one worker
+    # the ratio caps the pool at 6 for every shipped config, below its
+    # number of rows: more workers hold more row factors at once
     for path in sorted((Path(pairsim.sweep.__file__).parent / "configs").glob("*.yaml")):
         shipped = load_config(str(path))
         unknowns = sector_index(HilbertSpace(*shipped.truncation)).size
-        if unknowns <= COMPLEX_LU_UNKNOWNS:
-            assert _row_workers(shipped, unknowns) == 6 < len(shipped.axis_values), path.name
-        else:
-            assert _row_workers(shipped, unknowns) == 1, path.name
+        assert _row_workers(shipped, unknowns) == 6 < len(shipped.axis_values), path.name
 
 
 # ---------------------------------------------------------------- CLI
@@ -948,40 +1031,40 @@ def test_cli_exit_codes(tmp_path):
 
 def test_cli_rejects_a_json_output_path_before_solving(tmp_path, monkeypatch, capsys):
     # the JSON mirror would overwrite the CSV at the same path
-    solves = solve_threads(monkeypatch)
+    solves = solve_log(monkeypatch, tmp_path / "solves")
     cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML)
     assert main(["sweep", cfg, "--output", str(tmp_path / "res.json")]) == 1
     in_yaml = f"{MINI_YAML}output: {tmp_path / 'res.JSON'}\n"
     in_yaml = write_yaml(tmp_path / "in_yaml.yaml", in_yaml)
     assert main(["sweep", in_yaml]) == 1
-    assert solves == []
+    assert solves() == []
     assert sorted(path.name for path in tmp_path.iterdir()) == ["in_yaml.yaml", "mini.yaml"]
     assert capsys.readouterr().err.count("its JSON mirror would overwrite it") == 2
 
 
 def test_cli_rejects_an_empty_output_path_before_solving(tmp_path, monkeypatch, capsys):
     # an empty path is not replaced by the default <name>.csv
-    solves = solve_threads(monkeypatch)
+    solves = solve_log(monkeypatch, tmp_path / "solves")
     cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML)
     assert main(["sweep", cfg, "--output", ""]) == 1
     in_yaml = write_yaml(tmp_path / "in_yaml.yaml", f"{MINI_YAML}output: ''\n")
     assert main(["sweep", in_yaml]) == 1
-    assert solves == []
+    assert solves() == []
     assert sorted(path.name for path in tmp_path.iterdir()) == ["in_yaml.yaml", "mini.yaml"]
     assert capsys.readouterr().err.count("config error: output must be a file path, got ''") == 2
 
 
 def test_cli_missing_output_directory_fails_before_solving(tmp_path, monkeypatch, capsys):
-    solves = solve_threads(monkeypatch)
+    solves = solve_log(monkeypatch, tmp_path / "solves")
     cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML)
     out = tmp_path / "missing" / "x.csv"
     assert main(["sweep", cfg, "--output", str(out)]) == 3
-    assert solves == []
+    assert solves() == []
     assert f"io error: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
 
 
 def test_cli_output_directory_fails_before_solving(tmp_path, monkeypatch, capsys):
-    solves = solve_threads(monkeypatch)
+    solves = solve_log(monkeypatch, tmp_path / "solves")
     cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML)
     out = tmp_path / "out"
     out.mkdir()
@@ -997,7 +1080,7 @@ def test_cli_output_directory_fails_before_solving(tmp_path, monkeypatch, capsys
     mirror.mkdir()
     assert main(["sweep", cfg, "--output", str(tmp_path / "res.csv")]) == 3
     assert f"io error: [Errno 21] Is a directory: '{mirror}'" in capsys.readouterr().err
-    assert solves == []
+    assert solves() == []
     assert not any(out.iterdir()) and not (tmp_path / "res.csv").exists()
 
 
@@ -1017,11 +1100,11 @@ def test_cli_strict_truncation_abort_exits_2(tmp_path):
     assert metadata["truncation_check"] is None
 
 
-def test_cli_sweep_cannot_skip_the_truncation_check(monkeypatch, capsys):
-    solves = solve_threads(monkeypatch)
+def test_cli_sweep_cannot_skip_the_truncation_check(monkeypatch, capsys, tmp_path):
+    solves = solve_log(monkeypatch, tmp_path / "solves")
     assert main(["sweep", "fig2_weak", "--no-strict-truncation"]) == 1
     assert "unrecognized arguments: --no-strict-truncation" in capsys.readouterr().err
-    assert solves == []
+    assert solves() == []
     with pytest.raises(SystemExit):
         main(["sweep", "--help"])
     options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
