@@ -21,14 +21,14 @@ Every sweep solves its rows on forked worker processes, one pool of
 _row_workers processes for every row: the rows are independent, and
 processes overlap the real solve's SuperLU triangular solves, which two
 threads ran slower than one (README, "Concurrent rows", gives the
-measurements).  The worker count is bounded,
-which bounds memory.  The pool hands out the grid in ROW_RUNS contiguous
-runs, fixed by the grid alone, and the workers inherit the sweep's config
-and sector terms from the calling process instead of receiving them.
-Rows run serially in the calling process where forking is not safe or
-gains nothing: off Linux, with one worker, or while another Python thread
-is alive, since a forked child gets a copy of every lock another thread
-holds and none of the threads that would release it.
+measurements).  The worker count is bounded, which bounds memory.  The
+pool hands out the grid in ROW_RUNS contiguous runs, fixed by the grid
+alone, and the workers inherit the sweep's config and sector terms from
+the calling process instead of receiving them.  Rows run serially in the
+calling process where forking is not safe or gains nothing: off Linux,
+with one worker, or while another Python thread is alive, since a forked
+child gets a copy of every lock another thread holds and none of the
+threads that would release it.
 The rows and the check call a one-thread BLAS (_one_blas_thread):
 spinning BLAS threads would take the CPUs the other rows need, and one
 policy for every sweep makes each row's arithmetic that of a serial
@@ -470,13 +470,15 @@ def run_sweep(
 
     The rows are solved on _row_workers forked processes, which take the
     grid in ROW_RUNS contiguous runs and inherit the config and the sector
-    terms.  They run serially in this process instead off Linux (fork is
-    the default start method only there, and Python 3.14 moves even Linux
-    to forkserver), with one worker, or while another Python thread is
-    alive (a second sweep, or a _one_blas_thread holder, on another
-    thread).  Rows and check alike are solved with every loaded OpenBLAS
-    held at one thread (_one_blas_thread), restored after, and the check
-    runs here after the rows.  Rows come back in axis order, and
+    terms.  They run serially in this process instead off Linux (Python
+    defaults to spawn on macOS, whose system libraries are not safe to
+    fork), with one worker, or while another Python thread is alive (a
+    second sweep, or a _one_blas_thread holder, on another thread).  Python
+    3.14 defaults to forkserver on Linux too, for that thread hazard, which
+    the rule keeps out; spawn and forkserver would re-import numpy and
+    scipy in every worker.  Rows and check alike are solved with every
+    loaded OpenBLAS held at one thread (_one_blas_thread), restored after,
+    and the check runs here after the rows.  Rows come back in axis order, and
     `progress(done, total)` is called from the calling thread after each
     one; pooled rows arrive a run at a time.  An exception other than a
     PairsimError, or an interrupt, cancels the runs not yet handed to a
