@@ -17,18 +17,33 @@ record, the doubled point as a row holds it plus the verdict, which
 run_sweep stores in the JSON metadata: a sweep whose check fails raises
 instead of returning rows.
 
+A delta sweep solves each |delta| once (detuning parity).  H and every
+jump operator are real in the Fock basis, so complex conjugation maps the
+generator L(delta) to the one with -H.  The atom parity U = sigma_z flips
+sigma+ and sigma-, so it flips the J and Omega terms back and leaves every
+dissipator as it is: the result is L(-delta).  So rho(-delta) =
+U rho(delta)* U, and every reported column is the same at -delta as at
+delta.  Conjugation and sign flips are exact in floating point, and the
+sector solve sees the same magnitudes; on every mirrored pair of the
+shipped delta grids, on both solve paths, record and report alike were
+equal bit for bit.  So a grid row whose axis value is the exact float
+negative of an earlier row's is not solved: it takes that row's record,
+report and error (`pairsim check`'s "detuning parity" case holds the
+fact).  Exact negatives only; never make a grid symmetric to solve fewer
+rows, since that moves its axis values.
+
 Every sweep solves its rows on forked worker processes, one pool of
 _row_workers processes for every row: the rows are independent, and
 processes overlap the real solve's SuperLU triangular solves, which two
 threads ran slower than one (README, "Concurrent rows", gives the
 measurements).  The worker count is bounded, which bounds memory.  The
-pool hands out the grid in ROW_RUNS contiguous runs, fixed by the grid
-alone, and the workers inherit the sweep's config and sector terms from
-the calling process instead of receiving them.  Rows run serially in the
-calling process where forking is not safe or gains nothing: off Linux,
-with one worker, or while another Python thread is alive, since a forked
-child gets a copy of every lock another thread holds and none of the
-threads that would release it.
+pool takes the rows to solve in ROW_RUNS contiguous runs, fixed by the
+grid alone, and the workers inherit the sweep's config and sector terms
+from the calling process instead of receiving them.  Rows run serially
+in the calling process where forking is not safe or gains nothing: off
+Linux, with one worker, or while another Python thread is alive, since a
+forked child gets a copy of every lock another thread holds and none of
+the threads that would release it.
 The rows and the check call a one-thread BLAS (_one_blas_thread):
 spinning BLAS threads would take the CPUs the other rows need, and one
 policy for every sweep makes each row's arithmetic that of a serial
@@ -52,7 +67,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -91,7 +105,8 @@ ERROR_TOKEN = "error"
 TRUNCATION_TOL = 1e-6
 
 # The number of contiguous runs in which a sweep's worker processes take
-# its grid, whatever their number: runs of ceil(rows / ROW_RUNS) rows.
+# the rows it solves, whatever their number: runs of ceil(solved rows /
+# ROW_RUNS) rows, a mirrored row of a delta sweep being solved by none.
 ROW_RUNS = 8
 
 _CSV_COLUMNS = ("axis", *SCALAR_KEYS, *ELEMENT_KEYS, "residual", "converged")
@@ -329,8 +344,9 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
     }
 
 
-def _row_workers(config: SweepConfig, unknowns: int) -> int:
-    """Processes that solve the rows of `config`, whose sector has `unknowns`.
+def _row_workers(config: SweepConfig, unknowns: int, rows: int) -> int:
+    """Processes that solve `rows` rows of `config`, whose sector has
+    `unknowns`: the rows the sweep solves, without its mirrored ones.
 
     min(CPUs available to the process, rows, doubled-sector unknowns //
     row-sector unknowns), for rows of either solve, checked or not.  The
@@ -347,7 +363,7 @@ def _row_workers(config: SweepConfig, unknowns: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not available on every platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, len(config.axis_values), doubled // unknowns))
+    return max(1, min(cpus, rows, doubled // unknowns))
 
 
 # thread-count getter and setter of each OpenBLAS build: plain (32- and
@@ -439,6 +455,20 @@ def _solve_row(config: SweepConfig, terms: SectorTerms, value: float) -> SweepRo
     return SweepRow(axis_value=value, record=record, report=report)
 
 
+def _mirror_sources(config: SweepConfig) -> list[int | None]:
+    """Per grid row, the earlier row whose results it takes on a delta axis,
+    the one whose axis value is its exact float negative (the module
+    docstring says why they are equal), or None for a row that is solved.
+    A row at 0.0 is solved: a strictly monotone grid has no other zero."""
+    sources: list[int | None] = [None] * len(config.axis_values)
+    if config.axis == "delta":
+        seen: dict[float, int] = {}
+        for i, value in enumerate(config.axis_values):
+            sources[i] = seen.get(-value)
+            seen[value] = i
+    return sources
+
+
 # the sweep that a forked worker process solves rows of, set once by
 # _start_worker from the calling process's objects, which fork shares
 _worker_sweep: tuple[SweepConfig, SectorTerms] | None = None
@@ -449,9 +479,9 @@ def _start_worker(config: SweepConfig, terms: SectorTerms) -> None:
     _worker_sweep = (config, terms)
 
 
-def _worker_row(value: float) -> SweepRow:
+def _worker_run(values: list[float]) -> list[SweepRow]:
     with _one_blas_thread():
-        return _solve_row(*_worker_sweep, value)
+        return [_solve_row(*_worker_sweep, value) for value in values]
 
 
 def run_sweep(
@@ -468,29 +498,41 @@ def run_sweep(
     terms are built once, so each point costs one weighted fill of their
     fixed pattern and one sector solve (solve_point).
 
-    The rows are solved on _row_workers forked processes, which take the
-    grid in ROW_RUNS contiguous runs and inherit the config and the sector
-    terms.  They run serially in this process instead off Linux (Python
-    defaults to spawn on macOS, whose system libraries are not safe to
-    fork), with one worker, or while another Python thread is alive (a
-    second sweep, or a _one_blas_thread holder, on another thread).  Python
-    3.14 defaults to forkserver on Linux too, for that thread hazard, which
-    the rule keeps out; spawn and forkserver would re-import numpy and
-    scipy in every worker.  Rows and check alike are solved with every
-    loaded OpenBLAS held at one thread (_one_blas_thread), restored after,
-    and the check runs here after the rows.  Rows come back in axis order, and
-    `progress(done, total)` is called from the calling thread after each
-    one; pooled rows arrive a run at a time.  An exception other than a
-    PairsimError, or an interrupt, cancels the runs not yet handed to a
+    On a delta axis, a row whose axis value is the exact float negative of
+    an earlier row's is not solved.  It is a SweepRow with its own
+    axis_value and the earlier row's record, report and error (the same
+    objects), since rho(-delta) = U rho(delta)* U with U = sigma_z: H and
+    the jump operators are real, conjugation maps L(delta) to the generator
+    of -H, and sigma_z flips the J and Omega terms back.  Exact negatives
+    only; never make a grid symmetric to solve fewer rows.
+
+    The rows to solve are solved on _row_workers forked processes, which
+    take them in ROW_RUNS contiguous runs and inherit the config and the
+    sector terms.  They run serially in this process instead off Linux
+    (Python defaults to spawn on macOS, whose system libraries are not
+    safe to fork), with one worker, or while another Python thread is
+    alive (a second sweep, or a _one_blas_thread holder, on another
+    thread).  Python 3.14 defaults to forkserver on Linux too, for that
+    thread hazard, which the rule keeps out; spawn and forkserver would
+    re-import numpy and scipy in every worker.  Rows and check alike are
+    solved with every loaded OpenBLAS held at one thread
+    (_one_blas_thread), restored after, and the check runs here after the
+    rows.  Rows come back in axis order, a run at a time (a serial run is
+    one row).  Every row a run releases, its mirrors among them, is built
+    first; then `progress(done, total)` is called from the calling thread
+    once for each of them, so once per grid row.  An exception other than
+    a PairsimError, or an interrupt, cancels the runs not yet handed to a
     worker and propagates once the handed ones finish; a worker that dies
     raises BrokenProcessPool.  No worker outlives the call.
     """
     terms = SectorTerms.build(HilbertSpace(*config.truncation))
     values = config.axis_values
+    sources = _mirror_sources(config)
+    solve = [value for value, source in zip(values, sources) if source is None]
     rows: list[SweepRow] = []
     truncation_check = None
     with _one_blas_thread():
-        workers = _row_workers(config, terms.index.size)
+        workers = _row_workers(config, terms.index.size, len(solve))
         pool = None
         if workers > 1 and sys.platform == "linux" and threading.active_count() == 1:
             # imported here, so that loading a config does not pay for them
@@ -505,16 +547,35 @@ def run_sweep(
             )
         try:
             if pool is None:
-                results = map(partial(_solve_row, config, terms), values)
+                runs = ([_solve_row(config, terms, value)] for value in solve)
             else:
-                results = pool.map(_worker_row, values, chunksize=-(-len(values) // ROW_RUNS))
-            for row in results:
-                rows.append(row)
+                size = -(-len(solve) // ROW_RUNS)
+                futures = [
+                    pool.submit(_worker_run, solve[k : k + size])
+                    for k in range(0, len(solve), size)
+                ]
+                runs = (future.result() for future in futures)
+            for run in runs:
+                done = len(rows)
+                solved = iter(run)
+                # the run's rows in grid order, and the mirrors up to the
+                # next row to solve, whose sources are all built by then
+                for i in range(done, len(values)):
+                    if sources[i] is None:
+                        row = next(solved, None)
+                        if row is None:
+                            break
+                    else:
+                        row = rows[sources[i]]
+                        row = SweepRow(values[i], row.record, row.report, row.error)
+                    rows.append(row)
+                # apart from the calls, so that they come a burst at a time
                 if progress is not None:
-                    progress(len(rows), len(values))
+                    for count in range(done + 1, len(rows) + 1):
+                        progress(count, len(values))
         finally:
-            # Executor.map submits every run up front; without the cancel,
-            # an exception would wait for all of them to be solved
+            # every run is submitted up front; without the cancel, an
+            # exception would wait for all of them to be solved
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 

@@ -31,7 +31,7 @@ import pairsim
 import pairsim.steady
 import pairsim.sweep
 from pairsim.cli import CHECK_CASES, build_parser, main, run_check
-from pairsim.errors import ConfigError, TruncationError
+from pairsim.errors import ConfigError, ConvergenceError, TruncationError
 from pairsim.model import SectorTerms, SystemParams, sector_index
 from pairsim.observables import ELEMENT_KEYS, SCALAR_KEYS, compute_observables
 from pairsim.operators import HilbertSpace
@@ -48,6 +48,7 @@ from pairsim.sweep import (
     SweepConfig,
     _deviation,
     _expand_values,
+    _mirror_sources,
     _one_blas_thread,
     _row_workers,
     check_truncation,
@@ -543,13 +544,15 @@ def test_benchmark_hooks_see_every_layer_call(monkeypatch):
 
         monkeypatch.setattr(pairsim.sweep, name, counting)
     # the rows and the check solve through solve_point, on the complex path
-    # at (3, 3) and its (6, 6) check, on the real one at (6, 8) and (12, 16)
+    # at (3, 3) and its (6, 6) check, on the real one at (6, 8) and (12, 16);
+    # of the grid (-0.2, 0.0, 0.2), 0.2 takes -0.2's results unsolved, so
+    # two rows solve, then the check
     for truncation, real in (((3, 3), False), ((6, 8), True)):
         calls.clear()
         result = run_sweep(make_config(truncation=truncation, strict_truncation=True))
         assert Counter(calls) == {
-            "solve_steady": 3 + 1,
-            "compute_observables": 3 + 1,
+            "solve_steady": 2 + 1,
+            "compute_observables": 2 + 1,
             "check_truncation": 1,
         }
         steps = [row.report.refine_steps for row in result.rows]
@@ -679,7 +682,7 @@ def test_concurrent_rows_equal_the_calling_thread_rows(monkeypatch, tmp_path):
     config = make_config(axis_values=tuple(0.05 * k - 0.3 for k in range(13)))
     strict = replace(config, strict_truncation=True)
     unknowns = sector_index(HilbertSpace(3, 3)).size
-    assert _row_workers(strict, unknowns) == 5
+    assert _row_workers(strict, unknowns, len(config.axis_values)) == 5
     pooled = run_sweep(strict)
     # the rows solve in several worker processes, the check last, here
     *rows, (check, _) = solves()
@@ -690,7 +693,7 @@ def test_concurrent_rows_equal_the_calling_thread_rows(monkeypatch, tmp_path):
     for start in range(0, len(config.axis_values), 2):
         assert len({pids[value] for value in config.axis_values[start : start + 2]}) == 1
     set_cpus(monkeypatch, 1)  # so that the serial sweep solves in this process
-    assert _row_workers(config, unknowns) == 1
+    assert _row_workers(config, unknowns, len(config.axis_values)) == 1
     serial = run_sweep(config)
     assert [pid for pid, _ in solves()[len(rows) + 1 :]] == [os.getpid()] * len(rows)
     assert [row.axis_value for row in pooled.rows] == list(config.axis_values)
@@ -717,7 +720,7 @@ def test_concurrent_failure_cancels_the_rows_not_started(monkeypatch, tmp_path):
     config = make_config(
         axis_values=tuple(0.02 * k for k in range(40)), truncation=(2, 2), strict_truncation=True
     )
-    workers = _row_workers(config, sector_index(HilbertSpace(2, 2)).size)
+    workers = _row_workers(config, sector_index(HilbertSpace(2, 2)).size, len(config.axis_values))
     assert workers == 2
     run = len(config.axis_values) // pairsim.sweep.ROW_RUNS  # 5 rows a run
     k = 3  # the failing row, counted from 1, in the first run
@@ -791,10 +794,12 @@ def test_pooled_sweep_forks_no_process_with_other_threads(monkeypatch, tmp_path)
     set_cpus(monkeypatch, 2)
     solves = solve_log(monkeypatch, tmp_path / "pids")
     config = make_config()
+    solved = 2  # -0.2 and 0.0; 0.2 takes -0.2's results, on two workers
+    assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size, solved) == 2
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         pooled = run_sweep(config)
-    assert os.getpid() not in solves()
+    assert len(solves()) == solved and os.getpid() not in solves()
     # off Linux, or while another thread is alive, the rows run serially
     # here, and equal the pooled ones
     release = threading.Event()
@@ -809,7 +814,7 @@ def test_pooled_sweep_forks_no_process_with_other_threads(monkeypatch, tmp_path)
     with monkeypatch.context() as patch:
         patch.setattr(sys, "platform", "darwin")
         off_linux = run_sweep(config)
-    assert solves()[len(config.axis_values) :] == [os.getpid()] * 2 * len(config.axis_values)
+    assert solves()[solved:] == [os.getpid()] * 2 * solved
     for serial in (with_thread, off_linux):
         assert [(row.record, row.report) for row in serial.rows] == [
             (row.record, row.report) for row in pooled.rows
@@ -836,8 +841,9 @@ def test_concurrent_rows_hold_blas_at_one_thread(monkeypatch, tmp_path):
             put(count)
     ones, twos = [1] * len(controls), [2] * len(controls)
     # the pooled rows in their workers, the check, and the serial rows
-    # alike see one thread, and the count is restored after each sweep
-    assert (seen(), after_pool, after_serial) == ([ones] * (3 + 1 + 3), twos, twos)
+    # alike see one thread, and the count is restored after each sweep; of
+    # the grid (-0.2, 0.0, 0.2) two rows solve, since 0.2 takes -0.2's results
+    assert (seen(), after_pool, after_serial) == ([ones] * (2 + 1 + 2), twos, twos)
 
 
 @contextmanager
@@ -928,12 +934,12 @@ def test_real_solve_rows_run_on_worker_processes(monkeypatch, tmp_path):
     unknowns = sector_index(HilbertSpace(6, 8)).size
     assert unknowns > COMPLEX_LU_UNKNOWNS
     for strict in (False, True):
-        assert _row_workers(replace(config, strict_truncation=strict), unknowns) == 6
+        assert _row_workers(replace(config, strict_truncation=strict), unknowns, 8) == 6
     run_sweep(config)
     assert len(solves()) == 8 and len(set(solves())) > 1
     assert os.getpid() not in solves()
     small = replace(config, truncation=(3, 3))
-    assert _row_workers(small, sector_index(HilbertSpace(3, 3)).size) == 5
+    assert _row_workers(small, sector_index(HilbertSpace(3, 3)).size, 8) == 5
 
 
 def test_worker_count_is_bounded_by_the_unknowns_ratio(monkeypatch):
@@ -948,15 +954,149 @@ def test_worker_count_is_bounded_by_the_unknowns_ratio(monkeypatch):
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
     config = make_config(axis_values=tuple(0.02 * k for k in range(10)), strict_truncation=True)
     ratio = sector_index(HilbertSpace(6, 6)).size // sector_index(HilbertSpace(3, 3)).size
-    assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size) == ratio == 5
+    assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size, 10) == ratio == 5
     run_sweep(config)
     assert sizes == [ratio]
     # the ratio caps the pool at 6 for every shipped config, below its
-    # number of rows: more workers hold more row factors at once
+    # number of rows solved: more workers hold more row factors at once
     for path in sorted((Path(pairsim.sweep.__file__).parent / "configs").glob("*.yaml")):
         shipped = load_config(str(path))
         unknowns = sector_index(HilbertSpace(*shipped.truncation)).size
-        assert _row_workers(shipped, unknowns) == 6 < len(shipped.axis_values), path.name
+        solved = _mirror_sources(shipped).count(None)
+        assert _row_workers(shipped, unknowns, solved) == 6 < solved, path.name
+
+
+# ---------------------------------------------------------------- detuning parity
+
+SERIAL_POOLED = pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+
+
+@SERIAL_POOLED
+@pytest.mark.parametrize("levels", [(5, 5), (6, 8)], ids=["complex", "real"])
+def test_a_mirrored_row_equals_a_fresh_solve_at_minus_delta(levels, cpus, monkeypatch, tmp_path):
+    # (5, 5)'s rows take the complete complex LU, (6, 8)'s the real solve;
+    # -0.3, -0.1 and 0.0 are solved, and 0.1 and 0.3 take the results of
+    # -0.1 and -0.3, which equal a solve at 0.1 and 0.3 bit for bit
+    terms = SectorTerms.build(HilbertSpace(*levels))
+    assert (terms.index.size > COMPLEX_LU_UNKNOWNS) == (levels == (6, 8))
+    set_cpus(monkeypatch, cpus)
+    solves = solve_log(
+        monkeypatch, tmp_path / "solves", lambda params, terms: [os.getpid(), params.delta]
+    )
+    config = make_config(axis_values=(-0.3, -0.1, 0.0, 0.1, 0.3), truncation=levels)
+    result = run_sweep(config)
+    pids = {delta: pid for pid, delta in solves()}
+    assert sorted(pids) == [-0.3, -0.1, 0.0] and len(solves()) == 3
+    if cpus == 1:
+        assert set(pids.values()) == {os.getpid()}
+    else:
+        assert os.getpid() not in pids.values()
+    assert [row.axis_value for row in result.rows] == list(config.axis_values)
+    assert result.rows[3].record is result.rows[1].record
+    assert result.rows[4].report is result.rows[0].report
+    for row in result.rows:
+        with _one_blas_thread():
+            fresh = solve_point(config.params_at(row.axis_value), terms)
+        assert row.error is None and (row.record, row.report) == fresh, row.axis_value
+
+
+def test_a_delta_sweep_solves_each_magnitude_once(monkeypatch):
+    # a stand-in solve, on the serial path, whose record names the delta,
+    # or the value of the other axis, that it was solved at
+    set_cpus(monkeypatch, 1)
+    solved = []
+
+    def solve(params, terms):
+        solved.append(params)
+        return ("solved at", params), None
+
+    monkeypatch.setattr(pairsim.sweep, "solve_point", solve)
+    for name, count in (("fig2_weak", 144), ("fig2_strong", 151), ("fig6", 101)):
+        solved.clear()
+        path = Path(pairsim.sweep.__file__).parent / "configs" / f"{name}.yaml"
+        config = replace(load_config(str(path)), strict_truncation=False)
+        rows = run_sweep(config).rows
+        assert len(solved) == count and len(rows) == len(config.axis_values), name
+        assert [row.axis_value for row in rows] == list(config.axis_values)
+        # a row not solved holds the results of the row at its negative
+        mirrored = [row for row in rows if row.record[1] != config.params_at(row.axis_value)]
+        assert len(mirrored) == len(rows) - count
+        assert all(row.record[1] == config.params_at(-row.axis_value) for row in mirrored)
+    # a gamma_m grid has no negative values; a j_coupling grid that has
+    # them solves every row, since the parity is in delta alone
+    j_grid = make_config(axis="j_coupling", axis_values=(-0.2, 0.0, 0.2))
+    solved.clear()
+    run_sweep(j_grid)
+    assert [params.j_coupling for params in solved] == [-0.2, 0.0, 0.2]
+    # a row at 0.0 solves once, on either side of a grid in either order
+    for grid, solves in (
+        ((-0.2, 0.0, 0.2), [-0.2, 0.0]),
+        ((0.2, 0.0, -0.2), [0.2, 0.0]),
+        ((0.0,), [0.0]),
+        ((0.0, 0.1), [0.0, 0.1]),
+        ((-0.1, 0.0), [-0.1, 0.0]),
+    ):
+        solved.clear()
+        rows = run_sweep(make_config(axis_values=grid)).rows
+        assert [params.delta for params in solved] == solves, grid
+        assert [row.axis_value for row in rows] == list(grid)
+
+
+@SERIAL_POOLED
+def test_progress_counts_every_grid_row_in_order(cpus, monkeypatch, tmp_path):
+    # 0.05 * k and 0.05 * -k are exact negatives: 7 of the 13 rows solve
+    set_cpus(monkeypatch, cpus)
+    solves = solve_log(monkeypatch, tmp_path / "solves", lambda params, terms: params.delta)
+    for grid in (tuple(0.05 * k for k in range(-6, 7)), tuple(0.05 * k for k in range(6, -7, -1))):
+        calls = []
+        result = run_sweep(make_config(axis_values=grid), lambda *args: calls.append(args))
+        assert calls == [(done, 13) for done in range(1, 14)]
+        assert [row.axis_value for row in result.rows] == list(grid)
+    assert sorted(solves()) == sorted(0.05 * k for k in [*range(-6, 1), *range(0, 7)])
+
+
+@SERIAL_POOLED
+def test_a_failed_source_row_fails_its_mirror_after_one_solve(cpus, monkeypatch, tmp_path):
+    set_cpus(monkeypatch, cpus)
+    config = make_config(axis_values=(-0.2, -0.1, 0.0, 0.1, 0.2))
+    raised = ConvergenceError
+    original = pairsim.sweep.solve_steady
+
+    def failing_at_minus_0_1(params, terms):
+        if params.delta == -0.1:
+            raise raised(f"stalled at delta = {params.delta:g}")
+        return original(params, terms)
+
+    monkeypatch.setattr(pairsim.sweep, "solve_steady", failing_at_minus_0_1)
+    solves = solve_log(monkeypatch, tmp_path / "solves", lambda params, terms: params.delta)
+    result = run_sweep(config)
+    assert sorted(solves()) == [-0.2, -0.1, 0.0]
+    rows = {row.axis_value: row for row in result.rows}
+    for value in (-0.1, 0.1):
+        assert rows[value].error == "stalled at delta = -0.1"
+        assert rows[value].record is rows[value].report is None and not rows[value].converged
+    assert all(rows[value].error is None for value in (-0.2, 0.0, 0.2))
+    # an error other than a PairsimError still ends the sweep
+    raised = RuntimeError
+    with pytest.raises(RuntimeError, match="stalled at delta = -0.1"):
+        run_sweep(config)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_grid_of_one_magnitude_forks_nothing(monkeypatch, tmp_path):
+    # (-d, d) solves one row, so one worker: in this process, with no pool
+    set_cpus(monkeypatch, 64)
+    solves = solve_log(monkeypatch, tmp_path / "pids")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+    config = make_config(axis_values=(-0.2, 0.2))
+    assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size, 1) == 1
+    first, second = run_sweep(config).rows
+    assert solves() == [os.getpid()]
+    assert (second.axis_value, second.record, second.report) == (0.2, first.record, first.report)
 
 
 # ---------------------------------------------------------------- CLI
