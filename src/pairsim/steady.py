@@ -40,10 +40,9 @@ It returns the Hermitized sector vector x, x[p] = rho[i, j] for
 terms.index[p] = i + j*dim, which is all of the state; observables reads it
 there, and terms.density_matrix(x) makes the dense state for an oracle.
 
-An independent oracle stays full-space, since its job is not to assume the
-symmetry: a dense null-space computation (null_space_steady).  The tests
-hold the sector solver to it and to a fixed-step RK4 integration of the
-master equation (tests/helpers.py).
+The tests hold the sector solver to two independent full-space oracles,
+which do not assume the symmetry: a dense null-space computation and a
+fixed-step RK4 integration of the master equation (tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -59,13 +58,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DegenerateSteadyStateError
-from .model import SectorTerms, SystemParams, unvec, vec
-from .operators import HilbertSpace
+from .model import SectorTerms, SystemParams, unvec
 
 __all__ = [
     "SolveReport",
     "solve_steady",
-    "null_space_steady",
 ]
 
 HERM_TOL = 1e-10
@@ -99,8 +96,6 @@ GMRES_ITERATIONS = 300
 # rows keep the complex LU, which would also move 27 of fig2_weak's cells
 # past 1e-12 if refined.
 COMPLEX_LU_UNKNOWNS = 1000
-# null_space_steady's relative cutoff of a zero singular value
-NULL_RCOND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -463,24 +458,3 @@ def _real_system(
     rows = (lv @ expand)[np.where(lower, partner, np.arange(lower.size))]
     parts = np.where(np.repeat(lower, np.diff(rows.indptr)), rows.data.imag, rows.data.real)
     return sp.csr_matrix((parts, rows.indices, rows.indptr), shape=lv.shape)
-
-
-def null_space_steady(liouvillian: sp.spmatrix, space: HilbertSpace) -> np.ndarray:
-    """Dense null-space oracle for solve_steady.
-
-    Computes the full SVD-based null space of L, singular values below
-    NULL_RCOND times the largest counting as zero, and requires it to be
-    one-dimensional.  Exponentially more expensive than the sparse path,
-    so this is a test-and-validation tool, not a production solver.
-    """
-    dense = np.asarray(sp.csr_matrix(liouvillian).todense())
-    basis = scipy.linalg.null_space(dense, rcond=NULL_RCOND)
-    if basis.shape[1] != 1:
-        raise DegenerateSteadyStateError(
-            f"Liouvillian null space has dimension {basis.shape[1]}, expected 1"
-        )
-    x = basis[:, 0] / np.trace(unvec(basis[:, 0], space.dim))
-    transpose = vec(np.arange(x.size).reshape(space.dim, space.dim))
-    residual = float(np.linalg.norm(dense @ x))
-    x, _ = _validated(x, transpose, (np.arange(x.size),), residual, "null_space_steady")
-    return unvec(x, space.dim)

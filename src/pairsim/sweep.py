@@ -28,9 +28,10 @@ sector solve sees the same magnitudes; on every mirrored pair of the
 shipped delta grids, on both solve paths, record and report alike were
 equal bit for bit.  So a grid row whose axis value is the exact float
 negative of an earlier row's is not solved: it takes that row's record,
-report and error (`pairsim check`'s "detuning parity" case holds the
-fact).  Exact negatives only; never make a grid symmetric to solve fewer
-rows, since that moves its axis values.
+report and error (test_a_mirrored_row_equals_a_fresh_solve_at_minus_delta
+holds the fact, and `pairsim check` solves fig2_weak's rows at -0.5 and
+0.5 afresh).  Exact negatives only; never make a grid symmetric to solve
+fewer rows, since that moves its axis values.
 
 Every sweep solves its rows on forked worker processes, one pool of
 _row_workers processes for every row: the rows are independent, and
@@ -657,7 +658,8 @@ def emit_json(result: SweepResult, path: str) -> None:
             entry.update(point_json(row.record, row.report))
         entry["converged"] = row.converged
         rows.append(entry)
-    # serialized first, so that a value JSON cannot write leaves no file
-    text = json.dumps({"metadata": result.metadata, "rows": rows}, indent=1)
+    # serialized first, so that a value JSON cannot write leaves no file;
+    # compact, since an indent runs json's pure-Python encoder
+    text = json.dumps({"metadata": result.metadata, "rows": rows})
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

@@ -1,8 +1,8 @@
 """The analytic spectrum of the single-pair subspace.
 
 Without drive, H couples |e,0,0> only to |g,1,1>, so the pair doublet and
-its dressed vectors follow from a 2x2 block; `pairsim check` and the tests
-compare it with the closed form Delta -/+ J.
+its dressed vectors follow from a 2x2 block; the tests compare it with the
+closed form Delta -/+ J.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, build_hamiltonian
-from .operators import HilbertSpace
-
-__all__ = ["SpectrumReport", "pair_subspace_spectrum"]
+from pairsim.model import SystemParams, build_hamiltonian
+from pairsim.operators import HilbertSpace
 
 
 @dataclass

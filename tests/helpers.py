@@ -5,7 +5,9 @@ correlation, the weak-excitation regime test and closures behind the
 acceptance criteria, a resonance locator for sweep output, a reader
 that parses a sweep CSV back into typed rows, a fixed-step RK4
 integration of the master equation (evolve_to_steady), the time-evolution
-oracle of the steady-state solvers, and the dense reduction of a dim x dim
+oracle of the steady-state solvers, the dense null space of the full
+Liouvillian (null_space_steady), their linear-algebra oracle, and the dense
+reduction of a dim x dim
 state to its ObservableRecord (dense_observables), the oracle of
 observables.compute_observables, which reads the sector state.  The dense
 reduction takes the log negativity from the mode_dim x mode_dim
@@ -21,12 +23,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from pairsim.errors import ConfigError, ConvergenceError, PairsimError
+from pairsim.errors import ConfigError, ConvergenceError, DegenerateSteadyStateError, PairsimError
 from pairsim.model import SectorTerms, unvec, vec
 from pairsim.observables import _NAMED_STATES, ObservableRecord, _g2_auto, _g2_cross
 from pairsim.operators import HilbertSpace
+from pairsim.steady import _validated
 from pairsim.sweep import ERROR_TOKEN, UNDEF_TOKEN
 
 WEAK_OCCUPATION_THRESHOLD = 0.01
@@ -36,6 +40,8 @@ MANIFOLD_LEAKAGE_THRESHOLD = 0.1
 POWER_ITERS = 40
 STEP_SAFETY = 0.8
 DERIV_TOL = 1e-10
+# null_space_steady's relative cutoff of a zero singular value
+NULL_RCOND = 1e-9
 
 
 @dataclass
@@ -269,6 +275,27 @@ def evolve_to_steady(
         )
     info = {"steps": taken, "step": step, "final_deriv": deriv, "max_trace_drift": max_trace_drift}
     return unvec(v, dim), info
+
+
+def null_space_steady(liouvillian: sp.spmatrix, space: HilbertSpace) -> np.ndarray:
+    """Dense null-space oracle for solve_steady.
+
+    Computes the full SVD-based null space of L, singular values below
+    NULL_RCOND times the largest counting as zero, and requires it to be
+    one-dimensional.  Exponentially more expensive than the sparse path,
+    so this is a test-and-validation tool, not a production solver.
+    """
+    dense = np.asarray(sp.csr_matrix(liouvillian).todense())
+    basis = scipy.linalg.null_space(dense, rcond=NULL_RCOND)
+    if basis.shape[1] != 1:
+        raise DegenerateSteadyStateError(
+            f"Liouvillian null space has dimension {basis.shape[1]}, expected 1"
+        )
+    x = basis[:, 0] / np.trace(unvec(basis[:, 0], space.dim))
+    transpose = vec(np.arange(x.size).reshape(space.dim, space.dim))
+    residual = float(np.linalg.norm(dense @ x))
+    x, _ = _validated(x, transpose, (np.arange(x.size),), residual, "null_space_steady")
+    return unvec(x, space.dim)
 
 
 def vacuum_state(space: HilbertSpace) -> np.ndarray:

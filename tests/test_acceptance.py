@@ -1,5 +1,6 @@
-"""Acceptance suite: ten numbered end-to-end criteria, and the shipped
-sweeps that bench/reference holds, row by row.
+"""Acceptance suite: ten numbered end-to-end criteria, the shipped sweeps
+that bench/reference holds, row by row, and every shipped sweep's rows at
+the points that `pairsim check` solves.
 
 Each test prints one "criterion NN PASS" line (visible with pytest -s; the
 -v test status line carries the same verdict).  Tolerances are pinned in
@@ -13,24 +14,26 @@ coupling regime, and a thermal point.
 
 import importlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from analytics import pair_subspace_spectrum
 from helpers import (
     equal_damping_residual,
     evolve_to_steady,
     in_weak_excitation_regime,
+    null_space_steady,
     resonance_locator,
     vacuum_state,
 )
-from pairsim.analytics import pair_subspace_spectrum
-from pairsim.cli import CHECK_CASES, run_check
+from pairsim import cli
 from pairsim.model import SectorTerms, SystemParams, build_liouvillian, trace_functional
-from pairsim.observables import compute_observables
+from pairsim.observables import ObservableRecord, compute_observables
 from pairsim.operators import HilbertSpace
-from pairsim.steady import null_space_steady, solve_steady
+from pairsim.steady import SolveReport, solve_steady
 from pairsim.sweep import check_truncation, emit_csv, emit_json, solve_point
 
 SPACE = HilbertSpace(5, 5)
@@ -131,24 +134,22 @@ def test_criterion_02_exact_limit_fixed_points():
 
     # (b) bare thermal phonon at (2, 24): <m> = 0.5 and g2_m = 2 to 1e-6
     # (the phonon space must reach high enough that the truncated geometric
-    # tail cannot bias the second factorial moment); `pairsim check` runs
-    # the same case
-    ok, detail = run_check(CHECK_CASES["thermal detailed balance"])
-    assert ok, detail
+    # tail cannot bias the second factorial moment)
+    thermal = observe(SystemParams(gamma_c=1.0, gamma_m=1.0, m_th=0.5), HilbertSpace(2, 24))
+    assert abs(thermal.mean_m - 0.5) < 1e-6, thermal.mean_m
+    assert abs(thermal.g2_m - 2.0) < 1e-6, thermal.g2_m
 
-    # (c) resonantly driven atom (omega = kappa = 1 at (2, 2)), dense
-    # null-space oracle first; the sparse solve's 4/9 is `pairsim check`'s
-    # driven-atom case
-    case = CHECK_CASES["driven-atom population"]
-    space = HilbertSpace(*case.truncation)
-    lv = build_liouvillian(case.params, space)
+    # (c) resonantly driven atom (omega = kappa = 1 at (2, 2)): the dense
+    # null-space oracle and the sparse solve both give 4/9
+    driven = SystemParams(omega=1.0, gamma_c=1.0, gamma_m=1.0)
+    space = HilbertSpace(2, 2)
+    lv = build_liouvillian(driven, space)
     i_e = space.index(1, 0, 0)
     rho_oracle = null_space_steady(lv, space)
     assert abs(rho_oracle[i_e, i_e].real - 4.0 / 9.0) < 1e-8
-    ok, detail = run_check(case)
-    assert ok, detail
+    assert abs(observe(driven, space).elements["rho22"] - 4.0 / 9.0) < 1e-8
     terms = SectorTerms.build(space)
-    x, _ = solve_steady(case.params, terms)
+    x, _ = solve_steady(driven, terms)
     assert float(np.abs(terms.density_matrix(x) - rho_oracle).max()) < 1e-10
     print("criterion  2 PASS: vacuum, thermal (<m>=0.5, g2_m=2), and driven-atom 4/9 limits")
 
@@ -377,34 +378,57 @@ def test_criterion_10_structural_invariants(solved_canonicals):
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-# The benchmark gates its reference at 1e-12 relative plus 1e-15 absolute
-# on the machine that made it.  Elsewhere (another SuperLU ordering, BLAS
-# kernel or np.longdouble) a cell moves by its solver's forward error,
-# measured against bench/reference by solving every row of the three grids
-# another way, one BLAS thread: fig2_weak's rows, whose complex LU is not
-# refined, moved up to 1.5e-11 relative with MMD_ATA in place of COLAMD,
-# 29 cells past 1e-12; fig6's and fig7's rows, which the real solve
-# refines, stayed within 1e-12 relative with MMD_ATA, with the complete LU
-# and with float64 residuals, and the cells below 1e-3 moved up to 6.4e-16
-# absolute (fig7's log_neg of 1.27e-6 at m_th = 1).
-PORTABLE_REL_TOL = {"fig2_weak": 1e-10, "fig6": 1e-12, "fig7": 1e-12}
-PORTABLE_ABS_TOL = 1e-14
-
-
-@pytest.mark.parametrize("name", list(PORTABLE_REL_TOL))
+@pytest.mark.parametrize("name", sorted(p.stem for p in (BENCH / "reference").glob("*.json")))
 def test_shipped_sweep_matches_its_reference(name, sweep_results, tmp_path, monkeypatch):
     # every row of the full grid, written as `pairsim sweep` writes it, is
     # held to the benchmark's reference by the benchmark's own check, at
-    # the tolerance its solver's forward error allows on another machine
+    # the tolerance that `pairsim check` allows a solve on another machine
+    # (cli.CHECK_REL_TOL's comment gives the measurements): the unrefined
+    # complex LU's for a sweep whose rows took it
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
-    monkeypatch.setattr(workloads, "REL_TOL", PORTABLE_REL_TOL[name])
-    monkeypatch.setattr(workloads, "ABS_TOL", PORTABLE_ABS_TOL)
-    reference = json.loads((BENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))
     result = sweep_results[name]
+    refined = all(row.report.refine_steps for row in result.rows)
+    rel = cli.CHECK_REL_TOL if refined else cli.CHECK_UNREFINED_REL_TOL
+    monkeypatch.setattr(workloads, "REL_TOL", rel)
+    monkeypatch.setattr(workloads, "ABS_TOL", cli.CHECK_ABS_TOL)
+    reference = json.loads((BENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))
     csv_path, json_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
     emit_csv(result, str(csv_path))
     emit_json(result, str(json_path))
     failed, notes = workloads.check_outputs(csv_path, json_path, reference["rows"])
     assert (failed, notes) == (0, [])
     assert len(result.rows) == len(reference["rows"])
+
+
+def test_shipped_sweeps_match_the_packaged_check_points(sweep_results):
+    # every shipped sweep's first, middle and last rows and its truncation
+    # check, as this session ran them, against the points `pairsim check`
+    # solves, by its rule; and each point is its config's, as the YAML
+    # gives it today
+    points = cli._check_points()
+    roles: dict[str, list[str]] = {}
+    for point in points:
+        name, role = point["config"], point["role"]
+        roles.setdefault(name, []).append(role)
+        config = cli._load_config_arg(name)
+        result = sweep_results[name]
+        assert point["axis"] == config.axis, (name, role)
+        assert point["params"] == asdict(config.params_at(point["axis_value"])), (name, role)
+        if role == "check":
+            check = result.metadata["truncation_check"]
+            assert check["axis_value"] == point["axis_value"], name
+            assert point["truncation"] == [2 * n for n in config.truncation], name
+            record = ObservableRecord(**check["observables"])
+            report = SolveReport(**check["report"])
+        else:
+            row = result.rows[{"first": 0, "middle": len(result.rows) // 2, "last": -1}[role]]
+            assert row.axis_value == point["axis_value"], (name, role)
+            assert point["truncation"] == list(config.truncation), (name, role)
+            record, report = row.record, row.report
+        assert cli.mismatches(point["columns"], record, report) == [], (name, role)
+    # fig7 runs no truncation check, so it has no check point
+    assert roles == {
+        name: ["first", "middle", "last"] + ["check"] * (result.metadata["truncation_check"] is not None)
+        for name, result in sweep_results.items()
+    }

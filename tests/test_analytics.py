@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from analytics import pair_subspace_spectrum
 from helpers import (
     equal_damping_residual,
     in_weak_excitation_regime,
@@ -12,7 +13,6 @@ from helpers import (
     resonance_locator,
     weak_excitation_estimate,
 )
-from pairsim.analytics import pair_subspace_spectrum
 from pairsim.model import SectorTerms, SystemParams, build_hamiltonian
 from pairsim.observables import ObservableRecord
 from pairsim.operators import HilbertSpace

@@ -12,7 +12,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from helpers import evolve_to_steady, sector_state, suggest_step, vacuum_state
+from helpers import (
+    evolve_to_steady,
+    null_space_steady,
+    sector_state,
+    suggest_step,
+    vacuum_state,
+)
 import pairsim.model
 import pairsim.steady
 import pairsim.sweep
@@ -36,7 +42,6 @@ from pairsim.steady import (
     MAX_REFINE,
     RESIDUAL_TOL,
     _validated,
-    null_space_steady,
     solve_steady,
 )
 from pairsim.sweep import TRUNCATION_TOL, _deviation, check_truncation, solve_point

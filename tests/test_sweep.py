@@ -1,6 +1,7 @@
 """Sweep configuration, execution, serialization, and CLI tests."""
 
 import concurrent.futures.process
+import fnmatch
 import importlib
 import io
 import json
@@ -30,7 +31,8 @@ from numpy.testing import assert_allclose
 import pairsim
 import pairsim.steady
 import pairsim.sweep
-from pairsim.cli import CHECK_CASES, build_parser, main, run_check
+from pairsim import cli
+from pairsim.cli import build_parser, main
 from pairsim.errors import ConfigError, ConvergenceError, TruncationError
 from pairsim.model import SectorTerms, SystemParams, sector_index
 from pairsim.observables import ELEMENT_KEYS, SCALAR_KEYS, compute_observables
@@ -1383,25 +1385,52 @@ def test_cli_point_text_reports_undef(capsys):
 def test_cli_check_battery_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
-    assert "PASS" in out
+    n = len(cli._check_points())
+    assert out.count("PASS  ") == n
     assert "FAIL" not in out
+    assert f"{n}/{n} points passed" in out
+
+
+def _nudged(value: float, rel: float, share: float) -> float:
+    """value moved by `share` of the most that `pairsim check` allows at
+    relative tolerance rel."""
+    return value + share * (rel * abs(value) + cli.CHECK_ABS_TOL) / (1.0 - rel)
 
 
 def test_check_cases_fail_outside_their_tolerance(monkeypatch, capsys):
-    driven = CHECK_CASES["driven-atom population"]
-    assert run_check(driven)[0]
-    assert not run_check(replace(driven, expected=(4.0 / 9.0 + 2e-8,)))[0]
-    # a defined value where an undefined correlation is expected, and back
-    vacuum = CHECK_CASES["vacuum fixed point"]
-    assert not run_check(replace(vacuum, quantities=("mean_n", "mean_m", "rho11", "log_neg")))[0]
-    assert not run_check(replace(vacuum, expected=(0.0, 0.0, 0.0, 0.0)))[0]
-    monkeypatch.setitem(CHECK_CASES, "driven-atom population", replace(driven, expected=(0.5,)))
-    monkeypatch.setitem(CHECK_CASES, "trace preservation", replace(driven, truncation=(0, 2)))
+    points = cli._check_points()
+    at = {(point["config"], point["role"]): point for point in points}
+    unrefined, refined = cli.CHECK_UNREFINED_REL_TOL, cli.CHECK_REL_TOL
+    # a complex LU point (unrefined) and a real one (refined), each moved
+    # just inside and just past its tolerance
+    for role, share in (("first", 0.99), ("middle", 1.01)):
+        columns = at["fig2_weak", role]["columns"]
+        columns["g2_m"] = _nudged(columns["g2_m"], unrefined, share)
+        columns = at["fig6", role]["columns"]
+        columns["mean_m"] = _nudged(columns["mean_m"], refined, share)
+    # a defined value where the packaged one is undefined
+    at["fig4", "first"]["columns"]["g2_nm"] = None
+    # a point that raises
+    at["fig5_strong", "last"]["params"]["gamma_c"] = -1.0
+    monkeypatch.setattr(cli, "_check_points", lambda: points)
     assert main(["check"]) == 2
     out = capsys.readouterr().out
-    assert "FAIL  driven-atom population" in out
-    assert "raised ConfigError" in out
-    assert "6/8 checks passed" in out
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 4
+    assert re.match(r"FAIL  fig2_weak +middle .*; g2_m \S+ \(packaged \S+\)$", failed[0])
+    assert re.match(r"FAIL  fig4 +first .*; g2_nm \S+ \(packaged undef\)$", failed[1])
+    assert re.match(r"FAIL  fig5_strong +last .*; raised ConfigError: ", failed[2])
+    assert re.match(r"FAIL  fig6 +middle .*; mean_m \S+ \(packaged \S+\)$", failed[3])
+    assert f"{len(points) - 4}/{len(points)} points passed" in out
+
+    # and an undefined value where a defined one is packaged
+    params = SystemParams(omega=0.0, gamma_c=1.0, gamma_m=1.0)
+    record, report = solve_point(params, SectorTerms.build(HilbertSpace(2, 2)))
+    columns = {**{key: getattr(record, key) for key in SCALAR_KEYS}, **record.elements}
+    assert record.g2_n is None and cli.mismatches(columns, record, report) == []
+    assert cli.mismatches({**columns, "g2_n": 1.0}, record, report) == [
+        "g2_n undef (packaged 1.00000000000000000e+00)"
+    ]
 
 
 def test_a_directory_does_not_shadow_a_shipped_config(tmp_path, monkeypatch):
@@ -1437,6 +1466,25 @@ def test_shipped_configs_parse_and_run_thinned(tmp_path):
 
 
 # ---------------------------------------------------------------- exports
+
+
+def test_package_data_globs_ship_every_file_the_package_reads():
+    # the tests import pairsim from src/, so they would pass with a data
+    # file that pyproject.toml leaves out of the wheel
+    root = Path(pairsim.__file__).parent
+    text = (root.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[tool\.setuptools\.package-data\]$(.*?)^\[", text, re.M | re.S)
+    globs = json.loads(re.search(r"^pairsim = (\[.*\])$", table.group(1), re.M).group(1))
+    data = sorted(
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*")
+        if path.is_file() and path.suffix not in (".py", ".pyc")
+    )
+    # the shipped configs and `pairsim check`'s points
+    configs = [f"configs/{name}.yaml" for name in sorted(cli._packaged_configs())]
+    assert data == ["check_points.json", *configs]
+    for name in data:
+        assert any(fnmatch.fnmatch(name, glob) for glob in globs), name
 
 
 def test_every_exported_name_resolves():
