@@ -233,31 +233,58 @@ def _nonzero_sums(rows: np.ndarray, columns: np.ndarray, values: np.ndarray, wid
     return sums.count_nonzero()
 
 
+def _hermitian_map(partner: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The map x = T y from the real unknowns y to the sector vector x of a
+    Hermitian state, and the mask of the positions below the diagonal.
+
+    y holds rho[i, i] on the diagonal, Re rho[i, j] at (i, j) and
+    Im rho[i, j] at its partner (j, i), for i < j.
+    """
+    own = np.arange(partner.size)
+    lower = partner > own
+    off = partner != own
+    return sp.csr_matrix(
+        (
+            np.concatenate([np.where(lower, -1j, 1.0), np.where(lower[off], 1j, 1.0)]),
+            (np.concatenate([own, partner[off]]), np.concatenate([own, own[off]])),
+        ),
+        shape=(partner.size, partner.size),
+    ), lower
+
+
 @dataclass(frozen=True, eq=False)
 class SectorTerms:
-    """The generator terms of one space restricted to its n - m sector.
+    """The steady-state system of one space's n - m sector, as fixed terms.
 
     Built once per space, which it carries along so that terms and space
-    cannot be mismatched.  The terms share one CSR pattern (indptr,
-    indices), the union of their own; term i keeps values[i] and
-    positions[i], where those values sit in the pattern.  L is linear in
-    the parameters, so liouvillian(params) is one weighted fill of that
-    fixed pattern.
+    cannot be mismatched.  The system is the generator L restricted to the
+    sector with row 0, rho[0, 0]'s equation (the vacuum's), replaced by
+    the trace: 1 at every diagonal entry rho[i, i], at the sector positions
+    diagonal.  The eight terms, the seven generator terms without row
+    0 and the trace row, share one CSR pattern (indptr, indices), the
+    union of their own; term i keeps values[i] and positions[i], where
+    those values sit in the pattern.  L is linear in the parameters, so
+    system(params) is one weighted fill of that fixed pattern.
 
     The sector is closed under transposition: partner[p] is the position of
     rho[j, i] when index[p] holds rho[i, j], so partner[p] > p below the
-    diagonal (i > j) and partner[p] == p on it.  levels groups the sector
-    positions by the q = n - m that rho[i, j]'s ket and bra share, q
-    ascending: level q is the block of rho on the basis states with n - m =
-    q, column-stacked, and a state in the sector is zero outside these
-    blocks.  H conserves q, sigma- keeps it, and a, b and b^dag move ket
-    and bra together by one, so L couples each level only to itself and its
-    two neighbours: ordered by level, L is block tridiagonal.
+    diagonal (i > j, the mask lower) and partner[p] == p on it.  expand is
+    the map T from the real unknowns of a Hermitian state to its sector
+    vector (_hermitian_map).  levels groups the sector positions by the q =
+    n - m that rho[i, j]'s ket and bra share, q ascending: level q is the
+    block of rho on the basis states with n - m = q, column-stacked, and a
+    state in the sector is zero outside these blocks.  H conserves q,
+    sigma- keeps it, and a, b and b^dag move ket and bra together by one,
+    so L couples each level only to itself and its two neighbours: ordered
+    by level, L is block tridiagonal.
     """
 
     space: HilbertSpace
     index: np.ndarray
     partner: np.ndarray
+    diagonal: np.ndarray
+    lower: np.ndarray
+    expand: sp.csr_matrix
     levels: tuple[np.ndarray, ...]
     indptr: np.ndarray
     indices: np.ndarray
@@ -273,6 +300,8 @@ class SectorTerms:
         it raises ValueError: the solve would drop them."""
         index = sector_index(space)
         size = index.size
+        ket, bra = index % space.dim, index // space.dim
+        diagonal = np.flatnonzero(ket == bra)
         keys, values = [], []
         for name, products in _generator_products(space):
             parts = zip(*(_sector_entries(*product, index, space.dim) for product in products))
@@ -290,22 +319,30 @@ class SectorTerms:
                 (entries[inside], (found[inside], columns[inside])), shape=(size, size)
             )
             block.eliminate_zeros()
-            # row-major keys row * size + column: sorted, they are CSR order
+            # row-major keys row * size + column: sorted, they are CSR order;
+            # row 0 is left out, the trace's
+            start = block.indptr[1]
             rows = np.repeat(np.arange(0, size * size, size), np.diff(block.indptr))
-            keys.append(rows + block.indices)
-            values.append(block.data)
+            keys.append(rows[start:] + block.indices[start:])
+            values.append(block.data[start:])
+        keys.append(diagonal)  # the trace row, row 0, of weight 1
+        values.append(np.ones(diagonal.size, dtype=complex))
         # sorted, then deduplicated by a mask: np.unique hashes, and on a
         # 2-vCPU machine took 30 of the 80 ms of a (12, 16) build, this 1.4 ms
         pattern = np.sort(np.concatenate(keys))
         pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
         idx = np.int32 if max(size, pattern.size) < 2**31 else np.int64
-        ket, bra = index % space.dim, index // space.dim
         level = (space.photon_values() - space.phonon_values())[ket]
         by_level = np.argsort(level, kind="stable")  # positions ascending in a level
+        partner = np.searchsorted(index, bra + ket * space.dim)
+        expand, lower = _hermitian_map(partner)
         return cls(
             space,
             index,
-            partner=np.searchsorted(index, bra + ket * space.dim),
+            partner=partner,
+            diagonal=diagonal,
+            lower=lower,
+            expand=expand,
             levels=tuple(np.split(by_level, np.flatnonzero(np.diff(level[by_level])) + 1)),
             indptr=np.searchsorted(pattern, np.arange(0, size * size + 1, size)).astype(idx),
             indices=(pattern % size).astype(idx),
@@ -313,16 +350,17 @@ class SectorTerms:
             values=tuple(values),
         )
 
-    def liouvillian(self, params: SystemParams) -> sp.csr_matrix:
-        """L restricted to the sector, for the given parameters.
+    def system(self, params: SystemParams) -> sp.csr_matrix:
+        """The trace-replaced sector system for the given parameters: rows
+        1 and up are those of L restricted to the sector, row 0 the trace.
 
-        Term by term in _coefficients order, zero weights skipped: the
-        arithmetic of _combine's sparse sums, so the matrix is the same bit
-        for bit.  Like csr + csr, it drops exact zeros; an explicit zero
-        would change the column order of the LU.
+        Term by term in _coefficients order, zero weights skipped, the
+        trace last: the arithmetic of _combine's sparse sums, so each row
+        of L is the same bit for bit.  Like csr + csr, it drops exact zeros;
+        an explicit zero would change the column order of the LU.
         """
         data = np.zeros(self.indices.size, dtype=complex)
-        for coeff, pos, values in zip(_coefficients(params), self.positions, self.values):
+        for coeff, pos, values in zip((*_coefficients(params), 1.0), self.positions, self.values):
             if coeff != 0:
                 data[pos] += values * coeff
         size = self.index.size

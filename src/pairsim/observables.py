@@ -149,9 +149,9 @@ def _elements(x: np.ndarray, terms: SectorTerms, pops: np.ndarray) -> dict[str, 
 def compute_observables(x: np.ndarray, terms: SectorTerms) -> ObservableRecord:
     """Evaluate the full record reported by sweeps from the sector state x
     on terms, with no array larger than the sector.  The populations are
-    the entries that are their own partner, in basis order."""
+    the diagonal entries (terms.diagonal), in basis order."""
     space = terms.space
-    pops = x[terms.partner == np.arange(x.size)].real
+    pops = x[terms.diagonal].real
     nvals = space.photon_values().astype(float)
     mvals = space.phonon_values().astype(float)
     return ObservableRecord(

@@ -4,15 +4,16 @@ solve_steady(params, terms) solves L vec(rho) = 0 on the n - m sector of a
 model.SectorTerms, which owns that sector: its index, the generator terms
 restricted to it, and the check, made when the terms are built, that no
 term leaves it (model.sector_index says why solving there is exact).  The
-solver takes the point, not an operator: L is the terms' own weighted fill
-for params (SectorTerms.liouvillian), so it cannot come from another
-truncation.  The row of the diagonal element rho[0, 0] is replaced by the
-trace functional, which trace preservation makes linearly dependent on the
-other diagonal rows.  It is the one sector solver: sweep rows, the
-truncation check, the command line and library callers all call it, and
-it alone picks the factor, by the sector's size.  Up to
-COMPLEX_LU_UNKNOWNS unknowns (the constant's comment says why there) one
-unrefined complete sparse LU of the complex system solves it.
+solver takes the point, not an operator: the system it factors is the
+terms' own weighted fill for params (SectorTerms.system), so it cannot
+come from another truncation.  In that system the row of the diagonal
+element rho[0, 0] is replaced by the trace functional, which trace
+preservation makes linearly dependent on the other diagonal rows; the
+terms carry the trace row as one more fixed term.  It is the one sector
+solver: sweep rows, the truncation check, the command line and library
+callers all call it, and it alone picks the factor, by the sector's
+size.  Up to COMPLEX_LU_UNKNOWNS unknowns (the constant's comment says why
+there) one unrefined complete sparse LU of the complex system solves it.
 
 A larger sector is solved in real arithmetic.  L preserves Hermiticity, so
 rho[j, i] is the conjugate of rho[i, j], and the sector, closed under
@@ -102,9 +103,12 @@ COMPLEX_LU_UNKNOWNS = 1000
 class SolveReport:
     """Diagnostics attached to a steady-state solution.
 
-    unknowns is the size of the n - m sector that was solved and lu_nnz
-    the entries SuperLU stores for its LU factors, supernodal padding
-    included: 60897 at a (5, 5) point whose L and U hold 53286 nonzeros.
+    residual_norm is ||S x - e0||, S the trace-replaced sector system
+    (SectorTerms.system) and x the solved state before Hermitization, in
+    complex arithmetic on either path (at most RESIDUAL_TOL).  unknowns is
+    the size of the n - m sector that was solved and lu_nnz the entries
+    SuperLU stores for its LU factors, supernodal padding included: 60897
+    at a (5, 5) point whose L and U hold 53286 nonzeros.
     refine_steps counts the iterative-refinement steps taken after the
     first solve: 0 for a sector of at most COMPLEX_LU_UNKNOWNS unknowns,
     whose complete complex LU is not refined.  min_eigenvalue is the
@@ -349,68 +353,53 @@ def _preconditioned(
 
 
 def solve_steady(params: SystemParams, terms: SectorTerms) -> tuple[np.ndarray, SolveReport]:
-    """Solve L vec(rho) = 0 with unit trace in the n - m sector of terms,
-    for L = terms.liouvillian(params).
+    """Solve L vec(rho) = 0 with unit trace in the n - m sector of terms:
+    the system S = terms.system(params), rows 1 and up of L and the trace
+    in row 0, with right-hand side e0.
 
     Returns the state's Hermitized sector vector x (terms.index.size
-    entries) and a report carrying the residual of the unmodified L; a
-    degenerate steady state raises DegenerateSteadyStateError.  The sector's
-    size picks the factor, by the measurements in COMPLEX_LU_UNKNOWNS'
-    comment.  Up to that many unknowns one complete complex LU of L solves
-    the system, unrefined.  A larger sector is solved in real arithmetic
-    (_preconditioned) and refined, which is also the more accurate: at
-    fig5_weak on (6, 12), 2100 unknowns, the complex LU's g2_n differs from
-    the real solve's by 2.5e-7 relative at gamma_m = 100, where the real
-    solve matches the 40-digit oracle (tests/test_oracle.py), and by
-    4.0e-10 at gamma_m = 0.01.
+    entries) and a report carrying ||S x - e0|| for x before Hermitization;
+    a degenerate steady state raises DegenerateSteadyStateError.  The
+    sector's size picks the factor, by the measurements in
+    COMPLEX_LU_UNKNOWNS' comment.  Up to that many unknowns one complete
+    complex LU of S solves the system, unrefined.  A larger sector is
+    solved in real arithmetic (_preconditioned) and refined, which is also
+    the more accurate: at fig5_weak on (6, 12), 2100 unknowns, the complex
+    LU's g2_n differs from the real solve's by 2.5e-7 relative at gamma_m =
+    100, where the real solve matches the 40-digit oracle
+    (tests/test_oracle.py), and by 4.0e-10 at gamma_m = 0.01.
 
-    The real unknowns are y with x = T y (_hermitian_map): as many real
+    The real unknowns are y with x = T y (terms.expand): as many real
     numbers as complex ones, since the sector is closed under transposition.
-    The equations are the real parts of the rows i <= j of L T and, at each
-    position i > j, the imaginary part of its partner row.  Every stored
-    complex entry of L T keeps a real and an imaginary entry, zero or not,
+    The equations are the real parts of the rows i <= j of S T and, at each
+    position i > j, the imaginary part of its partner row; row 0 of S T is
+    the trace in the real unknowns, 1 at each diagonal y.  Every stored
+    complex entry of S T keeps a real and an imaginary entry, zero or not,
     so the pattern keeps its 2 x 2 blocks and COLAMD orders it as well as
     the complex one; real SuperLU then stores about half the bytes.  The
-    residual is that of the complex L on x, so a generator that does not
+    residual is that of the complex S on x, so a generator that does not
     preserve Hermiticity fails validation instead of returning a state.
 
-    Row 0 of the system, rho[0, 0] (index[0] = 0), is replaced by the trace
-    functional: 1 at the diagonal entries rho[i, i] (k = i (dim + 1)),
-    which are unknowns of the complex and of the real system alike.  The
-    replaced equation must be the vacuum's, |g, 0, 0>'s.  Trace preservation
-    makes any one diagonal equation depend on the others, but not in
-    rounding: solved on the real path, replacing another one moved g2_m by
-    up to 1.8e-7 at (3, 4), where a 40-digit solve agrees with this one to
-    float64 rounding, and by up to 7.4e-6 at (12, 16).  _level_sweep orders
-    the unknowns by level only inside the preconditioner, so the equations
-    stay these.  The result is assembled from the system's CSR arrays and
+    The replaced equation must be the vacuum's, |g, 0, 0>'s (index[0] = 0).
+    Trace preservation makes any one diagonal equation depend on the
+    others, but not in rounding: solved on the real path, replacing another
+    one moved g2_m by up to 1.8e-7 at (3, 4), where a 40-digit solve agrees
+    with this one to float64 rounding, and by up to 7.4e-6 at (12, 16).
+    _level_sweep orders the unknowns by level only inside the
+    preconditioner, so the equations stay these.  The factored matrix is
     converted to CSC once.  x is validated level by level and returned
     Hermitized.
     """
-    lv = terms.liouvillian(params)
-    space, dim = terms.space, terms.space.dim
+    system = terms.system(params)
+    space = terms.space
     real = terms.index.size > COMPLEX_LU_UNKNOWNS
-    if real:
-        expand, lower = _hermitian_map(terms.partner)
-        system = _real_system(lv, expand, lower, terms.partner)
-    else:
-        system = lv
-    trace_cols = np.flatnonzero(terms.index % (dim + 1) == 0).astype(system.indices.dtype)
-    start = system.indptr[1]
-    modified = sp.csr_matrix(
-        (
-            np.concatenate([np.ones(trace_cols.size, dtype=system.dtype), system.data[start:]]),
-            np.concatenate([trace_cols, system.indices[start:]]),
-            np.concatenate([[0], system.indptr[1:] - start + trace_cols.size]),
-        ),
-        shape=system.shape,
-    ).tocsc()
-    rhs = np.zeros(system.shape[0], dtype=system.dtype)
+    modified = (_real_system(system, terms) if real else system).tocsc()
+    rhs = np.zeros(system.shape[0], dtype=modified.dtype)
     rhs[0] = 1.0
-    del system  # the real system is freed here; L stays for the residual
 
-    # the factor is released before validation allocates, so that its
-    # pages can be reused instead of adding to the peak
+    # the factor and the real matrix are released before validation
+    # allocates, so that their pages can be reused instead of adding to
+    # the peak; S stays for the residual
     if real:
         y, lu_nnz, steps = _preconditioned(terms.levels, modified, rhs)
     else:
@@ -418,8 +407,8 @@ def solve_steady(params: SystemParams, terms: SectorTerms) -> tuple[np.ndarray, 
         y, lu_nnz, steps = lu.solve(rhs), int(lu.nnz), 0
         del lu
     del modified
-    x = expand @ y if real else y
-    norm = float(np.linalg.norm(lv @ x))
+    x = terms.expand @ y if real else y
+    norm = float(np.linalg.norm(system @ x - rhs))
     x, min_eig = _validated(x, terms.partner, terms.levels, norm, "solve_steady")
     return x, SolveReport(
         residual_norm=norm,
@@ -431,30 +420,10 @@ def solve_steady(params: SystemParams, terms: SectorTerms) -> tuple[np.ndarray, 
     )
 
 
-def _hermitian_map(partner: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The map x = T y from the real unknowns y to the sector vector x of a
-    Hermitian state, and the mask of the positions below the diagonal.
-
-    y holds rho[i, i] on the diagonal, Re rho[i, j] at (i, j) and
-    Im rho[i, j] at its partner (j, i), for i < j.
-    """
-    own = np.arange(partner.size)
-    lower = partner > own
-    off = partner != own
-    return sp.csr_matrix(
-        (
-            np.concatenate([np.where(lower, -1j, 1.0), np.where(lower[off], 1j, 1.0)]),
-            (np.concatenate([own, partner[off]]), np.concatenate([own, own[off]])),
-        ),
-        shape=(partner.size, partner.size),
-    ), lower
-
-
-def _real_system(
-    lv: sp.csr_matrix, expand: sp.csr_matrix, lower: np.ndarray, partner: np.ndarray
-) -> sp.csr_matrix:
-    """The real equations of solve_steady in CSR: rows of L T, the real part
+def _real_system(system: sp.csr_matrix, terms: SectorTerms) -> sp.csr_matrix:
+    """The real equations of solve_steady in CSR: rows of S T, the real part
     at i <= j and the imaginary part of the partner row at i > j."""
-    rows = (lv @ expand)[np.where(lower, partner, np.arange(lower.size))]
+    lower = terms.lower
+    rows = (system @ terms.expand)[np.where(lower, terms.partner, np.arange(lower.size))]
     parts = np.where(np.repeat(lower, np.diff(rows.indptr)), rows.data.imag, rows.data.real)
-    return sp.csr_matrix((parts, rows.indices, rows.indptr), shape=lv.shape)
+    return sp.csr_matrix((parts, rows.indices, rows.indptr), shape=system.shape)

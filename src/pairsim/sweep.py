@@ -424,7 +424,7 @@ def _one_blas_thread():
     does the check, so that its record does not depend on the environment's
     thread count.  The count is process-wide: other threads of the process
     get one BLAS thread meanwhile too.  A worker process forked under a
-    hold starts with the pin and holds it again around each row.
+    hold starts with the pin.
 
     Holders may overlap, as two sweeps on two threads or a point solved
     during a sweep do: the first holder saves the counts and pins them, and
@@ -481,8 +481,7 @@ def _start_worker(config: SweepConfig, terms: SectorTerms) -> None:
 
 
 def _worker_run(values: list[float]) -> list[SweepRow]:
-    with _one_blas_thread():
-        return [_solve_row(*_worker_sweep, value) for value in values]
+    return [_solve_row(*_worker_sweep, value) for value in values]
 
 
 def run_sweep(

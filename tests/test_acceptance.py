@@ -404,14 +404,18 @@ def test_shipped_sweep_matches_its_reference(name, sweep_results, tmp_path, monk
 def test_shipped_sweeps_match_the_packaged_check_points(sweep_results):
     # every shipped sweep's first, middle and last rows and its truncation
     # check, as this session ran them, against the points `pairsim check`
-    # solves, by its rule; and each point is its config's, as the YAML
-    # gives it today
+    # solves, by its rule; and each point is its config's, loaded by name
+    # as `pairsim sweep NAME` loads it, as the YAML gives it today
+    assert sorted(cli._packaged_configs()) == [
+        "fig2_strong", "fig2_weak", "fig4", "fig5_strong", "fig5_weak", "fig6", "fig7",
+    ]
     points = cli._check_points()
     roles: dict[str, list[str]] = {}
     for point in points:
         name, role = point["config"], point["role"]
         roles.setdefault(name, []).append(role)
         config = cli._load_config_arg(name)
+        assert config.name == name
         result = sweep_results[name]
         assert point["axis"] == config.axis, (name, role)
         assert point["params"] == asdict(config.params_at(point["axis_value"])), (name, role)

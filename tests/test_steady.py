@@ -84,35 +84,60 @@ def sector_solve(params: SystemParams, space: HilbertSpace):
 
 
 def per_point_liouvillian(params: SystemParams, space: HilbertSpace):
-    """Oracle for SectorTerms.liouvillian: each generator term sliced to the
-    sector and the blocks summed by _combine, rebuilt for every point."""
+    """Oracle for L on the sector, rows 1 and up of SectorTerms.system: each
+    generator term sliced to the sector and the blocks summed by _combine,
+    rebuilt for every point."""
     index = sector_index(space)
     blocks = [term[:, index][index] for _, term in pairsim.model._generator_terms(space)]
     return pairsim.model._combine(params, blocks, index.size)
 
 
+def hermitian_map(index: np.ndarray, partner: np.ndarray, dim: int) -> sp.csr_matrix:
+    """Oracle for SectorTerms.expand, row by row: x[p] = y[p] on the
+    diagonal, y[p] + i y[partner] above it (i < j) and y[partner] - i y[p]
+    below it, for rho[i, j] at index[p]."""
+    ket, bra = index % dim, index // dim
+    own = np.arange(index.size)
+    off = ket != bra
+    return sp.csr_matrix(
+        (
+            np.concatenate([np.where(ket > bra, -1j, 1.0), np.where(ket[off] < bra[off], 1j, 1.0)]),
+            (np.concatenate([own, own[off]]), np.concatenate([own, partner[off]])),
+        ),
+        shape=(index.size, index.size),
+    )
+
+
 def sliced_sector_terms(space: HilbertSpace) -> SectorTerms:
     """Oracle for SectorTerms.build: every full-space generator term formed
-    and then sliced to the sector, and the pattern, positions and values
-    taken from the slices; partner and levels by direct lookup."""
+    and then sliced to the sector, its row 0 dropped, and the trace row
+    appended; the pattern, positions and values taken from the slices;
+    partner, the diagonal, the real map and levels by direct lookup."""
     index = sector_index(space)
     size = index.size
+    diagonal = np.flatnonzero(index % (space.dim + 1) == 0)
     keys, values = [], []
     for _, term in pairsim.model._generator_terms(space):
         block = term[:, index][index]
         block.sum_duplicates()
         rows = np.repeat(np.arange(0, size * size, size), np.diff(block.indptr))
-        keys.append(rows + block.indices)
-        values.append(block.data)
+        keys.append((rows + block.indices)[rows > 0])
+        values.append(block.data[rows > 0])
+    keys.append(diagonal)
+    values.append(np.ones(diagonal.size, dtype=complex))
     pattern = np.unique(np.concatenate(keys))
     ket, bra = index % space.dim, index // space.dim
     position = np.full(space.dim**2, -1)
     position[index] = np.arange(size)
+    partner = position[bra + ket * space.dim]
     q = space.photon_values() - space.phonon_values()
     return SectorTerms(
         space,
         index,
-        partner=position[bra + ket * space.dim],
+        partner=partner,
+        diagonal=diagonal,
+        lower=ket > bra,
+        expand=hermitian_map(index, partner, space.dim),
         levels=tuple(np.flatnonzero(q[ket] == value) for value in np.unique(q)),
         indptr=np.searchsorted(pattern, np.arange(0, size * size + 1, size)).astype(np.int32),
         indices=(pattern % size).astype(np.int32),
@@ -159,13 +184,20 @@ ZERO_PATTERNS = [
 ]
 
 
-SECTOR_FIELDS = ("index", "partner", "levels", "indptr", "indices", "positions", "values")
+SECTOR_FIELDS = (
+    "index", "partner", "diagonal", "lower", "levels", "indptr", "indices", "positions", "values"
+)
+
+
+def assert_same_terms(got: SectorTerms, want: SectorTerms):
+    assert_same_arrays(got, want, SECTOR_FIELDS)
+    assert got.expand.nnz == want.expand.nnz and (got.expand != want.expand).nnz == 0
 
 
 @pytest.mark.parametrize("levels", [(2, 3), (5, 5), (6, 14)])
 def test_sector_terms_equal_the_sliced_full_terms_bit_for_bit(levels):
     space = HilbertSpace(*levels)
-    assert_same_arrays(SectorTerms.build(space), sliced_sector_terms(space), SECTOR_FIELDS)
+    assert_same_terms(SectorTerms.build(space), sliced_sector_terms(space))
 
 
 def test_sector_terms_build_never_forms_full_space_terms():
@@ -191,9 +223,8 @@ def test_pattern_fill_reproduces_the_per_point_sum_bit_for_bit(levels, monkeypat
     factored = []
     splu = spla.splu
     for params in ZERO_PATTERNS + ZERO_PATTERNS[::-1]:
-        lv = terms.liouvillian(params)
         oracle = per_point_liouvillian(params, space)
-        assert_same_arrays(lv, oracle, ("data", "indices", "indptr"))
+        assert_same_arrays(terms.system(params)[1:], oracle[1:], ("data", "indices", "indptr"))
         want_modified, want_rho = per_point_solve(oracle, space)
         monkeypatch.setattr(spla, "splu", lambda a: factored.append(a) or splu(a))
         x, _ = solve_steady(params, terms)
@@ -201,7 +232,7 @@ def test_pattern_fill_reproduces_the_per_point_sum_bit_for_bit(levels, monkeypat
         assert_same_arrays(factored.pop(), want_modified, ("data", "indices", "indptr"))
         assert terms.density_matrix(x).tobytes() == want_rho.tobytes()
     # the fill and the LU assembly leave the shared template as built
-    assert_same_arrays(terms, SectorTerms.build(space), SECTOR_FIELDS)
+    assert_same_terms(terms, SectorTerms.build(space))
 
 
 def observable_values(x, terms: SectorTerms) -> list[float]:
@@ -422,11 +453,37 @@ def test_sector_terms_restrict_the_full_liouvillian():
     params, space = CANONICAL_POINTS[2][0], HilbertSpace(2, 3)
     index = sector_index(space)
     full = build_liouvillian(params, space)
-    sector = SectorTerms.build(space).liouvillian(params)
-    assert abs(sector - full[index][:, index]).max() <= 1e-12
+    system = SectorTerms.build(space).system(params)
+    assert abs(system[1:] - full[index][:, index][1:]).max() <= 1e-12
     # L maps the sector into itself: no sector column reaches outside it
     outside = np.setdiff1d(np.arange(space.dim**2), index)
     assert full[outside][:, index].count_nonzero() == 0
+
+
+@pytest.mark.parametrize("levels", [(5, 5), (6, 8)], ids=["complex", "real"])
+def test_sector_system_is_l_with_the_trace_in_row_0(levels, monkeypatch):
+    # rows 1 and up are L's bit for bit, and row 0 is the trace, in the
+    # complex unknowns and, through T, in the real ones; the report's
+    # residual is that of this system on the state before Hermitization
+    space = HilbertSpace(*levels)
+    terms = SectorTerms.build(space)
+    assert (terms.index.size > pairsim.steady.COMPLEX_LU_UNKNOWNS) == (levels == (6, 8))
+    params = CANONICAL_POINTS[2][0]  # every term on, m_th > 0 included
+    system = terms.system(params)
+    oracle = per_point_liouvillian(params, space)
+    assert_same_arrays(system[1:], oracle[1:], ("data", "indices", "indptr"))
+    own = np.flatnonzero(terms.partner == np.arange(terms.index.size))
+    assert terms.diagonal.tolist() == own.tolist()
+    for row in (system[0], pairsim.steady._real_system(system, terms)[0]):
+        row.sort_indices()
+        assert row.indices.tolist() == terms.diagonal.tolist()
+        assert (row.data == 1.0).all()
+    states = unvalidated_states(monkeypatch)
+    _, report = solve_steady(params, terms)
+    (x,) = states
+    e0 = np.zeros(terms.index.size)
+    e0[0] = 1.0
+    assert report.residual_norm == float(np.linalg.norm(system @ x - e0))
 
 
 def test_generator_without_the_symmetry_is_rejected(monkeypatch):
@@ -499,7 +556,7 @@ REAL_SOLVE_POINTS = [
 @pytest.mark.parametrize("params, space", REAL_SOLVE_POINTS)
 def test_real_solve_matches_the_complex_solve(params, space, real_path):
     terms = SectorTerms.build(space)
-    _, rho = per_point_solve(terms.liouvillian(params), space)
+    _, rho = per_point_solve(per_point_liouvillian(params, space), space)
     want = sector_state(rho, terms)
     x, report = solve_steady(params, terms)
     assert_allclose(x, want, rtol=0, atol=1e-12)
@@ -563,15 +620,17 @@ def sector_levels(terms: SectorTerms) -> np.ndarray:
 @pytest.mark.parametrize("levels", [(3, 4), (5, 5), (6, 8)])
 def test_level_order_makes_the_sector_block_tridiagonal(levels, monkeypatch, real_path):
     # the premise of the level preconditioner: ordered by q, the complex L
-    # and the trace-replaced real system couple each level to itself and
-    # its neighbours only; the trace row, in level 0, is the one exception
+    # and the trace-replaced complex and real systems couple each level to
+    # itself and its neighbours only; the trace row, in level 0, is the one
+    # exception
     terms = SectorTerms.build(HilbertSpace(*levels))
     level = sector_levels(terms)
     params = CANONICAL_POINTS[2][0]  # every term on, m_th > 0 included
     systems = level_sweeps(monkeypatch)
     solve_steady(params, terms)
     (real,) = systems
-    for matrix, skip in ((terms.liouvillian(params), None), (real, 0)):
+    lv = per_point_liouvillian(params, terms.space)
+    for matrix, skip in ((lv, None), (terms.system(params), 0), (real, 0)):
         coo = matrix.tocoo()
         kept = coo.row != skip
         steps = np.abs(level[coo.row[kept]] - level[coo.col[kept]])
@@ -611,12 +670,12 @@ def test_trace_replaces_the_vacuum_equation(monkeypatch, request):
     terms = SectorTerms.build(space)
     assert space.index(0, 0, 0) == 0 and terms.index[0] == 0
     diagonal = np.flatnonzero(terms.index % (space.dim + 1) == 0)
+    assert terms.diagonal.tolist() == diagonal.tolist()
     params = replace(FIG5_WEAK_LOW, gamma_m=100.0)
-    systems, modified = [terms.liouvillian(params)], []  # the complex system is L
-    real_system, complete = pairsim.steady._real_system, pairsim.steady._complete_lu
-    monkeypatch.setattr(
-        pairsim.steady, "_real_system", lambda *a: systems.append(real_system(*a)) or systems[-1]
-    )
+    # the equations of L, and the real ones of L T, rows 0 included
+    lv = per_point_liouvillian(params, space)
+    systems, modified = [lv, pairsim.steady._real_system(lv, terms)], []
+    complete = pairsim.steady._complete_lu
     monkeypatch.setattr(
         pairsim.steady, "_complete_lu", lambda a: modified.append(a) or complete(a)
     )

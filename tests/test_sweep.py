@@ -1441,30 +1441,6 @@ def test_a_directory_does_not_shadow_a_shipped_config(tmp_path, monkeypatch):
     assert _load_config_arg("fig2_weak").name == "fig2_weak"
 
 
-def test_shipped_configs_parse_and_run_thinned(tmp_path):
-    from pairsim.cli import _load_config_arg, _packaged_configs
-
-    names = sorted(_packaged_configs())
-    assert names == [
-        "fig2_strong", "fig2_weak", "fig4", "fig5_strong", "fig5_weak",
-        "fig6", "fig7",
-    ]
-    for name in names:
-        config = _load_config_arg(name)
-        assert config.name == name
-        values = config.axis_values
-        thinned = replace(
-            config,
-            axis_values=(values[0], values[len(values) // 2], values[-1]),
-            strict_truncation=False,
-            output_path=None,
-        )
-        result = run_sweep(thinned)
-        for row in result.rows:
-            assert row.error is None, f"{name} @ {row.axis_value}: {row.error}"
-            assert row.report.residual_norm < 1e-10
-
-
 # ---------------------------------------------------------------- exports
 
 
