@@ -37,14 +37,14 @@ Every sweep solves its rows on forked worker processes, one pool of
 _row_workers processes for every row: the rows are independent, and
 processes overlap the real solve's SuperLU triangular solves, which two
 threads ran slower than one (README, "Concurrent rows", gives the
-measurements).  The worker count is bounded, which bounds memory.  The
-pool takes the rows to solve in ROW_RUNS contiguous runs, fixed by the
-grid alone, and the workers inherit the sweep's config and sector terms
-from the calling process instead of receiving them.  Rows run serially
-in the calling process where forking is not safe or gains nothing: off
-Linux, with one worker, or while another Python thread is alive, since a
-forked child gets a copy of every lock another thread holds and none of
-the threads that would release it.
+measurements).  The pool takes the rows to solve in at most ROW_RUNS
+contiguous runs, fixed by the grid alone, and has one worker per run up
+to the CPUs available; the workers inherit the sweep's config and sector
+terms from the calling process instead of receiving them.  Rows run
+serially in the calling process where forking is not safe or gains
+nothing: off Linux, with one worker, or while another Python thread is
+alive, since a forked child gets a copy of every lock another thread
+holds and none of the threads that would release it.
 The rows and the check call a one-thread BLAS (_one_blas_thread):
 spinning BLAS threads would take the CPUs the other rows need, and one
 policy for every sweep makes each row's arithmetic that of a serial
@@ -77,7 +77,7 @@ from . import __version__
 from .errors import ConfigError, PairsimError, TruncationError
 # build_liouvillian is not called here; it stays importable from this
 # module because bench/child.py traces calls through sweep's names.
-from .model import SectorTerms, SystemParams, build_liouvillian, sector_index  # noqa: F401
+from .model import SectorTerms, SystemParams, build_liouvillian  # noqa: F401
 from .observables import ELEMENT_KEYS, SCALAR_KEYS, ObservableRecord, compute_observables
 from .operators import HilbertSpace
 from .steady import SolveReport, solve_steady
@@ -105,9 +105,10 @@ ERROR_TOKEN = "error"
 # truncation-doubling check accepts.
 TRUNCATION_TOL = 1e-6
 
-# The number of contiguous runs in which a sweep's worker processes take
-# the rows it solves, whatever their number: runs of ceil(solved rows /
-# ROW_RUNS) rows, a mirrored row of a delta sweep being solved by none.
+# The most contiguous runs in which a sweep's worker processes take the
+# rows it solves, whatever their number: runs of ceil(solved rows /
+# ROW_RUNS) rows (9 rows make 5 runs), a mirrored row of a delta sweep
+# being solved by none.
 ROW_RUNS = 8
 
 _CSV_COLUMNS = ("axis", *SCALAR_KEYS, *ELEMENT_KEYS, "residual", "converged")
@@ -345,26 +346,23 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
     }
 
 
-def _row_workers(config: SweepConfig, unknowns: int, rows: int) -> int:
-    """Processes that solve `rows` rows of `config`, whose sector has
-    `unknowns`: the rows the sweep solves, without its mirrored ones.
-
-    min(CPUs available to the process, rows, doubled-sector unknowns //
-    row-sector unknowns), for rows of either solve, checked or not.  The
-    ratio is 6 for every shipped config, and it bounds memory: each worker
-    holds one row's factor and solve at a time, so the sweep's memory grows
-    with the workers.  Each forked worker of a shipped sweep peaked at 49-54
-    MiB RSS on a 2-vCPU machine, which counts in full the pages it shares
-    with the calling process since the fork; 6-10 MiB of it was the
-    worker's own (README, "Concurrent rows", gives the peaks).
+def _row_workers(runs: int) -> int:
+    """Processes that solve a sweep's `runs` runs of rows: min(CPUs
+    available to the process, runs), for rows of either solve, checked or
+    not.  A worker takes a run at a time, so more workers than runs would
+    only be forked to wait, and runs <= ROW_RUNS caps the pool.  Each worker
+    holds one row's factor and solve at a time, and the pool is shut down
+    before the truncation check factors the doubled sector.  Each forked
+    worker of a shipped sweep peaked at 49-54 MiB RSS on a 2-vCPU machine,
+    which counts in full the pages it shares with the calling process since
+    the fork; 6-10 MiB of it was the worker's own (README, "Concurrent
+    rows", gives the peaks).
     """
-    n_c, n_m = config.truncation
-    doubled = sector_index(HilbertSpace(2 * n_c, 2 * n_m)).size
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not available on every platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, rows, doubled // unknowns))
+    return min(cpus, runs)
 
 
 # thread-count getter and setter of each OpenBLAS build: plain (32- and
@@ -417,14 +415,12 @@ def _one_blas_thread():
     Every sweep's rows and truncation check run under it.  Concurrent rows
     need it: OpenBLAS threads spin while they wait for work, so rows whose
     LU calls a threaded BLAS run slower side by side than one after the
-    other.  On a 2-vCPU machine, with OpenBLAS's default two threads, fig6's
-    rows took about 5.5 s serially, 8 to 9 s on two worker threads and about
-    3 s on two worker threads with one BLAS thread.  Serial rows take it
-    too, so that a row rounds the same on any number of workers, and so
-    does the check, so that its record does not depend on the environment's
-    thread count.  The count is process-wide: other threads of the process
-    get one BLAS thread meanwhile too.  A worker process forked under a
-    hold starts with the pin.
+    other (README, "Concurrent rows").  Serial rows take it too, so that a
+    row rounds the same on any number of workers, and so does the check, so
+    that its record does not depend on the environment's thread count.  The
+    count is process-wide: other threads of the process get one BLAS thread
+    meanwhile too.  A worker process forked under a hold starts with the
+    pin.
 
     Holders may overlap, as two sweeps on two threads or a point solved
     during a sweep do: the first holder saves the counts and pins them, and
@@ -448,11 +444,13 @@ def _one_blas_thread():
 
 
 def _solve_row(config: SweepConfig, terms: SectorTerms, value: float) -> SweepRow:
-    """The row of one grid point; a PairsimError becomes its error row."""
+    """The row of one grid point.  Any Exception becomes its error row: a
+    PairsimError's message, and another's "<TypeName>: <message>"."""
     try:
         record, report = solve_point(config.params_at(value), terms)
-    except PairsimError as exc:
-        return SweepRow(axis_value=value, record=None, report=None, error=str(exc))
+    except Exception as exc:
+        error = str(exc) if isinstance(exc, PairsimError) else f"{type(exc).__name__}: {exc}"
+        return SweepRow(axis_value=value, record=None, report=None, error=error)
     return SweepRow(axis_value=value, record=record, report=report)
 
 
@@ -507,32 +505,36 @@ def run_sweep(
     only; never make a grid symmetric to solve fewer rows.
 
     The rows to solve are solved on _row_workers forked processes, which
-    take them in ROW_RUNS contiguous runs and inherit the config and the
-    sector terms.  They run serially in this process instead off Linux
-    (Python defaults to spawn on macOS, whose system libraries are not
-    safe to fork), with one worker, or while another Python thread is
-    alive (a second sweep, or a _one_blas_thread holder, on another
-    thread).  Python 3.14 defaults to forkserver on Linux too, for that
-    thread hazard, which the rule keeps out; spawn and forkserver would
-    re-import numpy and scipy in every worker.  Rows and check alike are
-    solved with every loaded OpenBLAS held at one thread
+    take them in contiguous runs of ceil(rows to solve / ROW_RUNS) rows and
+    inherit the config and the sector terms.  They run serially in this
+    process instead off Linux (Python defaults to spawn on macOS, whose
+    system libraries are not safe to fork), with one worker, or while
+    another Python thread is alive (a second sweep, or a _one_blas_thread
+    holder, on another thread).  Python 3.14 defaults to forkserver on
+    Linux too, for that thread hazard, which the rule keeps out; spawn and
+    forkserver would re-import numpy and scipy in every worker.  Rows and
+    check alike are solved with every loaded OpenBLAS held at one thread
     (_one_blas_thread), restored after, and the check runs here after the
     rows.  Rows come back in axis order, a run at a time (a serial run is
     one row).  Every row a run releases, its mirrors among them, is built
     first; then `progress(done, total)` is called from the calling thread
-    once for each of them, so once per grid row.  An exception other than
-    a PairsimError, or an interrupt, cancels the runs not yet handed to a
-    worker and propagates once the handed ones finish; a worker that dies
-    raises BrokenProcessPool.  No worker outlives the call.
+    once for each of them, so once per grid row.  A row whose solve raises
+    an Exception is an error row (_solve_row), and the other rows are
+    solved.  An exception raised in this process, as one from `progress`,
+    or an interrupt, cancels the runs not yet handed to a worker and
+    propagates once the handed ones finish; a worker that dies raises
+    BrokenProcessPool.  No worker outlives the call.
     """
     terms = SectorTerms.build(HilbertSpace(*config.truncation))
     values = config.axis_values
     sources = _mirror_sources(config)
     solve = [value for value, source in zip(values, sources) if source is None]
+    size = -(-len(solve) // ROW_RUNS)
+    runs = [solve[k : k + size] for k in range(0, len(solve), size)]
     rows: list[SweepRow] = []
     truncation_check = None
     with _one_blas_thread():
-        workers = _row_workers(config, terms.index.size, len(solve))
+        workers = _row_workers(len(runs))
         pool = None
         if workers > 1 and sys.platform == "linux" and threading.active_count() == 1:
             # imported here, so that loading a config does not pay for them
@@ -547,15 +549,11 @@ def run_sweep(
             )
         try:
             if pool is None:
-                runs = ([_solve_row(config, terms, value)] for value in solve)
+                released = ([_solve_row(config, terms, value)] for value in solve)
             else:
-                size = -(-len(solve) // ROW_RUNS)
-                futures = [
-                    pool.submit(_worker_run, solve[k : k + size])
-                    for k in range(0, len(solve), size)
-                ]
-                runs = (future.result() for future in futures)
-            for run in runs:
+                futures = [pool.submit(_worker_run, run) for run in runs]
+                released = (future.result() for future in futures)
+            for run in released:
                 done = len(rows)
                 solved = iter(run)
                 # the run's rows in grid order, and the mirrors up to the

@@ -683,8 +683,8 @@ def test_concurrent_rows_equal_the_calling_thread_rows(monkeypatch, tmp_path):
     )
     config = make_config(axis_values=tuple(0.05 * k - 0.3 for k in range(13)))
     strict = replace(config, strict_truncation=True)
-    unknowns = sector_index(HilbertSpace(3, 3)).size
-    assert _row_workers(strict, unknowns, len(config.axis_values)) == 5
+    # 13 rows make 7 runs of ceil(13 / ROW_RUNS) = 2 rows, so 7 workers
+    assert _row_workers(7) == 7
     pooled = run_sweep(strict)
     # the rows solve in several worker processes, the check last, here
     *rows, (check, _) = solves()
@@ -695,7 +695,7 @@ def test_concurrent_rows_equal_the_calling_thread_rows(monkeypatch, tmp_path):
     for start in range(0, len(config.axis_values), 2):
         assert len({pids[value] for value in config.axis_values[start : start + 2]}) == 1
     set_cpus(monkeypatch, 1)  # so that the serial sweep solves in this process
-    assert _row_workers(config, unknowns, len(config.axis_values)) == 1
+    assert _row_workers(7) == 1
     serial = run_sweep(config)
     assert [pid for pid, _ in solves()[len(rows) + 1 :]] == [os.getpid()] * len(rows)
     assert [row.axis_value for row in pooled.rows] == list(config.axis_values)
@@ -722,11 +722,12 @@ def test_concurrent_failure_cancels_the_rows_not_started(monkeypatch, tmp_path):
     config = make_config(
         axis_values=tuple(0.02 * k for k in range(40)), truncation=(2, 2), strict_truncation=True
     )
-    workers = _row_workers(config, sector_index(HilbertSpace(2, 2)).size, len(config.axis_values))
+    workers = _row_workers(pairsim.sweep.ROW_RUNS)  # 40 rows make 8 runs of 5
     assert workers == 2
     run = len(config.axis_values) // pairsim.sweep.ROW_RUNS  # 5 rows a run
     k = 3  # the failing row, counted from 1, in the first run
     failing = config.params_at(config.axis_values[k - 1])
+    pause = 0.0
     started = tmp_path / "started"
     original = pairsim.sweep.solve_steady
 
@@ -735,24 +736,25 @@ def test_concurrent_failure_cancels_the_rows_not_started(monkeypatch, tmp_path):
             fh.write("row\n")
         if params == failing:
             raise RuntimeError("row k")
-        # the rows after the first run outlast the cancellation
-        time.sleep(0.05 if params.delta >= config.axis_values[run] else 0)
+        time.sleep(pause if params.delta >= config.axis_values[run] else 0)
         return original(params, terms)
 
     monkeypatch.setattr(pairsim.sweep, "solve_steady", failing_at_row_k)
-    with pytest.raises(RuntimeError, match="row k"):
-        run_sweep(config)
-    # the failing run stops at row k; besides it, only the runs handed out
-    # start: the other worker's, the pool's queue of workers + 1 and the one
-    # that refills the queue when the failed worker takes the next
-    count = len(started.read_text().splitlines())
-    assert k <= count <= k + (2 * workers + 1) * run < len(config.axis_values)
+    # an exception in a row fails that row alone, and the other 39 rows
+    # are solved (without the check, which (2, 2) does not pass)
+    rows = run_sweep(replace(config, strict_truncation=False)).rows
+    errors = [None] * len(config.axis_values)
+    errors[k - 1] = "RuntimeError: row k"
+    assert [row.error for row in rows] == errors
+    assert sum(row.record is not None for row in rows) == len(config.axis_values) - 1
+    assert len(started.read_text().splitlines()) == len(config.axis_values)
     assert multiprocessing.active_children() == []
     # an exception in the calling process, here from progress at the first
-    # row, cancels the runs not handed out too: handed out are the first
-    # run, the workers' next two and the queue of workers + 1
+    # row, cancels the runs not handed out: handed out are the first run,
+    # the workers' next two and the queue of workers + 1, and the rows
+    # after the first run outlast the cancellation
     started.unlink()
-    failing = None
+    failing, pause = None, 0.05
 
     def stop(done, total):
         raise RuntimeError("progress")
@@ -765,7 +767,7 @@ def test_concurrent_failure_cancels_the_rows_not_started(monkeypatch, tmp_path):
 
 
 def test_no_worker_outlives_the_sweep(monkeypatch, tmp_path):
-    # after a sweep, after a failing row and after a worker that dies: the
+    # after a sweep, after failing rows and after a worker that dies: the
     # last raises BrokenProcessPool at once instead of waiting for the row
     set_cpus(monkeypatch, 2)
     config = make_config(axis_values=tuple(0.02 * k for k in range(8)), truncation=(2, 2))
@@ -781,14 +783,18 @@ def test_no_worker_outlives_the_sweep(monkeypatch, tmp_path):
             raise AssertionError("rows ran in the calling process")
         os._exit(1)
 
-    for solve, error in ((failing, RuntimeError), (dying, BrokenProcessPool)):
-        with monkeypatch.context() as patch:
-            patch.setattr(pairsim.sweep, "solve_steady", solve)
-            start = time.monotonic()
-            with pytest.raises(error):
-                run_sweep(config)
-        assert time.monotonic() - start < 30
-        assert multiprocessing.active_children() == []
+    with monkeypatch.context() as patch:
+        patch.setattr(pairsim.sweep, "solve_steady", failing)
+        rows = run_sweep(config).rows
+    assert [row.error for row in rows] == ["RuntimeError: failing row"] * len(rows)
+    assert multiprocessing.active_children() == []
+    with monkeypatch.context() as patch:
+        patch.setattr(pairsim.sweep, "solve_steady", dying)
+        start = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(config)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_pooled_sweep_forks_no_process_with_other_threads(monkeypatch, tmp_path):
@@ -797,7 +803,7 @@ def test_pooled_sweep_forks_no_process_with_other_threads(monkeypatch, tmp_path)
     solves = solve_log(monkeypatch, tmp_path / "pids")
     config = make_config()
     solved = 2  # -0.2 and 0.0; 0.2 takes -0.2's results, on two workers
-    assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size, solved) == 2
+    assert _row_workers(solved) == 2  # runs of one row
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         pooled = run_sweep(config)
@@ -928,44 +934,50 @@ def test_openblas_under_a_path_with_a_space_is_pinned(tmp_path, monkeypatch):
 
 def test_real_solve_rows_run_on_worker_processes(monkeypatch, tmp_path):
     # rows above COMPLEX_LU_UNKNOWNS take the real solve, whose triangular
-    # solves overlap in processes as the complex rows do: the same bound on
-    # workers for either solve, checked or not
+    # solves overlap in processes as the complex rows do: the same workers
+    # for either solve, checked or not, one for each of the 8 runs of a row
     set_cpus(monkeypatch, 64)
     solves = solve_log(monkeypatch, tmp_path / "pids", pause=0.02)
     config = make_config(axis_values=tuple(0.1 * k for k in range(8)), truncation=(6, 8))
-    unknowns = sector_index(HilbertSpace(6, 8)).size
-    assert unknowns > COMPLEX_LU_UNKNOWNS
-    for strict in (False, True):
-        assert _row_workers(replace(config, strict_truncation=strict), unknowns, 8) == 6
+    assert sector_index(HilbertSpace(6, 8)).size > COMPLEX_LU_UNKNOWNS
+    assert _row_workers(8) == 8
     run_sweep(config)
     assert len(solves()) == 8 and len(set(solves())) > 1
     assert os.getpid() not in solves()
-    small = replace(config, truncation=(3, 3))
-    assert _row_workers(small, sector_index(HilbertSpace(3, 3)).size, 8) == 5
 
 
-def test_worker_count_is_bounded_by_the_unknowns_ratio(monkeypatch):
+def test_the_pool_has_one_worker_a_run_up_to_the_cpus(monkeypatch):
+    # a worker solves a run at a time, so a worker beyond the runs would be
+    # forked only to wait; the pool gets exactly the runs
     set_cpus(monkeypatch, 64)
-    sizes = []
+    pools = []
 
     class Recording(concurrent.futures.process.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
+            pools.append([max_workers, 0])
             super().__init__(max_workers, **kwargs)
 
+        def submit(self, *args, **kwargs):
+            pools[-1][1] += 1
+            return super().submit(*args, **kwargs)
+
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
-    config = make_config(axis_values=tuple(0.02 * k for k in range(10)), strict_truncation=True)
-    ratio = sector_index(HilbertSpace(6, 6)).size // sector_index(HilbertSpace(3, 3)).size
-    assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size, 10) == ratio == 5
-    run_sweep(config)
-    assert sizes == [ratio]
-    # the ratio caps the pool at 6 for every shipped config, below its
-    # number of rows solved: more workers hold more row factors at once
+    # 9 rows make 5 runs of ceil(9 / ROW_RUNS) = 2, and 8 rows 8 runs of 1
+    for count, levels, runs in ((9, (5, 5), 5), (8, (3, 3), 8)):
+        run_sweep(make_config(axis_values=tuple(0.02 * k for k in range(count)), truncation=levels))
+        assert pools.pop() == [runs, runs], levels
+    # every shipped config, on a stand-in solve: min(CPUs, runs) workers,
+    # and at most ROW_RUNS runs of the rows it solves
+    monkeypatch.setattr(pairsim.sweep, "solve_point", lambda params, terms: (params, None))
     for path in sorted((Path(pairsim.sweep.__file__).parent / "configs").glob("*.yaml")):
-        shipped = load_config(str(path))
-        unknowns = sector_index(HilbertSpace(*shipped.truncation)).size
+        shipped = replace(load_config(str(path)), strict_truncation=False)
         solved = _mirror_sources(shipped).count(None)
-        assert _row_workers(shipped, unknowns, solved) == 6 < solved, path.name
+        runs = len(range(0, solved, -(-solved // pairsim.sweep.ROW_RUNS)))
+        assert runs <= pairsim.sweep.ROW_RUNS < solved, path.name
+        for cpus in (4, 64):
+            set_cpus(monkeypatch, cpus)
+            assert len(run_sweep(shipped).rows) == len(shipped.axis_values)
+            assert pools.pop() == [min(cpus, runs), runs], (path.name, cpus)
 
 
 # ---------------------------------------------------------------- detuning parity
@@ -1061,7 +1073,6 @@ def test_progress_counts_every_grid_row_in_order(cpus, monkeypatch, tmp_path):
 def test_a_failed_source_row_fails_its_mirror_after_one_solve(cpus, monkeypatch, tmp_path):
     set_cpus(monkeypatch, cpus)
     config = make_config(axis_values=(-0.2, -0.1, 0.0, 0.1, 0.2))
-    raised = ConvergenceError
     original = pairsim.sweep.solve_steady
 
     def failing_at_minus_0_1(params, terms):
@@ -1071,18 +1082,20 @@ def test_a_failed_source_row_fails_its_mirror_after_one_solve(cpus, monkeypatch,
 
     monkeypatch.setattr(pairsim.sweep, "solve_steady", failing_at_minus_0_1)
     solves = solve_log(monkeypatch, tmp_path / "solves", lambda params, terms: params.delta)
-    result = run_sweep(config)
-    assert sorted(solves()) == [-0.2, -0.1, 0.0]
-    rows = {row.axis_value: row for row in result.rows}
-    for value in (-0.1, 0.1):
-        assert rows[value].error == "stalled at delta = -0.1"
-        assert rows[value].record is rows[value].report is None and not rows[value].converged
-    assert all(rows[value].error is None for value in (-0.2, 0.0, 0.2))
-    # an error other than a PairsimError still ends the sweep
-    raised = RuntimeError
-    with pytest.raises(RuntimeError, match="stalled at delta = -0.1"):
-        run_sweep(config)
-    assert multiprocessing.active_children() == []
+    # a PairsimError's message is the row's error; any other exception's
+    # is prefixed by its type
+    for raised, error in (
+        (ConvergenceError, "stalled at delta = -0.1"),
+        (RuntimeError, "RuntimeError: stalled at delta = -0.1"),
+    ):
+        result = run_sweep(config)
+        assert sorted(solves()[-3:]) == [-0.2, -0.1, 0.0]
+        rows = {row.axis_value: row for row in result.rows}
+        for value in (-0.1, 0.1):
+            assert rows[value].error == error
+            assert rows[value].record is rows[value].report is None and not rows[value].converged
+        assert all(rows[value].error is None for value in (-0.2, 0.0, 0.2))
+    assert len(solves()) == 6 and multiprocessing.active_children() == []
 
 
 def test_a_grid_of_one_magnitude_forks_nothing(monkeypatch, tmp_path):
@@ -1095,7 +1108,7 @@ def test_a_grid_of_one_magnitude_forks_nothing(monkeypatch, tmp_path):
 
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
     config = make_config(axis_values=(-0.2, 0.2))
-    assert _row_workers(config, sector_index(HilbertSpace(3, 3)).size, 1) == 1
+    assert _row_workers(1) == 1
     first, second = run_sweep(config).rows
     assert solves() == [os.getpid()]
     assert (second.axis_value, second.record, second.report) == (0.2, first.record, first.report)
