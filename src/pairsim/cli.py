@@ -20,7 +20,7 @@ from importlib import resources
 from . import __version__
 from .errors import ConfigError, PairsimError
 from .model import SectorTerms, SystemParams
-from .observables import ELEMENT_KEYS, SCALAR_KEYS, ObservableRecord
+from .observables import ObservableRecord
 from .operators import HilbertSpace
 from .steady import SolveReport
 from .sweep import (
@@ -124,10 +124,8 @@ def _cmd_point(args) -> int:
     def show(name: str, value) -> None:
         print(f"{name:10s} = {'undef' if value is None else format(value, '.12g')}")
 
-    for key in SCALAR_KEYS:
-        show(key, getattr(record, key))
-    for key in ELEMENT_KEYS:
-        show(key, record.elements[key])
+    for key, value in record.columns().items():
+        show(key, value)
     show("residual", report.residual_norm)
     return 0
 
@@ -158,7 +156,6 @@ def mismatches(want: dict, record: ObservableRecord, report: SolveReport) -> lis
     CHECK_UNREFINED_REL_TOL for the unrefined complex LU (refine_steps 0)
     and CHECK_REL_TOL for a refined solve."""
     rel = CHECK_REL_TOL if report.refine_steps else CHECK_UNREFINED_REL_TOL
-    got = {**{key: getattr(record, key) for key in SCALAR_KEYS}, **record.elements}
 
     def close(x, y) -> bool:
         if x is None or y is None:
@@ -167,7 +164,7 @@ def mismatches(want: dict, record: ObservableRecord, report: SolveReport) -> lis
 
     return [
         f"{key} {_fmt(value)} (packaged {_fmt(want[key])})"
-        for key, value in got.items()
+        for key, value in record.columns().items()
         if not close(value, want[key])
     ]
 

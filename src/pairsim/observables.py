@@ -11,9 +11,13 @@ weighted sums over the diagonal populations because the relevant operator
 strings (a^dag a^dag a a, b^dag b^dag b b, a^dag b^dag b a) are diagonal in
 the Fock basis.
 
-Correlations are reported as None (not zero) when the corresponding
-occupation sits below G2_FLOOR: a g2 of an empty mode is 0/0, and emitting an
+Correlations are reported as None (not zero) when an occupation they divide
+by sits below G2_FLOOR: a g2 of an empty mode is 0/0, and emitting an
 explicit undefined keeps sweep output honest in the undriven limit.
+
+ObservableRecord.columns() is the one list of the 14 reported columns, in
+CSV order: the CSV, the truncation check, `pairsim check` and `pairsim
+point` all read it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ __all__ = [
 
 G2_FLOOR = 1e-12
 
-# The scalar fields of ObservableRecord, in field (and output column) order.
+# The scalar fields of ObservableRecord, in field order; ObservableRecord.columns()
+# gives them, then the ELEMENT_KEYS, as the reported columns.
 SCALAR_KEYS = ("mean_n", "mean_m", "g2_n", "g2_m", "g2_nm", "log_neg")
 
 ELEMENT_KEYS = (
@@ -68,24 +73,21 @@ class ObservableRecord:
     log_neg: float
     elements: dict[str, float] = field(default_factory=dict)
 
+    def columns(self) -> dict[str, float | None]:
+        """The 14 reported columns by name, in output order: SCALAR_KEYS,
+        then ELEMENT_KEYS."""
+        return {
+            **{key: getattr(self, key) for key in SCALAR_KEYS},
+            **{key: self.elements[key] for key in ELEMENT_KEYS},
+        }
 
-def _g2_auto(values: np.ndarray, pops: np.ndarray) -> float | None:
-    """<o^dag o^dag o o> / <o^dag o>^2 of the mode whose Fock level in each
-    basis state is `values`."""
-    mean = float(values @ pops)
-    if mean < G2_FLOOR:
+
+def _g2(weights: np.ndarray, pops: np.ndarray, mean_a: float, mean_b: float) -> float | None:
+    """<weights> / (mean_a mean_b) over the populations pops, or None when
+    either mean is below G2_FLOOR (a NaN mean is not, and gives NaN)."""
+    if mean_a < G2_FLOOR or mean_b < G2_FLOOR:
         return None
-    numerator = float((values * (values - 1.0)) @ pops)
-    return numerator / mean**2
-
-
-def _g2_cross(nvals: np.ndarray, mvals: np.ndarray, pops: np.ndarray) -> float | None:
-    """Photon-phonon cross correlation <a^dag b^dag b a> / (<n><m>)."""
-    mean_n = float(nvals @ pops)
-    mean_m = float(mvals @ pops)
-    if mean_n < G2_FLOOR or mean_m < G2_FLOOR:
-        return None
-    return float((nvals * mvals) @ pops) / (mean_n * mean_m)
+    return float(weights @ pops) / (mean_a * mean_b)
 
 
 def log_negativity(x: np.ndarray, terms: SectorTerms) -> float:
@@ -154,12 +156,13 @@ def compute_observables(x: np.ndarray, terms: SectorTerms) -> ObservableRecord:
     pops = x[terms.diagonal].real
     nvals = space.photon_values().astype(float)
     mvals = space.phonon_values().astype(float)
+    mean_n, mean_m = float(nvals @ pops), float(mvals @ pops)
     return ObservableRecord(
-        mean_n=float(nvals @ pops),
-        mean_m=float(mvals @ pops),
-        g2_n=_g2_auto(nvals, pops),
-        g2_m=_g2_auto(mvals, pops),
-        g2_nm=_g2_cross(nvals, mvals, pops),
+        mean_n=mean_n,
+        mean_m=mean_m,
+        g2_n=_g2(nvals * (nvals - 1.0), pops, mean_n, mean_n),
+        g2_m=_g2(mvals * (mvals - 1.0), pops, mean_m, mean_m),
+        g2_nm=_g2(nvals * mvals, pops, mean_n, mean_m),
         log_neg=log_negativity(x, terms),
         elements=_elements(x, terms, pops),
     )

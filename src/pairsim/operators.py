@@ -103,27 +103,18 @@ def embed(space: HilbertSpace, atom_op=None, photon_op=None, phonon_op=None) -> 
     Missing factors default to identities.  The Kronecker order realizes the
     basis-index contract (atom slowest, phonon fastest).
     """
-    a_op = sp.identity(2, dtype=complex, format="csr") if atom_op is None else atom_op
-    c_op = (
-        sp.identity(space.n_c + 1, dtype=complex, format="csr")
-        if photon_op is None
-        else photon_op
-    )
-    m_op = (
-        sp.identity(space.n_m + 1, dtype=complex, format="csr")
-        if phonon_op is None
-        else phonon_op
-    )
-    if a_op.shape != (2, 2):
-        raise ConfigError(f"atom operator must be 2x2, got {a_op.shape}")
-    if c_op.shape != (space.n_c + 1, space.n_c + 1):
-        raise ConfigError(
-            f"photon operator shape {c_op.shape} does not match truncation {space.n_c}"
-        )
-    if m_op.shape != (space.n_m + 1, space.n_m + 1):
-        raise ConfigError(
-            f"phonon operator shape {m_op.shape} does not match truncation {space.n_m}"
-        )
+    factors = []
+    for name, op, dim in (
+        ("atom", atom_op, 2),
+        ("photon", photon_op, space.n_c + 1),
+        ("phonon", phonon_op, space.n_m + 1),
+    ):
+        if op is None:
+            op = sp.identity(dim, dtype=complex, format="csr")
+        elif op.shape != (dim, dim):
+            raise ConfigError(f"{name} operator must be {dim}x{dim}, got {op.shape}")
+        factors.append(op)
+    a_op, c_op, m_op = factors
     return sp.kron(a_op, sp.kron(c_op, m_op, format="csr"), format="csr")
 
 

@@ -337,8 +337,8 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
     if n_c < 2 or n_m < 2:
         raise ValueError(f"base truncation must be at least (2, 2), got {(n_c, n_m)}")
     doubled, solved = solve_point(params, SectorTerms.build(HilbertSpace(2 * n_c, 2 * n_m)))
-    deviations = [_deviation(getattr(record, key), getattr(doubled, key)) for key in SCALAR_KEYS]
-    deviations += [_deviation(record.elements[key], doubled.elements[key]) for key in ELEMENT_KEYS]
+    doubled_columns = doubled.columns()
+    deviations = [_deviation(x, doubled_columns[key]) for key, x in record.columns().items()]
     return {
         **point_json(doubled, solved),
         "max_deviation": max(deviations),
@@ -628,17 +628,12 @@ def emit_csv(result: SweepResult, path: str) -> None:
         ",".join(_CSV_COLUMNS),
     ]
     for row in result.rows:
+        cells = [format(row.axis_value, ".17e")]
         if row.record is None:
-            cells = [format(row.axis_value, ".17e")]
-            cells += [ERROR_TOKEN] * (len(_CSV_COLUMNS) - 2)
-            cells.append("false")
+            cells += [ERROR_TOKEN] * (len(_CSV_COLUMNS) - 2) + ["false"]
         else:
-            rec = row.record
-            cells = [format(row.axis_value, ".17e")]
-            cells += [_fmt(getattr(rec, key)) for key in SCALAR_KEYS]
-            cells += [_fmt(rec.elements[key]) for key in ELEMENT_KEYS]
-            cells.append(_fmt(row.report.residual_norm))
-            cells.append("true" if row.converged else "false")
+            cells += [_fmt(value) for value in row.record.columns().values()]
+            cells += [_fmt(row.report.residual_norm), "true" if row.converged else "false"]
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

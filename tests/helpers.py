@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from pairsim.errors import ConfigError, ConvergenceError, DegenerateSteadyStateError, PairsimError
 from pairsim.model import SectorTerms, unvec, vec
-from pairsim.observables import _NAMED_STATES, ObservableRecord, _g2_auto, _g2_cross
+from pairsim.observables import _NAMED_STATES, ObservableRecord, _g2
 from pairsim.operators import HilbertSpace
 from pairsim.steady import _validated
 from pairsim.sweep import ERROR_TOKEN, UNDEF_TOKEN
@@ -406,12 +406,13 @@ def dense_observables(rho: np.ndarray, space: HilbertSpace) -> ObservableRecord:
     pops = populations(rho)
     nvals = space.photon_values().astype(float)
     mvals = space.phonon_values().astype(float)
+    mean_n, mean_m = float(nvals @ pops), float(mvals @ pops)
     return ObservableRecord(
-        mean_n=float(nvals @ pops),
-        mean_m=float(mvals @ pops),
-        g2_n=_g2_auto(nvals, pops),
-        g2_m=_g2_auto(mvals, pops),
-        g2_nm=_g2_cross(nvals, mvals, pops),
+        mean_n=mean_n,
+        mean_m=mean_m,
+        g2_n=_g2(nvals * (nvals - 1.0), pops, mean_n, mean_n),
+        g2_m=_g2(mvals * (mvals - 1.0), pops, mean_m, mean_m),
+        g2_nm=_g2(nvals * mvals, pops, mean_n, mean_m),
         log_neg=dense_log_negativity(reduced, space),
         elements=named_elements(rho, space),
     )

@@ -72,6 +72,18 @@ def test_single_photon_fock_state():
     assert obs.g2_nm is None
 
 
+def test_single_phonon_fock_state():
+    # an empty photon mode beside an occupied phonon mode: g2_nm's first
+    # mean is the one below the floor
+    rho = projector(ket(SPACE, 0, 0, 1))
+    obs = observe(rho)
+    assert obs.mean_m == pytest.approx(1.0)
+    assert obs.g2_m == 0.0  # a Fock state has no two-phonon component
+    assert obs.mean_n == 0.0
+    assert obs.g2_n is None
+    assert obs.g2_nm is None
+
+
 def test_g2_of_hand_computed_mixture():
     # phonon populations (0.7, 0.2, 0.1): <m> = 0.4, <m(m-1)> = 0.2
     rho = diagonal_state(SPACE, [1.0, 0.0, 0.0], [0.7, 0.2, 0.1])

@@ -168,3 +168,5 @@ def test_embed_rejects_wrong_shapes():
         embed(space, photon_op=annihilation(4))
     with pytest.raises(ConfigError):
         embed(space, atom_op=annihilation(2))
+    with pytest.raises(ConfigError, match=r"phonon operator must be 3x3, got \(2, 2\)"):
+        embed(space, phonon_op=sigma_minus())

@@ -456,6 +456,9 @@ def test_csv_round_trip_is_lossless(tmp_path):
     cols, rows = read_csv(str(path))
     assert cols[0] == "axis"
     assert cols[-1] == "converged"
+    # the record's columns are the header's between axis and residual
+    for src in result.rows:
+        assert list(src.record.columns()) == [*SCALAR_KEYS, *ELEMENT_KEYS] == cols[1:-2]
     for row, src in zip(rows, result.rows):
         # .17e formatting round-trips IEEE doubles exactly
         assert row["axis"] == src.axis_value
