@@ -172,17 +172,16 @@ def mismatches(want: dict, record: ObservableRecord, report: SolveReport) -> lis
 def _cmd_check(args) -> int:
     del args
     points = _check_points()
-    terms: dict[tuple, SectorTerms] = {}  # of one truncation at a time
+    terms = None  # the last point's; sorted by truncation, each is built once
     passed = 0
     # one BLAS thread, as the sweeps that made the points had
     with _one_blas_thread():
         for point in sorted(points, key=lambda point: point["truncation"]):
             truncation = tuple(point["truncation"])
             try:
-                if truncation not in terms:
-                    terms.clear()
-                    terms[truncation] = SectorTerms.build(HilbertSpace(*truncation))
-                solved = solve_point(SystemParams(**point["params"]), terms[truncation])
+                if terms is None or terms.space != HilbertSpace(*truncation):
+                    terms = SectorTerms.build(HilbertSpace(*truncation))
+                solved = solve_point(SystemParams(**point["params"]), terms)
                 failures = mismatches(point["columns"], *solved)
             except Exception as exc:  # a point that raises fails
                 failures = [f"raised {type(exc).__name__}: {exc}"]

@@ -38,13 +38,10 @@ _row_workers processes for every row: the rows are independent, and
 processes overlap the real solve's SuperLU triangular solves, which two
 threads ran slower than one (README, "Concurrent rows", gives the
 measurements).  The pool takes the rows to solve in at most ROW_RUNS
-contiguous runs, fixed by the grid alone, and has one worker per run up
-to the CPUs available; the workers inherit the sweep's config and sector
-terms from the calling process instead of receiving them.  Rows run
-serially in the calling process where forking is not safe or gains
-nothing: off Linux, with one worker, or while another Python thread is
-alive, since a forked child gets a copy of every lock another thread
-holds and none of the threads that would release it.
+contiguous runs, fixed by the grid alone; the workers inherit the
+sweep's config and sector terms from the calling process instead of
+receiving them.  Where _row_workers gives one process (its docstring
+says when), the rows run serially in the calling process instead.
 The rows and the check call a one-thread BLAS (_one_blas_thread):
 spinning BLAS threads would take the CPUs the other rows need, and one
 policy for every sweep makes each row's arithmetic that of a serial
@@ -65,6 +62,7 @@ import math
 import os
 import sys
 import threading
+from concurrent.futures import BrokenExecutor  # BrokenProcessPool's base
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -139,11 +137,6 @@ class SweepConfig:
         object.__setattr__(self, "axis_values", values)
         if not values:
             raise ConfigError("axis_values must be non-empty")
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"axis_values must be finite, got {list(values)}")
-        steps = np.diff(values)
-        if not (np.all(steps > 0) or np.all(steps < 0)):
-            raise ConfigError("axis_values must be strictly monotone")
         levels = self.truncation
         if not (
             isinstance(levels, (list, tuple, np.ndarray))
@@ -171,12 +164,17 @@ class SweepConfig:
             )
         if self.couple_delta_to_j and self.axis == "delta":
             raise ConfigError("couple_delta_to_j cannot be combined with a delta sweep")
-        # a grid point the model rejects would otherwise become an error row
+        # a grid point the model rejects, a non-finite one among them, would
+        # otherwise become an error row
         for value in self.axis_values:
             try:
                 self.params_at(value)
             except ConfigError as exc:
                 raise ConfigError(f"axis_values: {self.axis} = {value:g} is invalid ({exc})") from exc
+        # after the points, so that a NaN is named rather than failing this
+        steps = np.diff(values)
+        if not (np.all(steps > 0) or np.all(steps < 0)):
+            raise ConfigError("axis_values must be strictly monotone")
 
     @property
     def csv_path(self) -> str:
@@ -347,22 +345,30 @@ def check_truncation(params: SystemParams, base: tuple[ObservableRecord, SolveRe
 
 
 def _row_workers(runs: int) -> int:
-    """Processes that solve a sweep's `runs` runs of rows: min(CPUs
-    available to the process, runs), for rows of either solve, checked or
-    not.  A worker takes a run at a time, so more workers than runs would
-    only be forked to wait, and runs <= ROW_RUNS caps the pool.  Each worker
-    holds one row's factor and solve at a time, and the pool is shut down
-    before the truncation check factors the doubled sector.  Each forked
-    worker of a shipped sweep peaked at 49-54 MiB RSS on a 2-vCPU machine,
-    which counts in full the pages it shares with the calling process since
-    the fork; 6-10 MiB of it was the worker's own (README, "Concurrent
-    rows", gives the peaks).
+    """Processes that solve a sweep's `runs` runs of rows, for rows of
+    either solve, checked or not; run_sweep forks a pool of them when there
+    are more than 1, and otherwise solves the rows in the calling process.
+
+    It is 1 off Linux, where Python defaults to spawn (macOS's system
+    libraries are not safe to fork), and 1 while another Python thread is
+    alive (a second sweep, or a _one_blas_thread holder, on another thread),
+    since a forked child gets a copy of every lock another thread holds and
+    none of the threads that would release it.  Python 3.14 defaults to
+    forkserver on Linux too, for that thread hazard, which this rule keeps
+    out; spawn and forkserver would re-import numpy and scipy in every
+    worker.  Otherwise it is min(CPUs available to the process, runs): a
+    worker takes a run at a time, so more workers than runs would only be
+    forked to wait, and runs <= ROW_RUNS caps the pool.  Each worker holds
+    one row's factor and solve at a time, and the pool is shut down before
+    the truncation check factors the doubled sector.  Each forked worker of
+    a shipped sweep peaked at 49-54 MiB RSS on a 2-vCPU machine, which
+    counts in full the pages it shares with the calling process since the
+    fork; 6-10 MiB of it was the worker's own (README, "Concurrent rows",
+    gives the peaks).
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not available on every platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, runs)
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), runs)
 
 
 # thread-count getter and setter of each OpenBLAS build: plain (32- and
@@ -443,15 +449,31 @@ def _one_blas_thread():
                     put(count)
 
 
+def _error_row(value: float, exc: Exception) -> SweepRow:
+    """The row of a grid point that exc failed: a PairsimError's message,
+    and another's "<TypeName>: <message>"."""
+    error = str(exc) if isinstance(exc, PairsimError) else f"{type(exc).__name__}: {exc}"
+    return SweepRow(axis_value=value, record=None, report=None, error=error)
+
+
 def _solve_row(config: SweepConfig, terms: SectorTerms, value: float) -> SweepRow:
-    """The row of one grid point.  Any Exception becomes its error row: a
-    PairsimError's message, and another's "<TypeName>: <message>"."""
+    """The row of one grid point.  Any Exception becomes its error row."""
     try:
         record, report = solve_point(config.params_at(value), terms)
     except Exception as exc:
-        error = str(exc) if isinstance(exc, PairsimError) else f"{type(exc).__name__}: {exc}"
-        return SweepRow(axis_value=value, record=None, report=None, error=error)
+        return _error_row(value, exc)
     return SweepRow(axis_value=value, record=record, report=report)
+
+
+def _run_rows(future, values: list[float]) -> list[SweepRow]:
+    """A worker's rows of the run `values`, or, if the pool broke before it
+    returned them (a worker died), their error rows naming
+    BrokenProcessPool.  They are not solved again: a crash that repeats
+    would take the calling process down."""
+    try:
+        return future.result()
+    except BrokenExecutor as exc:
+        return [_error_row(value, exc) for value in values]
 
 
 def _mirror_sources(config: SweepConfig) -> list[int | None]:
@@ -506,24 +528,21 @@ def run_sweep(
 
     The rows to solve are solved on _row_workers forked processes, which
     take them in contiguous runs of ceil(rows to solve / ROW_RUNS) rows and
-    inherit the config and the sector terms.  They run serially in this
-    process instead off Linux (Python defaults to spawn on macOS, whose
-    system libraries are not safe to fork), with one worker, or while
-    another Python thread is alive (a second sweep, or a _one_blas_thread
-    holder, on another thread).  Python 3.14 defaults to forkserver on
-    Linux too, for that thread hazard, which the rule keeps out; spawn and
-    forkserver would re-import numpy and scipy in every worker.  Rows and
-    check alike are solved with every loaded OpenBLAS held at one thread
-    (_one_blas_thread), restored after, and the check runs here after the
-    rows.  Rows come back in axis order, a run at a time (a serial run is
-    one row).  Every row a run releases, its mirrors among them, is built
-    first; then `progress(done, total)` is called from the calling thread
-    once for each of them, so once per grid row.  A row whose solve raises
-    an Exception is an error row (_solve_row), and the other rows are
-    solved.  An exception raised in this process, as one from `progress`,
-    or an interrupt, cancels the runs not yet handed to a worker and
-    propagates once the handed ones finish; a worker that dies raises
-    BrokenProcessPool.  No worker outlives the call.
+    inherit the config and the sector terms; where _row_workers gives one
+    process, they run serially in this one (its docstring says when).  Rows
+    and check alike are solved with every loaded OpenBLAS held at one
+    thread (_one_blas_thread), restored after, and the check runs here
+    after the rows.  Rows come back in axis order, a run at a time (a
+    serial run is one row).  Every row a run releases, its mirrors among
+    them, is built first; then `progress(done, total)` is called from the
+    calling thread once for each of them, so once per grid row.  A row
+    whose solve raises an Exception is an error row (_solve_row), and the
+    other rows are solved.  A worker that dies breaks the pool: every run
+    not yet returned becomes error rows naming BrokenProcessPool, unsolved
+    (_run_rows), and the rows returned before stay solved.  An exception
+    raised in this process, as one from `progress`, or an interrupt,
+    cancels the runs not yet handed to a worker and propagates once the
+    handed ones finish.  No worker outlives the call.
     """
     terms = SectorTerms.build(HilbertSpace(*config.truncation))
     values = config.axis_values
@@ -536,7 +555,7 @@ def run_sweep(
     with _one_blas_thread():
         workers = _row_workers(len(runs))
         pool = None
-        if workers > 1 and sys.platform == "linux" and threading.active_count() == 1:
+        if workers > 1:
             # imported here, so that loading a config does not pay for them
             import multiprocessing
             from concurrent.futures.process import ProcessPoolExecutor
@@ -552,7 +571,7 @@ def run_sweep(
                 released = ([_solve_row(config, terms, value)] for value in solve)
             else:
                 futures = [pool.submit(_worker_run, run) for run in runs]
-                released = (future.result() for future in futures)
+                released = (_run_rows(future, run) for future, run in zip(futures, runs))
             for run in released:
                 done = len(rows)
                 solved = iter(run)

@@ -31,7 +31,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import pairsim  # noqa: E402
-from pairsim.observables import SCALAR_KEYS  # noqa: E402
+from pairsim.observables import ObservableRecord  # noqa: E402
 from pairsim.sweep import load_config, run_sweep  # noqa: E402
 
 CONFIGS = ("fig2_weak", "fig2_strong", "fig4", "fig5_weak", "fig5_strong", "fig6", "fig7")
@@ -42,7 +42,7 @@ def points(name: str) -> list[dict]:
     config = load_config(str(PACKAGE / "configs" / f"{name}.yaml"))
     result = run_sweep(config)
 
-    def point(role: str, axis_value: float, truncation, observables: dict) -> dict:
+    def point(role: str, axis_value: float, truncation, record: ObservableRecord) -> dict:
         return {
             "config": name,
             "role": role,
@@ -50,18 +50,19 @@ def points(name: str) -> list[dict]:
             "axis_value": axis_value,
             "truncation": list(truncation),
             "params": dataclasses.asdict(config.params_at(axis_value)),
-            "columns": {**{k: observables[k] for k in SCALAR_KEYS}, **observables["elements"]},
+            "columns": record.columns(),
         }
 
     rows = result.rows
     chosen = [
-        point(role, row.axis_value, config.truncation, dataclasses.asdict(row.record))
+        point(role, row.axis_value, config.truncation, row.record)
         for role, row in (("first", rows[0]), ("middle", rows[len(rows) // 2]), ("last", rows[-1]))
     ]
     check = result.metadata["truncation_check"]
     if check is not None:
         levels = check["report"]["levels_used"]
-        chosen.append(point("check", check["axis_value"], levels, check["observables"]))
+        record = ObservableRecord(**check["observables"])
+        chosen.append(point("check", check["axis_value"], levels, record))
     return chosen
 
 

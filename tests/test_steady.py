@@ -1017,6 +1017,9 @@ def test_validation_rejects_an_entry_perturbed_without_its_partner():
     terms = SectorTerms.build(HilbertSpace(2, 3))
     x = level_state(terms, np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
     _validated(x, terms.partner, terms.levels, 0.0, "test")  # a valid state
+    # the same state, Hermitian still, with its trace 1e-9 off
+    with pytest.raises(ConvergenceError, match="trace off by"):
+        _validated(x * (1 + 1e-9), terms.partner, terms.levels, 0.0, "test")
     off = np.flatnonzero(x.imag > 0)[0]
     assert terms.partner[off] != off
     x[off] += 1e-9

@@ -18,7 +18,7 @@ import warnings
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +157,17 @@ def test_axis_values_are_stored_as_a_tuple_of_floats(tmp_path):
             make_config(axis_values=values)
 
 
+def test_a_non_finite_grid_value_is_named():
+    # the model rejects it as a grid point, before the grid's order is judged
+    for values, shown in (((0.0, math.nan), "nan"), ((0.0, math.inf, 1.0), "inf")):
+        named = rf"axis_values: delta = {shown} is invalid \(delta must be finite\)"
+        with pytest.raises(ConfigError, match=named):
+            make_config(axis_values=values)
+    for values in ((0.0, 0.2, 0.1), (0.1, 0.1)):
+        with pytest.raises(ConfigError, match="axis_values must be strictly monotone"):
+            make_config(axis_values=values)
+
+
 def test_params_at_applies_axis_and_coupling():
     config = make_config(axis="j_coupling", axis_values=(0.5, 2.0), couple_delta_to_j=True)
     params = config.params_at(2.0)
@@ -197,6 +208,8 @@ def test_load_config_defaults_and_rejections(tmp_path):
         "axis: delta\nvalues: [0]\nparams: {qfactor: 3}\n",
     )
     assert load_error(bad) == f"{bad}: unknown params keys ['qfactor']"
+    bad = write_yaml(tmp_path / "listparams.yaml", "axis: delta\nvalues: [0]\nparams: [1, 2]\n")
+    assert load_error(bad) == f"{bad}: params must be a mapping"
     bad = write_yaml(
         tmp_path / "negrate.yaml",
         "axis: delta\nvalues: [0]\nparams: {gamma_c: -1}\n",
@@ -318,6 +331,19 @@ def test_readme_python_blocks_run(capsys):
         "(584,)", "(72,", "72)", "584",
     ]
     assert names["converged"] is True
+
+
+def test_readme_point_commands_run(capsys):
+    # each `pairsim point` line of Command line's example solves
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [line.split("#")[0].split() for line in block.splitlines()]
+    commands = [argv for argv in commands if argv[:2] == ["pairsim", "point"]]
+    assert len(commands) == 2
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)
+    assert "solver error" not in capsys.readouterr().err
 
 
 def test_readme_example_config_loads(tmp_path):
@@ -624,6 +650,27 @@ def test_truncation_check_compares_every_element(monkeypatch):
     assert not check["max_deviation"] <= check["tolerance"]
 
 
+def test_truncation_check_of_undefined_g2s(monkeypatch):
+    # undriven, every g2 is undefined at both levels, which passes with no
+    # deviation at all
+    result = run_sweep(make_config(base_params=replace(BASE, omega=0.0), strict_truncation=True))
+    check = result.metadata["truncation_check"]
+    assert check["max_deviation"] == 0.0
+    for observables in (*(asdict(row.record) for row in result.rows), check["observables"]):
+        assert [observables[key] for key in ("g2_n", "g2_m", "g2_nm")] == [None] * 3
+    # a g2 defined at one level and undefined at the other fails the check
+    compute = pairsim.sweep.compute_observables
+
+    def undefined_when_doubled(x, terms):
+        record = compute(x, terms)
+        return replace(record, g2_nm=None) if terms.space == HilbertSpace(6, 6) else record
+
+    set_cpus(monkeypatch, 1)
+    monkeypatch.setattr(pairsim.sweep, "compute_observables", undefined_when_doubled)
+    with pytest.raises(TruncationError, match="by up to inf relative"):
+        run_sweep(make_config(strict_truncation=True))
+
+
 def test_strict_truncation_rows_pass_the_recorded_check():
     # the check's record is the sweep's one verdict: a checked sweep that
     # returns its rows passed it, and every row it returns solved
@@ -771,12 +818,16 @@ def test_concurrent_failure_cancels_the_rows_not_started(monkeypatch, tmp_path):
 
 def test_no_worker_outlives_the_sweep(monkeypatch, tmp_path):
     # after a sweep, after failing rows and after a worker that dies: the
-    # last raises BrokenProcessPool at once instead of waiting for the row
+    # last returns at once instead of waiting for the row, its unreturned
+    # runs as error rows naming BrokenProcessPool
     set_cpus(monkeypatch, 2)
     config = make_config(axis_values=tuple(0.02 * k for k in range(8)), truncation=(2, 2))
     run_sweep(config)
     assert multiprocessing.active_children() == []
     here = os.getpid()
+    original = pairsim.sweep.solve_steady
+    # a row of the 8 runs of one row, and one of the CLI's grid below
+    dies_at = (config.axis_values[3], -0.2)
 
     def failing(params, terms):
         raise RuntimeError("failing row")
@@ -784,20 +835,43 @@ def test_no_worker_outlives_the_sweep(monkeypatch, tmp_path):
     def dying(params, terms):
         if os.getpid() == here:  # never end the test's own process
             raise AssertionError("rows ran in the calling process")
-        os._exit(1)
+        if params.delta in dies_at:
+            os._exit(1)
+        return original(params, terms)
 
     with monkeypatch.context() as patch:
         patch.setattr(pairsim.sweep, "solve_steady", failing)
         rows = run_sweep(config).rows
     assert [row.error for row in rows] == ["RuntimeError: failing row"] * len(rows)
     assert multiprocessing.active_children() == []
+    broken = f"{BrokenProcessPool.__name__}: "
     with monkeypatch.context() as patch:
         patch.setattr(pairsim.sweep, "solve_steady", dying)
         start = time.monotonic()
-        with pytest.raises(BrokenProcessPool):
-            run_sweep(config)
-    assert time.monotonic() - start < 30
+        rows = run_sweep(config).rows
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+        # the CLI writes both files of such a sweep and exits 2; -0.2's
+        # mirror at 0.2 copies its error
+        cfg = write_yaml(tmp_path / "mini.yaml", MINI_YAML)
+        out = tmp_path / "mini.csv"
+        assert main(["sweep", cfg, "--output", str(out)]) == 2
     assert multiprocessing.active_children() == []
+    # the rows returned before the pool broke stay solved, unchanged
+    assert rows[3].record is None and rows[3].error.startswith(broken)
+    terms = SectorTerms.build(HilbertSpace(*config.truncation))
+    for row in rows:
+        if row.error is None:
+            with _one_blas_thread():
+                fresh = solve_point(config.params_at(row.axis_value), terms)
+            assert (row.record, row.report) == fresh
+        else:
+            assert row.record is row.report is None and row.error.startswith(broken)
+    doc = json.loads((tmp_path / "mini.json").read_text())
+    assert [row["axis_value"] for row in doc["rows"]] == [-0.2, 0.0, 0.2]
+    assert doc["rows"][0]["error"].startswith(broken)
+    assert doc["rows"][2]["error"] == doc["rows"][0]["error"]
+    assert len(out.read_text().splitlines()) == 2 + 3
 
 
 def test_pooled_sweep_forks_no_process_with_other_threads(monkeypatch, tmp_path):
@@ -817,6 +891,7 @@ def test_pooled_sweep_forks_no_process_with_other_threads(monkeypatch, tmp_path)
     other = threading.Thread(target=release.wait)
     other.start()
     try:
+        assert _row_workers(solved) == 1
         with_thread = run_sweep(config)
     finally:
         release.set()
@@ -824,6 +899,7 @@ def test_pooled_sweep_forks_no_process_with_other_threads(monkeypatch, tmp_path)
     assert not other.is_alive()
     with monkeypatch.context() as patch:
         patch.setattr(sys, "platform", "darwin")
+        assert _row_workers(solved) == 1
         off_linux = run_sweep(config)
     assert solves()[solved:] == [os.getpid()] * 2 * solved
     for serial in (with_thread, off_linux):
